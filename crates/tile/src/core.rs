@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::isa::{Instr, Program, Reg};
-use crate::memory::AccessMemoryError;
+use crate::memory::{AccessMemoryError, WordStore};
 use crate::{GLOBAL_BASE, PRIVATE_SRAM_BYTES};
 
 /// A shared-memory access presented to the tile interconnect.
@@ -157,7 +157,7 @@ pub struct CoreSim {
     regs: [u32; 16],
     pc: usize,
     program: Program,
-    sram: Vec<u8>,
+    sram: WordStore,
     state: CoreState,
     stats: CoreStats,
     /// Remaining cycles the pipeline is frozen by an already-performed
@@ -175,7 +175,7 @@ impl CoreSim {
             regs: [0; 16],
             pc: 0,
             program: Program::builder().halt().build().expect("non-empty"),
-            sram: vec![0; PRIVATE_SRAM_BYTES],
+            sram: WordStore::new(PRIVATE_SRAM_BYTES),
             state: CoreState::Halted,
             stats: CoreStats::default(),
             stall_pending: 0,
@@ -274,10 +274,7 @@ impl CoreSim {
     /// Returns an error for misaligned or out-of-range addresses.
     pub fn read_private_word(&self, addr: u32) -> Result<u32, AccessMemoryError> {
         check_private(addr)?;
-        let i = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.sram[i..i + 4].try_into().expect("4 bytes"),
-        ))
+        Ok(self.sram.read(addr as usize / 4))
     }
 
     /// Writes a word to private SRAM.
@@ -287,8 +284,7 @@ impl CoreSim {
     /// Returns an error for misaligned or out-of-range addresses.
     pub fn write_private_word(&mut self, addr: u32, value: u32) -> Result<(), AccessMemoryError> {
         check_private(addr)?;
-        let i = addr as usize;
-        self.sram[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        self.sram.write(addr as usize / 4, value);
         Ok(())
     }
 

@@ -42,7 +42,7 @@ pub const ROW_BYTES: usize = 2048;
 ///
 /// Returns an error for misaligned or out-of-range offsets.
 pub fn bank_of_offset(offset: u32) -> Result<usize, AccessMemoryError> {
-    locate(offset).map(|(bank, _)| bank)
+    bank_row_of_offset(offset).map(|(bank, _)| bank)
 }
 
 /// Maps an offset to `(bank, row-within-bank)` for row-buffer timing
@@ -54,26 +54,75 @@ pub fn bank_of_offset(offset: u32) -> Result<usize, AccessMemoryError> {
 ///
 /// Returns an error for misaligned or out-of-range offsets.
 pub fn bank_row_of_offset(offset: u32) -> Result<(usize, u32), AccessMemoryError> {
-    locate(offset).map(|(bank, byte)| (bank, (byte / ROW_BYTES) as u32))
+    const GLOBAL_WORDS: usize = GLOBAL_REGION_BYTES / 4;
+    let word = locate(offset)?;
+    let (bank, byte) = if word < GLOBAL_WORDS {
+        (word % GLOBAL_BANKS, (word / GLOBAL_BANKS) * 4)
+    } else {
+        (GLOBAL_BANKS, (word - GLOBAL_WORDS) * 4)
+    };
+    Ok((bank, (byte / ROW_BYTES) as u32))
 }
 
-/// Maps an offset to `(bank, byte-within-bank)`.
-fn locate(offset: u32) -> Result<(usize, usize), AccessMemoryError> {
+/// Validates an offset and returns its word index within the chiplet.
+fn locate(offset: u32) -> Result<usize, AccessMemoryError> {
     if !offset.is_multiple_of(4) {
         return Err(AccessMemoryError::Misaligned { addr: offset });
     }
-    let off = offset as usize;
-    if off + 4 <= GLOBAL_REGION_BYTES {
-        let word = off / 4;
-        let bank = word % GLOBAL_BANKS;
-        let byte = (word / GLOBAL_BANKS) * 4;
-        Ok((bank, byte))
-    } else if off >= GLOBAL_REGION_BYTES && off + 4 <= TOTAL_BYTES {
-        Ok((GLOBAL_BANKS, off - GLOBAL_REGION_BYTES))
-    } else {
-        Err(AccessMemoryError::OutOfRange { addr: offset })
+    if offset as usize + 4 > TOTAL_BYTES {
+        return Err(AccessMemoryError::OutOfRange { addr: offset });
+    }
+    Ok(offset as usize / 4)
+}
+
+/// Words per page of a [`WordStore`] (4 KiB).
+const PAGE_WORDS: usize = 1024;
+
+/// Zero-initialised word storage that materialises a 4 KiB page on the
+/// first write into it. A word in a page never written reads 0, which is
+/// exactly what zero-initialised SRAM holds, so untouched memory costs
+/// one null pointer per page instead of its bytes.
+///
+/// Callers validate word indices; equality compares contents, so an
+/// absent page equals a page of zeros.
+#[derive(Debug, Clone)]
+pub(crate) struct WordStore {
+    pages: Vec<Option<Box<[u32; PAGE_WORDS]>>>,
+}
+
+impl WordStore {
+    /// A zeroed store of `bytes` bytes (a whole number of pages).
+    pub(crate) fn new(bytes: usize) -> Self {
+        debug_assert!(bytes.is_multiple_of(4 * PAGE_WORDS));
+        WordStore {
+            pages: vec![None; bytes / (4 * PAGE_WORDS)],
+        }
+    }
+
+    /// The word at index `word`.
+    #[inline]
+    pub(crate) fn read(&self, word: usize) -> u32 {
+        self.pages[word / PAGE_WORDS]
+            .as_ref()
+            .map_or(0, |page| page[word % PAGE_WORDS])
+    }
+
+    /// Sets the word at index `word`, materialising its page if needed.
+    #[inline]
+    pub(crate) fn write(&mut self, word: usize, value: u32) {
+        let page = self.pages[word / PAGE_WORDS].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+        page[word % PAGE_WORDS] = value;
     }
 }
+
+impl PartialEq for WordStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages.len() == other.pages.len()
+            && (0..self.pages.len() * PAGE_WORDS).all(|w| self.read(w) == other.read(w))
+    }
+}
+
+impl Eq for WordStore {}
 
 /// Memory-access failure modes shared by the tile models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,14 +171,14 @@ impl Error for AccessMemoryError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryChiplet {
-    banks: Vec<Vec<u8>>,
+    words: WordStore,
 }
 
 impl MemoryChiplet {
     /// Creates a zero-initialised memory chiplet.
     pub fn new() -> Self {
         MemoryChiplet {
-            banks: (0..BANK_COUNT).map(|_| vec![0u8; BANK_BYTES]).collect(),
+            words: WordStore::new(TOTAL_BYTES),
         }
     }
 
@@ -149,9 +198,7 @@ impl MemoryChiplet {
     ///
     /// Returns an error for misaligned or out-of-range offsets.
     pub fn read_word(&self, offset: u32) -> Result<u32, AccessMemoryError> {
-        let (bank, byte) = locate(offset)?;
-        let s = &self.banks[bank][byte..byte + 4];
-        Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
+        Ok(self.words.read(locate(offset)?))
     }
 
     /// Writes a word at `offset`.
@@ -160,8 +207,7 @@ impl MemoryChiplet {
     ///
     /// Returns an error for misaligned or out-of-range offsets.
     pub fn write_word(&mut self, offset: u32, value: u32) -> Result<(), AccessMemoryError> {
-        let (bank, byte) = locate(offset)?;
-        self.banks[bank][byte..byte + 4].copy_from_slice(&value.to_le_bytes());
+        self.words.write(locate(offset)?, value);
         Ok(())
     }
 }
@@ -225,6 +271,36 @@ mod tests {
             assert_eq!(bank_of_offset(offset), mem.bank_of(offset), "{offset:#x}");
         }
         assert_eq!(bank_of_offset(7), mem.bank_of(7));
+    }
+
+    #[test]
+    fn equality_treats_absent_pages_as_zeros() {
+        let fresh = MemoryChiplet::new();
+        // Writing 0 materialises a page of zeros: still equal to fresh.
+        let mut zeroed = MemoryChiplet::new();
+        zeroed.write_word(0x1000, 0).expect("write");
+        assert_eq!(zeroed, fresh);
+        assert_eq!(fresh, zeroed);
+        // A non-zero word differs; overwriting it with 0 restores equality.
+        let mut overwritten = MemoryChiplet::new();
+        overwritten
+            .write_word(TOTAL_BYTES as u32 - 4, 7)
+            .expect("write");
+        assert_ne!(overwritten, fresh);
+        assert_ne!(fresh, overwritten);
+        overwritten
+            .write_word(TOTAL_BYTES as u32 - 4, 0)
+            .expect("write");
+        assert_eq!(overwritten, fresh);
+        assert_eq!(overwritten, zeroed);
+        // Both sides materialised: pages compare word by word.
+        let mut a = MemoryChiplet::new();
+        let mut b = MemoryChiplet::new();
+        a.write_word(8, 1).expect("write");
+        b.write_word(8, 2).expect("write");
+        assert_ne!(a, b);
+        b.write_word(8, 1).expect("write");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 # machine-readable output and validates every artefact.
 #
 #   ./scripts/bench.sh             # full runs -> BENCH_*.json + TRACE_machine.json
-#   ./scripts/bench.sh --smoke     # seconds-scale reduced runs (the CI gate)
+#   ./scripts/bench.sh --smoke     # seconds-scale reduced runs (the CI gate),
+#                                  # validated in a temp directory, then discarded
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
@@ -12,7 +13,8 @@
 # available parallelism. Results are bit-identical either way — the
 # knob only affects wall-clock and the speedup gauges.
 #
-# Artefacts land in the repo root:
+# Full-run artefacts land in the repo root (smoke runs never touch the
+# committed ones):
 #   BENCH_noc.json       fig7_network  (NoC request/response metrics)
 #   BENCH_machine.json   workloads     (kernel + traced-stencil metrics;
 #                                       full runs add the machine.memory.*
@@ -39,6 +41,11 @@ for arg in "$@"; do
             ;;
     esac
 done
+OUT=.
+if [[ ${#SMOKE[@]} -gt 0 ]]; then
+    OUT="$(mktemp -d)"
+    trap 'rm -rf "$OUT"' EXIT
+fi
 
 THREADS=()
 if [[ -n "${WSP_THREADS:-}" ]]; then
@@ -55,24 +62,30 @@ run() {
     "target/release/$bin" "$@" >/dev/null
 }
 
-run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_noc.json
-run workloads "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_machine.json --trace TRACE_machine.json
-run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_pdn.json
-run serve "${SMOKE[@]}" "${THREADS[@]}" --json BENCH_serve.json
+run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_noc.json"
+run workloads "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_machine.json" \
+    --trace "$OUT/TRACE_machine.json"
+run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_pdn.json"
+run serve "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_serve.json"
 
 echo "==> validate_json"
 target/release/validate_json \
-    BENCH_noc.json BENCH_machine.json BENCH_pdn.json BENCH_serve.json \
-    TRACE_machine.json
+    "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json" \
+    "$OUT/BENCH_serve.json" "$OUT/TRACE_machine.json"
 
 # Full runs record wall.profile.* gauges; smoke runs print an empty
 # table (the profiler is disabled so the smoke JSON stays deterministic).
 echo "==> phase profile (wsp-diff profile)"
-target/release/wsp-diff profile BENCH_noc.json BENCH_machine.json BENCH_pdn.json
+target/release/wsp-diff profile \
+    "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json"
 
 if [[ "$CRITERION" == 1 ]]; then
     echo "==> criterion: arena_vs_vecdeque (data-layout micro-bench)"
     cargo bench -p wsp-bench --bench arena_vs_vecdeque
 fi
 
-echo "Bench artefacts written and validated."
+if [[ ${#SMOKE[@]} -gt 0 ]]; then
+    echo "Smoke artefacts validated and discarded."
+else
+    echo "Bench artefacts written and validated."
+fi

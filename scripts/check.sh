@@ -13,8 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace"
+cargo test --workspace -q
 
 echo "==> perf-shape gate (committed phase profile takes the fused fast path)"
 # The committed full-run BENCH_noc.json pins the *shape* of the fabric
