@@ -1,8 +1,9 @@
-//! Criterion bench: the active-set sparse scheduler against the dense
-//! reference sweep, on the two traffic shapes that bound its value —
-//! neighbour traffic (most tiles idle most cycles: sparse should win
-//! big) and a hot spot (nearly every tile busy: sparse must not regress
-//! more than noise).
+//! Criterion bench: the default wheel stepping (active-set walk plus
+//! idle-window skips) against the dense reference sweep, on the two
+//! traffic shapes that bound the active-set walk's value — neighbour
+//! traffic (most tiles idle most cycles: the wheel should win big) and a
+//! hot spot (nearly every tile busy: the wheel must not regress more
+//! than noise).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -18,7 +19,7 @@ fn run(n: u16, pattern: TrafficPattern, requests: u64, stepping: Stepping) -> ws
     sim.run(pattern, requests, &mut rng)
 }
 
-fn bench_sparse_vs_dense(c: &mut Criterion) {
+fn bench_wheel_vs_dense(c: &mut Criterion) {
     let cases: [(&str, u16, TrafficPattern); 2] = [
         ("neighbour_16x16", 16, TrafficPattern::NeighborEast),
         (
@@ -32,7 +33,7 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
     for (name, n, pattern) in cases {
         let mut group = c.benchmark_group(name);
         group.sample_size(20);
-        for (label, stepping) in [("dense", Stepping::Dense), ("sparse", Stepping::Sparse)] {
+        for (label, stepping) in [("dense", Stepping::Dense), ("wheel", Stepping::Wheel)] {
             group.bench_with_input(
                 BenchmarkId::from_parameter(label),
                 &stepping,
@@ -45,5 +46,5 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_sparse_vs_dense);
+criterion_group!(benches, bench_wheel_vs_dense);
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! Accepts `--json <path>` (metrics report), `--seed <u64>` (fault /
 //! traffic RNG), `--threads <n>` (deterministic parallel backend — the
 //! results are bit-identical at any value), `--stepping
-//! <dense|sparse|wheel>` (tile-visit strategy — also bit-identical), and
+//! <dense|wheel>` (tile-visit strategy — also bit-identical), and
 //! `--smoke` (reduced request counts).
 
 use std::time::Instant;
@@ -277,10 +277,10 @@ fn main() {
     }
 
     header(
-        "Sparse stepping",
-        "active-set walk vs dense sweep, bit-identical by construction",
+        "Stepping",
+        "wheel stepping vs dense sweep, bit-identical by construction",
     );
-    row(&["pattern", "dense ms", "sparse ms", "speedup", "identical"]);
+    row(&["pattern", "dense ms", "wheel ms", "speedup", "identical"]);
     for (name, pattern) in [
         ("neighbour", TrafficPattern::NeighborEast),
         (
@@ -300,28 +300,28 @@ fn main() {
             (report, start.elapsed())
         };
         let (dense_report, dense_wall) = run_mode(Stepping::Dense);
-        let (sparse_report, sparse_wall) = run_mode(Stepping::Sparse);
+        let (wheel_report, wheel_wall) = run_mode(Stepping::Wheel);
         assert_eq!(
-            dense_report, sparse_report,
-            "{name}: sparse stepping diverged from the dense sweep"
+            dense_report, wheel_report,
+            "{name}: wheel stepping diverged from the dense sweep"
         );
-        let mode_speedup = dense_wall.as_secs_f64() / sparse_wall.as_secs_f64();
+        let mode_speedup = dense_wall.as_secs_f64() / wheel_wall.as_secs_f64();
         let key = metric_key(name);
         if !opts.smoke {
             sink.gauge_set(
-                &format!("wall.noc.sparse.{key}.ms_dense"),
+                &format!("wall.noc.stepping.{key}.ms_dense"),
                 dense_wall.as_secs_f64() * 1e3,
             );
             sink.gauge_set(
-                &format!("wall.noc.sparse.{key}.ms_sparse"),
-                sparse_wall.as_secs_f64() * 1e3,
+                &format!("wall.noc.stepping.{key}.ms_wheel"),
+                wheel_wall.as_secs_f64() * 1e3,
             );
-            sink.gauge_set(&format!("wall.noc.sparse.{key}.speedup"), mode_speedup);
+            sink.gauge_set(&format!("wall.noc.stepping.{key}.speedup"), mode_speedup);
         }
         row(&[
             name.to_string(),
             format!("{:.1}", dense_wall.as_secs_f64() * 1e3),
-            format!("{:.1}", sparse_wall.as_secs_f64() * 1e3),
+            format!("{:.1}", wheel_wall.as_secs_f64() * 1e3),
             format!("{mode_speedup:.2}"),
             "true".to_string(),
         ]);

@@ -267,7 +267,7 @@ fn main() {
     if !opts.smoke {
         memory_fidelity_sweep(&mut sink, seed, threads);
         full_wafer_machine_bench(&mut sink, threads, opts.stepping);
-        sparse_vs_dense_machine_bench(&mut sink, threads);
+        wheel_vs_dense_machine_bench(&mut sink, threads);
     }
     traced_stencil_run(&recorder, &opts, threads);
     opts.write_outputs("workloads", &recorder);
@@ -505,15 +505,15 @@ fn full_wafer_machine_bench(sink: &mut SharedRecorder, threads: usize, stepping:
 }
 
 /// The stepping-mode measurement: the same halo-exchange machine at
-/// 16×16 run under the dense sweep, the active-set walk, and the event
-/// wheel, asserting stats, per-core activity, and the runnable-tiles
-/// sample all match bit for bit, and recording the wall-clocks. Skipped
-/// in smoke mode (the determinism gate byte-compares the smoke JSON
-/// across modes).
-fn sparse_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
+/// 16×16 run under the dense sweep and the default wheel stepping,
+/// asserting stats, per-core activity, and the runnable-tiles sample all
+/// match bit for bit, and recording the wall-clocks. Skipped in smoke
+/// mode (the determinism gate byte-compares the smoke JSON across
+/// modes).
+fn wheel_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
     header(
-        "Sparse stepping",
-        "16x16 machine halo exchange, dense sweep vs active-set walk",
+        "Stepping",
+        "16x16 machine halo exchange, dense sweep vs wheel stepping",
     );
     let run = |stepping: Stepping| {
         let mut m = build_halo_machine(16, threads);
@@ -529,27 +529,13 @@ fn sparse_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
         )
     };
     let (dense_stats, dense_wall, dense_activity, dense_hist) = run(Stepping::Dense);
-    let (sparse_stats, sparse_wall, sparse_activity, sparse_hist) = run(Stepping::Sparse);
     let (wheel_stats, wheel_wall, wheel_activity, wheel_hist) = run(Stepping::Wheel);
-    assert_eq!(
-        dense_stats, sparse_stats,
-        "sparse stepping diverged from the dense sweep"
-    );
-    assert_eq!(
-        dense_activity, sparse_activity,
-        "per-core activity diverged between stepping modes"
-    );
-    assert_eq!(
-        dense_hist, sparse_hist,
-        "runnable-tile samples diverged between stepping modes"
-    );
     assert_eq!(
         (dense_stats, &dense_activity, &dense_hist),
         (wheel_stats, &wheel_activity, &wheel_hist),
         "wheel stepping diverged from the dense sweep"
     );
-    let speedup = dense_wall.as_secs_f64() / sparse_wall.as_secs_f64();
-    let wheel_speedup = dense_wall.as_secs_f64() / wheel_wall.as_secs_f64();
+    let speedup = dense_wall.as_secs_f64() / wheel_wall.as_secs_f64();
     row(&["stepping", "wall ms", "speedup", "identical"]);
     row(&[
         "dense".to_string(),
@@ -558,37 +544,26 @@ fn sparse_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
         "-".to_string(),
     ]);
     row(&[
-        "sparse".to_string(),
-        format!("{:.1}", sparse_wall.as_secs_f64() * 1e3),
+        "wheel".to_string(),
+        format!("{:.1}", wheel_wall.as_secs_f64() * 1e3),
         format!("{speedup:.2}"),
         "true".to_string(),
     ]);
-    row(&[
-        "wheel".to_string(),
-        format!("{:.1}", wheel_wall.as_secs_f64() * 1e3),
-        format!("{wheel_speedup:.2}"),
-        "true".to_string(),
-    ]);
     sink.gauge_set(
-        "wall.machine.sparse.halo.ms_dense",
+        "wall.machine.stepping.halo.ms_dense",
         dense_wall.as_secs_f64() * 1e3,
     );
     sink.gauge_set(
-        "wall.machine.sparse.halo.ms_sparse",
-        sparse_wall.as_secs_f64() * 1e3,
-    );
-    sink.gauge_set("wall.machine.sparse.halo.speedup", speedup);
-    sink.gauge_set(
-        "wall.machine.wheel.halo.ms_wheel",
+        "wall.machine.stepping.halo.ms_wheel",
         wheel_wall.as_secs_f64() * 1e3,
     );
-    sink.gauge_set("wall.machine.wheel.halo.speedup", wheel_speedup);
-    sink.gauge_set("machine.sparse.halo.runnable_mean", sparse_hist.mean());
+    sink.gauge_set("wall.machine.stepping.halo.speedup", speedup);
+    sink.gauge_set("machine.halo.runnable_mean", wheel_hist.mean());
     result_line(
         "mean runnable tiles per cycle",
         format!(
-            "{:.1} of {} (the sparse walk only visits those)",
-            sparse_hist.mean(),
+            "{:.1} of {} (the active-set walk only visits those)",
+            wheel_hist.mean(),
             16 * 16
         ),
         None,

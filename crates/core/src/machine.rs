@@ -172,7 +172,7 @@ pub struct MultiTileMachine {
     network_stall_cycles: u64,
     remote_latency_total: u64,
     bank_conflicts: u64,
-    /// How the tile-step phase visits tiles: sparse active-set walk
+    /// How the tile-step phase visits tiles: the wheel's active-set walk
     /// (default) or the dense reference sweep. Bit-identical either way.
     stepping: Stepping,
     /// Adaptive executor for the fabric-model tile-step phase, sharing
@@ -183,10 +183,10 @@ pub struct MultiTileMachine {
     live_cores: Vec<u32>,
     /// Per-tile count of running cores blocked on an in-flight remote op
     /// (fabric model). A tile with `live == blocked` cannot retire, issue,
-    /// or touch memory this cycle, so the sparse scheduler skips it.
+    /// or touch memory this cycle, so the active-set scheduler skips it.
     blocked_cores: Vec<u32>,
     /// Cycle each tile last executed its fabric-model step phase; the
-    /// sparse scheduler replays `now - last - 1` stall cycles on wake.
+    /// active-set scheduler replays `now - last - 1` stall cycles on wake.
     last_stepped: Vec<u64>,
     /// Running cores across the machine — the O(1) `run_until_halt` test.
     running_cores: usize,
@@ -293,7 +293,7 @@ impl MultiTileMachine {
     }
 
     /// Selects how the machine (and its fabric) visit tiles each cycle
-    /// (default: [`Stepping::Sparse`]). Results are bit-identical in
+    /// (default: [`Stepping::Wheel`]). Results are bit-identical in
     /// either mode.
     pub fn set_stepping(&mut self, stepping: Stepping) {
         self.stepping = stepping;
@@ -306,11 +306,10 @@ impl MultiTileMachine {
     }
 
     /// The execution path the tile-step phase currently takes, for bench
-    /// reporting: `"wheel"`, `"sparse"`, `"banded"`, or `"sequential"`.
+    /// reporting: `"wheel"`, `"banded"`, or `"sequential"`.
     pub fn executor(&self) -> &'static str {
         match (self.stepping, self.threads()) {
             (Stepping::Wheel, _) => "wheel",
-            (Stepping::Sparse, _) => "sparse",
             (Stepping::Dense, t) if t > 1 => "banded",
             (Stepping::Dense, _) => "sequential",
         }
@@ -448,7 +447,7 @@ impl MultiTileMachine {
     pub fn core_mut(&mut self, tile: TileCoord, core: usize) -> &mut CoreSim {
         let idx = self.faults.array().index_of(tile);
         // The caller may flip core state directly; recount liveness before
-        // the next step so the sparse scheduler never skips a woken tile.
+        // the next step so the active-set scheduler never skips a woken tile.
         self.liveness_dirty = true;
         &mut self.cores[idx][core]
     }
@@ -591,7 +590,10 @@ impl MultiTileMachine {
             return 0;
         }
         let mut window = u64::MAX;
-        for tile_cores in &self.cores {
+        for (tile_cores, &live) in self.cores.iter().zip(&self.live_cores) {
+            if live == 0 {
+                continue;
+            }
             for core in tile_cores {
                 if core.state() != CoreState::Running {
                     continue;
@@ -710,7 +712,7 @@ impl MultiTileMachine {
                 h.write_u64(core.pc() as u64);
                 h.write_u64(core.stall_pending());
                 // Retired instructions are stepping-invariant; the cycle
-                // and stall counters are NOT hashed because the sparse
+                // and stall counters are NOT hashed because the active-set
                 // walk replays a blocked core's bookkeeping in bulk on
                 // wake, so they lag the dense sweep mid-run.
                 h.write_u64(core.stats().retired);
@@ -761,10 +763,10 @@ impl MultiTileMachine {
     fn step_tiles_analytic(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
         // No per-cycle crossbar reset: the memory models stamp requests
-        // with the absolute cycle and free their ports lazily. Wheel
-        // stepping visits tiles exactly like sparse within an executed
-        // cycle; the cross-cycle skip lives in [`MultiTileMachine::step`].
-        let sparse = self.stepping != Stepping::Dense;
+        // with the absolute cycle and free their ports lazily. The
+        // active-set walk below is the per-cycle half of wheel stepping;
+        // the cross-cycle skip lives in [`MultiTileMachine::step`].
+        let active_only = self.stepping == Stepping::Wheel;
         let runnable_now = self
             .live_cores
             .iter()
@@ -782,13 +784,13 @@ impl MultiTileMachine {
             // Analytic accesses never arm `InFlight` (a tile with zero
             // running cores does nothing in the dense sweep), so only
             // fully halted tiles may be skipped.
-            if sparse && self.live_cores[tile_idx] == 0 {
+            if active_only && self.live_cores[tile_idx] == 0 {
                 continue;
             }
             for i in 0..n {
                 let core_idx = (i + rotate) % n;
                 let was_running = self.cores[tile_idx][core_idx].state() == CoreState::Running;
-                if sparse && !was_running {
+                if active_only && !was_running {
                     continue;
                 }
                 let outcome = self.step_core_analytic(tile_idx, core_idx);
@@ -825,7 +827,7 @@ impl MultiTileMachine {
         let cycles = self.cycles;
         let telemetry_on = self.sink.enabled();
         let profile_on = self.profiler.enabled();
-        let sparse = self.stepping != Stepping::Dense;
+        let active_only = self.stepping == Stepping::Wheel;
 
         // Active-set pre-scan, in both stepping modes: the telemetry
         // sample and the shard-count decision are pure functions of
@@ -842,7 +844,7 @@ impl MultiTileMachine {
 
         let shard_count = match self.stepping {
             Stepping::Dense => self.exec.threads(),
-            Stepping::Sparse | Stepping::Wheel => self.exec.shards_for(active),
+            Stepping::Wheel => self.exec.shards_for(active),
         };
         let bands = band_ranges(tiles, shard_count);
 
@@ -903,7 +905,7 @@ impl MultiTileMachine {
                     rotate,
                     cores_per_tile,
                     cycles,
-                    sparse,
+                    active_only,
                     runnable,
                     &mut out,
                 );
@@ -1009,7 +1011,7 @@ impl MultiTileMachine {
         let offset = (op.addr() - GLOBAL_BASE) % GLOBAL_REGION_BYTES as u32;
         // The issuing closure validated range and alignment before the
         // packet was injected. Models stamp with the absolute cycle, so
-        // no lazy per-cycle reset is needed even under sparse stepping.
+        // no lazy per-cycle reset is needed even under wheel stepping.
         self.memories[owner_idx]
             .bank_of(offset)
             .expect("offset validated at issue");
@@ -1068,7 +1070,7 @@ impl MultiTileMachine {
                 value: op.result.unwrap_or(0),
             });
             // The core can make progress again: its tile re-enters the
-            // sparse scheduler's runnable set next cycle.
+            // active-set scheduler's runnable set next cycle.
             self.blocked_cores[op.tile_idx] -= 1;
         }
     }
@@ -1411,7 +1413,7 @@ struct FabricShard<'a> {
     pending: &'a mut [Vec<Option<PendingAccess>>],
     /// Per-tile running-core counts; the band decrements on halt.
     live: &'a mut [u32],
-    /// Cycle each tile last ran its step phase (sparse gap replay).
+    /// Cycle each tile last ran its step phase (active-set gap replay).
     last_stepped: &'a mut [u64],
 }
 
@@ -1468,7 +1470,7 @@ impl ShardOut {
 /// under the fabric model. Stops at the band's first core fault (matching
 /// the sequential engine, which steps nothing after a fault).
 ///
-/// With `sparse` set the band visits only *runnable* tiles (at least one
+/// With `active_only` set the band visits only *runnable* tiles (at least one
 /// running core that is not blocked on an in-flight remote op). Skipping
 /// is unobservable: a halted core's step is a no-op, and a blocked core's
 /// dense step does exactly `cycles += 1`, `stall_cycles += 1`,
@@ -1483,7 +1485,7 @@ fn step_fabric_band(
     rotate: usize,
     cores_per_tile: usize,
     cycles: u64,
-    sparse: bool,
+    active_only: bool,
     runnable: &[bool],
     out: &mut ShardOut,
 ) {
@@ -1504,7 +1506,7 @@ fn step_fabric_band(
         if faults.is_faulty(tile) {
             continue;
         }
-        if sparse && !runnable[tile_idx] {
+        if active_only && !runnable[tile_idx] {
             continue;
         }
         // Replay the skipped span: every core sitting on an in-flight or
@@ -2160,8 +2162,8 @@ mod tests {
     #[test]
     fn banked_memory_is_bit_identical_across_stepping_and_threads() {
         // The determinism claim must survive a stateful backend: busy
-        // windows are stamped with absolute cycles, so the sparse walk
-        // and every shard count observe the same grant sequence.
+        // windows are stamped with absolute cycles, so the active-set
+        // walk and every shard count observe the same grant sequence.
         let hot = TileCoord::new(0, 0);
         let run = |stepping: Stepping, threads: usize| {
             let cfg = SystemConfig::with_array(TileArray::new(4, 4))
@@ -2182,11 +2184,6 @@ mod tests {
         };
         let baseline = run(Stepping::Dense, 1);
         for threads in [1, 8] {
-            assert_eq!(
-                run(Stepping::Sparse, threads),
-                baseline,
-                "sparse, threads = {threads}"
-            );
             assert_eq!(
                 run(Stepping::Wheel, threads),
                 baseline,
@@ -2307,10 +2304,10 @@ mod tests {
 
     #[test]
     fn sparse_stepping_is_bit_identical_to_dense() {
-        // The PR's tentpole claim at machine level: the active-set walk
-        // must match the dense sweep bit for bit — stats, memory, the
-        // per-core activity counters (which the gap replay reconstructs),
-        // and the runnable-tiles sample — at every thread count.
+        // The active-set walk (plus the wheel's skips) must match the
+        // dense sweep bit for bit — stats, memory, the per-core activity
+        // counters (which the gap replay reconstructs), and the
+        // runnable-tiles sample — at every thread count.
         let hot = TileCoord::new(0, 0);
         let run = |stepping: Stepping, threads: usize| {
             let mut m = machine(4);
@@ -2329,11 +2326,6 @@ mod tests {
         let baseline = run(Stepping::Dense, 1);
         for threads in [1, 2, 8] {
             assert_eq!(
-                run(Stepping::Sparse, threads),
-                baseline,
-                "sparse, threads = {threads}"
-            );
-            assert_eq!(
                 run(Stepping::Wheel, threads),
                 baseline,
                 "wheel, threads = {threads}"
@@ -2344,8 +2336,9 @@ mod tests {
 
     #[test]
     fn sparse_stepping_matches_dense_under_the_analytic_model() {
-        // Analytic sparse stepping only elides halted cores; a machine
-        // where programs finish at staggered times must end identically.
+        // Under the analytic model the wheel never skips and only elides
+        // halted cores; a machine where programs finish at staggered
+        // times must end identically.
         let run = |stepping: Stepping| {
             let mut m = analytic_machine(4);
             m.set_stepping(stepping);
@@ -2374,7 +2367,7 @@ mod tests {
                 m.runnable_tiles().clone(),
             )
         };
-        assert_eq!(run(Stepping::Sparse), run(Stepping::Dense));
+        assert_eq!(run(Stepping::Wheel), run(Stepping::Dense));
     }
 
     #[test]
@@ -2382,9 +2375,9 @@ mod tests {
         // One issuing tile on a 8x8 machine: while its single remote op
         // is in flight the whole machine has zero runnable tiles, so the
         // sampled runnable peak stays at 1 and the executor reports the
-        // sparse path.
+        // default wheel path.
         let mut m = machine(8);
-        assert_eq!(m.executor(), "sparse");
+        assert_eq!(m.executor(), "wheel");
         let target = m.global_address(TileCoord::new(7, 7), 0).expect("ok");
         let program = Program::builder()
             .ldi(Reg::R1, target)

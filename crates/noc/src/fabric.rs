@@ -69,13 +69,15 @@
 //! is pure overhead. Each [`Network`] therefore keeps a per-tile occupancy
 //! count and a *wake list* of tiles with at least one queued packet,
 //! maintained at every push and pop. Under the default
-//! [`Stepping::Sparse`] mode, each tick canonicalises the wake lists
+//! [`Stepping::Wheel`] mode, each tick canonicalises the wake lists
 //! (drop drained tiles, sort ascending) and plans only the awake tiles;
 //! the apply phase wakes every destination it pushes into. Because
 //! "awake" is exactly "occupancy > 0" and the wake order is sorted, the
 //! planned move stream — and therefore every counter and every packet —
 //! is byte-identical to the dense sweep at any thread count
-//! ([`Stepping::Dense`] remains available as the reference).
+//! ([`Stepping::Dense`] remains available as the reference). When the
+//! fabric is empty, wheel drivers skip whole cycles instead
+//! ([`Fabric::skip_cycles`]).
 //!
 //! # Examples
 //!
@@ -343,8 +345,11 @@ struct Network {
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
     /// `occ[t] > 0 ⟺ t can plan a move/stall/rr-update` is what makes
-    /// sparse stepping bit-identical to the dense sweep.
+    /// the active-set walk bit-identical to the dense sweep.
     occ: Vec<u32>,
+    /// Packets queued on this network: the sum of `occ`, kept at every
+    /// push and pop so in-flight queries never walk the tiles.
+    packets: usize,
     /// Per-row occupancy bitmask: bit `col` of `row_mask[row]` is set iff
     /// `occ[row * mask_cols + col] > 0`. The dense sweep walks set bits
     /// with `trailing_zeros` instead of touching every idle tile.
@@ -382,6 +387,7 @@ impl Network {
             queues: (0..tiles).map(|_| fresh_queues()).collect(),
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
+            packets: 0,
             row_mask: if mask_cols != 0 {
                 vec![0; array.rows() as usize]
             } else {
@@ -451,6 +457,7 @@ impl Network {
     /// Registers one packet pushed into any FIFO of `tile_idx`.
     #[inline]
     fn note_push(&mut self, tile_idx: usize) {
+        self.packets += 1;
         self.occ[tile_idx] += 1;
         if self.occ[tile_idx] == 1 {
             self.live += 1;
@@ -468,6 +475,7 @@ impl Network {
     /// stays on the wake list until the next prune observes `occ == 0`.
     #[inline]
     fn note_pop(&mut self, tile_idx: usize) {
+        self.packets -= 1;
         self.occ[tile_idx] -= 1;
         if self.occ[tile_idx] == 0 {
             self.live -= 1;
@@ -478,7 +486,7 @@ impl Network {
     }
 
     /// Canonicalises the wake list: drops drained tiles and sorts
-    /// ascending, so sparse planning visits awake tiles in exactly the
+    /// ascending, so active-set planning visits awake tiles in exactly the
     /// order the dense sweep would.
     fn prune_wake(&mut self) {
         let Network {
@@ -494,7 +502,9 @@ impl Network {
         wake.sort_unstable();
     }
 
-    fn total_occupancy(&self) -> usize {
+    /// Recounts `packets` from the per-tile counts — the O(tiles)
+    /// cross-check for debug assertions.
+    fn recount_packets(&self) -> usize {
         self.occ.iter().map(|&n| n as usize).sum()
     }
 }
@@ -546,7 +556,7 @@ impl PlanCtx<'_> {
     /// Plans one tile on one network: for every output port, pick the
     /// round-robin arbitration winner among the input FIFO heads routed
     /// to it, against pre-cycle queue state only. A tile with all five
-    /// FIFOs empty plans nothing — the fact the sparse scheduler leans on.
+    /// FIFOs empty plans nothing — the fact the active-set walk leans on.
     fn plan_tile(&self, network: &Network, tile_idx: usize, moves: &mut Vec<PlannedMove>) {
         // The cached routing decision per queue head; a head contends for
         // exactly one output port, so grants never overlap. Fold the five
@@ -651,7 +661,7 @@ impl PlanCtx<'_> {
 /// steady-state tick allocation-free.
 #[derive(Default)]
 struct TickScratch {
-    /// One `[moves; 2]` pair per plan shard. Never shrunk: sparse
+    /// One `[moves; 2]` pair per plan shard. Never shrunk: wheel
     /// stepping alternates between 1 and `threads()` shards as the
     /// active set crosses the banding threshold, and shrinking would
     /// free the idle shards' capacity.
@@ -711,8 +721,8 @@ pub struct Fabric {
     next_id: u64,
     relay_forwards: u64,
     link_traversals: u64,
-    /// How ticks visit tiles: sparse active-set walk (default) or the
-    /// dense reference sweep. Results are bit-identical either way.
+    /// How ticks visit tiles: the wheel's active-set walk (default) or
+    /// the dense reference sweep. Results are bit-identical either way.
     stepping: Stepping,
     /// Adaptive executor for the plan phase: bands across a worker pool
     /// when the active set is large enough, inline otherwise.
@@ -825,7 +835,7 @@ impl Fabric {
         self.exec.threads()
     }
 
-    /// Selects how ticks visit tiles (default: [`Stepping::Sparse`]).
+    /// Selects how ticks visit tiles (default: [`Stepping::Wheel`]).
     pub fn set_stepping(&mut self, stepping: Stepping) {
         self.stepping = stepping;
     }
@@ -836,11 +846,10 @@ impl Fabric {
     }
 
     /// The execution path ticks currently take, for bench reporting:
-    /// `"wheel"`, `"sparse"`, `"banded"`, or `"sequential"`.
+    /// `"wheel"`, `"banded"`, or `"sequential"`.
     pub fn executor(&self) -> &'static str {
         match (self.stepping, self.threads()) {
             (Stepping::Wheel, _) => "wheel",
-            (Stepping::Sparse, _) => "sparse",
             (Stepping::Dense, t) if t > 1 => "banded",
             (Stepping::Dense, _) => "sequential",
         }
@@ -979,9 +988,9 @@ impl Fabric {
         );
     }
 
-    /// Packets currently queued anywhere in the fabric.
+    /// Packets currently queued anywhere in the fabric, in O(1).
     pub fn in_flight(&self) -> usize {
-        self.networks[0].total_occupancy() + self.networks[1].total_occupancy()
+        self.networks[0].packets + self.networks[1].packets
     }
 
     /// Packets currently resident in the arena. Always equals
@@ -1025,9 +1034,9 @@ impl Fabric {
 
         // Sample the active set in both stepping modes: the sample is a
         // pure function of queue state, so the exported histogram is
-        // identical across modes and threads. Only the sparse walks need
-        // the wake lists canonicalised (pruned and sorted); the dense
-        // sweep reads the O(1) occupied-tile counters instead.
+        // identical across modes and threads. Only the active-set walk
+        // needs the wake lists canonicalised (pruned and sorted); the
+        // dense sweep reads the O(1) occupied-tile counters instead.
         let mut active = 0usize;
         match self.stepping {
             Stepping::Dense => {
@@ -1035,7 +1044,7 @@ impl Fabric {
                     active += network.live;
                 }
             }
-            Stepping::Sparse | Stepping::Wheel => {
+            Stepping::Wheel => {
                 for network in &mut self.networks {
                     network.prune_wake();
                     active += network.wake.len();
@@ -1045,12 +1054,12 @@ impl Fabric {
         self.active_tiles.record(active as u64);
 
         // Gauge sampling reads the same pre-cycle queue state the sample
-        // above does; all four series share a cadence, so gating the
-        // occupancy walk on the first one's acceptance test is exact.
+        // above does; all four series share a cadence, so gating all
+        // four on the first one's acceptance test is exact.
         if self.sample_every != 0 && self.samples[0].1.wants(self.cycle) {
             let cycle = self.cycle;
-            let occ0 = self.networks[0].total_occupancy();
-            let occ1 = self.networks[1].total_occupancy();
+            let occ0 = self.networks[0].packets;
+            let occ1 = self.networks[1].packets;
             self.samples[0].1.record(cycle, active as f64);
             self.samples[1].1.record(cycle, occ0 as f64);
             self.samples[2].1.record(cycle, occ1 as f64);
@@ -1062,7 +1071,7 @@ impl Fabric {
         // pass instead (bit-identical; see the module docs).
         let fused = match self.stepping {
             Stepping::Dense => self.exec.pool().is_none(),
-            Stepping::Sparse | Stepping::Wheel => self.exec.shards_for(active) <= 1,
+            Stepping::Wheel => self.exec.shards_for(active) <= 1,
         };
         if fused {
             let fused_timer = self.profiler.start();
@@ -1131,9 +1140,9 @@ impl Fabric {
                 });
                 shards
             }
-            Stepping::Sparse | Stepping::Wheel => {
+            Stepping::Wheel => {
                 let shards = exec.shards_for(active);
-                debug_assert!(shards > 1, "single-shard sparse ticks are fused");
+                debug_assert!(shards > 1, "single-shard active-set ticks are fused");
                 scratch.reset_shards(shards);
                 // Shard each network's wake list independently;
                 // concatenating shard outputs per network restores the
@@ -1231,7 +1240,7 @@ impl Fabric {
                     }
                 }
             }
-            Stepping::Sparse | Stepping::Wheel => {
+            Stepping::Wheel => {
                 // The wake list is pruned and sorted; pops never touch
                 // it and pushes are staged, so it is stable for the walk
                 // (taken and restored around the borrow).
@@ -1457,6 +1466,7 @@ impl Fabric {
         }
         debug_assert_eq!(self.in_flight(), 0, "only an empty fabric may skip");
         for network in &mut self.networks {
+            debug_assert_eq!(network.recount_packets(), network.packets);
             network.prune_wake();
             debug_assert!(network.wake.is_empty());
         }
@@ -1833,7 +1843,7 @@ mod tests {
     #[test]
     fn sparse_stepping_is_bit_identical_to_dense() {
         // Same hotspot-plus-background flood as the thread-count test,
-        // compared across the dense/sparse × thread-count matrix. The
+        // compared across the dense/wheel × thread-count matrix. The
         // active-set histogram must match too: it is sampled from queue
         // state, not from the scheduler's own work list.
         let run = |stepping: Stepping, threads: usize| {
@@ -1872,7 +1882,7 @@ mod tests {
         assert!(baseline.6.count() > 0, "active-set samples recorded");
         for threads in [1, 2, 8] {
             assert_eq!(
-                run(Stepping::Sparse, threads),
+                run(Stepping::Wheel, threads),
                 baseline,
                 "threads = {threads}"
             );
@@ -1991,7 +2001,7 @@ mod tests {
         // One packet on a big array: after the first prune, only the
         // tiles along the path are ever awake.
         let mut fabric = Fabric::new(TileArray::new(16, 16), 4);
-        assert_eq!(fabric.executor(), "sparse");
+        assert_eq!(fabric.executor(), "wheel");
         let p = direct_req(&mut fabric, (0, 0), (3, 0));
         assert!(fabric.inject(p));
         let delivered = fabric.drain();

@@ -721,18 +721,15 @@ mod tests {
             let journal = sim.fabric().journal().expect("digests on").to_text();
             (report, samples, journal)
         };
-        let dense = run_mode(Stepping::Dense);
-        assert_eq!(run_mode(Stepping::Sparse), dense);
-        assert_eq!(run_mode(Stepping::Wheel), dense);
+        assert_eq!(run_mode(Stepping::Wheel), run_mode(Stepping::Dense));
     }
 
     #[test]
     fn wheel_crosses_idle_gaps_in_constant_ticks() {
         // A single long gap must cost O(in-flight drain), not O(gap):
         // the executed-tick counter stays flat while the cycle counter
-        // jumps the whole window.
+        // jumps the whole window — with the library's default stepping.
         let mut sim = clean_sim(8);
-        sim.fabric_mut().set_stepping(Stepping::Wheel);
         let mut rng = seeded_rng(12);
         let report = sim.run_bursts(TrafficPattern::Transpose, 2, 4, 100_000, &mut rng);
         assert!(report.cycles >= 200_000, "cycles {}", report.cycles);

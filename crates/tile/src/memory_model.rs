@@ -143,7 +143,7 @@ impl fmt::Display for MemoryModelKind {
 /// [`bank_of_offset`](crate::memory::bank_of_offset) first); `now` is
 /// the absolute simulation cycle and must be non-decreasing across
 /// calls. Passing absolute cycles (instead of a `begin_cycle` callback)
-/// keeps the model correct under activity-driven sparse stepping, where
+/// keeps the model correct under activity-driven (active-set) stepping, where
 /// a skipped tile's model simply never hears about the idle cycles.
 pub trait MemoryModel: fmt::Debug + Send {
     /// Presents one word access. See the module docs for the

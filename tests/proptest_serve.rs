@@ -1,6 +1,6 @@
 //! Property tests for the serving layer's slice confinement: a job
 //! placed on slice A must never inject or deliver a packet whose path
-//! leaves A's rectangle — across `{dense, sparse, wheel}` stepping,
+//! leaves A's rectangle — across `{dense, wheel}` stepping,
 //! random wafer fault maps, and every slice of the partition.
 //!
 //! Confinement holds by construction (a slice machine is built over the
@@ -25,7 +25,7 @@ const WAFERS: [(u16, u16); 3] = [(8, 8), (12, 4), (6, 9)];
 /// Slice extents (must divide or underfill the wafers above).
 const SLICES: [(u16, u16); 3] = [(4, 4), (3, 3), (2, 4)];
 
-const STEPPINGS: [Stepping; 3] = [Stepping::Dense, Stepping::Sparse, Stepping::Wheel];
+const STEPPINGS: [Stepping; 2] = [Stepping::Dense, Stepping::Wheel];
 
 proptest! {
     /// The slice-local fault map is the wafer map's window: equal tile

@@ -1,7 +1,7 @@
-//! Property tests for the activity-driven sparse scheduler and the
-//! event-wheel skipper: skipping idle tiles (and jumping fully stalled
-//! windows) must be *unobservable*. Every fabric report and every
-//! machine outcome — stats, architectural memory state, per-core
+//! Property tests for wheel stepping — the activity-driven active-set
+//! walk plus the event-wheel skipper: skipping idle tiles (and jumping
+//! fully idle or stalled windows) must be *unobservable*. Every fabric
+//! report and every machine outcome — stats, architectural memory state, per-core
 //! activity counters, the runnable-tiles telemetry sample, the memory
 //! profile, the sampled time series, and the digest journal — has to
 //! match the dense reference sweep bit for bit, across random seeds,
@@ -26,7 +26,7 @@ const FABRIC_FAULTS: [usize; 3] = [0, 5, 15];
 const MACHINE_FAULTS: [usize; 3] = [0, 1, 3];
 
 /// Memory-timing backends the machine identity property ranges over:
-/// the sparse walk must be unobservable on stateful backends too (the
+/// the active-set walk must be unobservable on stateful backends too (the
 /// execute-then-stall drain keeps a stalled core's tile runnable).
 const MEMORY: [MemoryModelKind; 3] = [
     MemoryModelKind::Fixed,
@@ -75,7 +75,7 @@ fn run_fabric_with_capacity(
 
 /// Builds a 4×4 fabric-model machine whose healthy tiles all atomically
 /// increment one counter on the first healthy tile (a hot-spot with
-/// long blocked stretches — the sparse scheduler's hardest case), runs
+/// long blocked stretches — the active-set walk's hardest case), runs
 /// it, and returns everything observable: the stats, the architectural
 /// counter word, the per-core activity counters (which the gap replay
 /// must reconstruct exactly), and the runnable-tiles sample.
@@ -145,48 +145,12 @@ fn run_machine(
 }
 
 proptest! {
-    /// Fabric packet delivery is bit-identical between the dense sweep
-    /// and the sparse wake-list walk, at every thread count, over clean
-    /// and heavily faulted wafers.
-    #[test]
-    fn sparse_fabric_matches_dense(
-        seed in any::<u64>(),
-        fault_idx in 0usize..3,
-        requests in 20u64..150,
-        threads_idx in 0usize..3,
-    ) {
-        let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
-        let pattern = TrafficPattern::UniformRandom;
-        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense, 1);
-        let sparse = run_fabric(seed, faults, requests, pattern, Stepping::Sparse, threads);
-        prop_assert_eq!(dense, sparse);
-    }
-
-    /// Machine architectural state — memory, stats, and the per-core
-    /// cycle/stall counters the sparse gap-replay reconstructs — is
-    /// bit-identical between stepping modes at every thread count and
-    /// under every memory-timing backend.
-    #[test]
-    fn sparse_machine_matches_dense(
-        seed in any::<u64>(),
-        fault_idx in 0usize..3,
-        reps in 1u32..6,
-        threads_idx in 0usize..3,
-        mem_idx in 0usize..3,
-    ) {
-        let faults = MACHINE_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
-        let memory = MEMORY[mem_idx];
-        let dense = run_machine(seed, faults, reps, Stepping::Dense, 1, memory);
-        let sparse = run_machine(seed, faults, reps, Stepping::Sparse, threads, memory);
-        prop_assert_eq!(dense, sparse);
-    }
-
-    /// The event wheel's stalled-window jumps are unobservable too: the
-    /// same identity tuple (including memory profile, time series, and
-    /// digest journal) holds for wheel-vs-dense over random schedules,
-    /// fault maps, memory backends, and thread counts.
+    /// Machine outcomes — stats, architectural memory, the per-core
+    /// cycle/stall counters the active-set gap replay reconstructs, the
+    /// memory profile, time series, and digest journal — are
+    /// bit-identical between wheel and dense stepping over random
+    /// schedules, fault maps, memory backends, and thread counts: the
+    /// active-set walk and the stalled-window jumps are unobservable.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
@@ -203,9 +167,10 @@ proptest! {
         prop_assert_eq!(dense, wheel);
     }
 
-    /// Fabric-level wheel identity: with injections running the wheel
-    /// degenerates to the sparse walk, and the drain phase jumps empty
-    /// windows — the report must still match the dense sweep exactly.
+    /// Fabric packet delivery is bit-identical between the dense sweep
+    /// and wheel stepping at every thread count, over clean and heavily
+    /// faulted wafers: with injections running the wheel is the pure
+    /// wake-list walk, and the drain phase jumps empty windows.
     #[test]
     fn wheel_fabric_matches_dense(
         seed in any::<u64>(),
@@ -231,12 +196,12 @@ proptest! {
         fault_idx in 0usize..3,
         requests in 20u64..150,
         threads_idx in 0usize..3,
-        stepping_idx in 0usize..3,
+        stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
         let threads = THREADS[threads_idx];
-        let stepping = [Stepping::Dense, Stepping::Sparse, Stepping::Wheel][stepping_idx];
+        let stepping = [Stepping::Dense, Stepping::Wheel][stepping_idx];
         let pattern = TrafficPattern::UniformRandom;
         let dense = run_fabric_with_capacity(
             seed, faults, requests, pattern, Stepping::Dense, 1, queue_capacity);
@@ -257,7 +222,7 @@ proptest! {
         fault_idx in 0usize..3,
         requests in 20u64..100,
         threads_idx in 0usize..3,
-        stepping_idx in 0usize..3,
+        stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let array = TileArray::new(16, 16);
@@ -267,7 +232,7 @@ proptest! {
         let mut sim = NocSim::new(faults, config);
         sim.fabric_mut().set_threads(THREADS[threads_idx]);
         sim.fabric_mut()
-            .set_stepping([Stepping::Dense, Stepping::Sparse, Stepping::Wheel][stepping_idx]);
+            .set_stepping([Stepping::Dense, Stepping::Wheel][stepping_idx]);
         let mut footprints = Vec::new();
         for _ in 0..3 {
             let mut rng = seeded_rng(seed);
