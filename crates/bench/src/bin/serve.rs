@@ -70,9 +70,9 @@ fn main() {
     let mut campaign = match &opts.restore {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read snapshot {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(&format!("cannot read snapshot {}: {e}", path.display())));
             let campaign = ServeCampaign::restore(config, &text)
-                .unwrap_or_else(|e| panic!("bad snapshot {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(&format!("bad snapshot {}: {e}", path.display())));
             result_line(
                 "resumed",
                 format!(
@@ -84,7 +84,8 @@ fn main() {
             );
             campaign
         }
-        None => ServeCampaign::new(config).expect("valid campaign config"),
+        None => ServeCampaign::new(config)
+            .unwrap_or_else(|e| fail(&format!("invalid campaign config: {e}"))),
     };
 
     match (&opts.snapshot, opts.snapshot_after) {
@@ -94,8 +95,9 @@ fn main() {
             } else {
                 campaign.run_to_completion();
             }
-            std::fs::write(path, campaign.snapshot())
-                .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
+            std::fs::write(path, campaign.snapshot()).unwrap_or_else(|e| {
+                fail(&format!("cannot write snapshot {}: {e}", path.display()))
+            });
             println!("  wrote campaign snapshot: {}", path.display());
             if !campaign.is_done() {
                 // A paused campaign reports nothing: the snapshot is the
@@ -133,4 +135,11 @@ fn main() {
 
     opts.bench.write_outputs("serve", &recorder);
     opts.bench.write_digest(Some(campaign.journal()));
+}
+
+/// Reports bad input the way `ServeOpts::from_env` reports a bad flag:
+/// one `error:` line and exit status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }

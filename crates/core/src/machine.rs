@@ -24,7 +24,7 @@
 //! map, the distance, and now the *traffic* decide the latency of each
 //! access.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -161,8 +161,9 @@ pub struct MultiTileMachine {
     fabric: Fabric,
     in_flight: HashMap<u64, RemoteOp>,
     /// Request packets delivered at their owner but still waiting for a
-    /// bank port (the owner's cores compete through the same crossbar).
-    deferred: VecDeque<FabricPacket>,
+    /// bank port (the owner's cores compete through the same crossbar),
+    /// each with its op, looked up once on delivery.
+    deferred: Vec<(FabricPacket, RemoteOp)>,
     /// Reusable per-cycle fabric delivery buffer
     /// ([`Fabric::tick_into`] clears it each call).
     delivered_buf: Vec<FabricPacket>,
@@ -185,9 +186,13 @@ pub struct MultiTileMachine {
     /// (fabric model). A tile with `live == blocked` cannot retire, issue,
     /// or touch memory this cycle, so the active-set scheduler skips it.
     blocked_cores: Vec<u32>,
-    /// Cycle each tile last executed its fabric-model step phase; the
-    /// active-set scheduler replays `now - last - 1` stall cycles on wake.
-    last_stepped: Vec<u64>,
+    /// Cycle each core (`[tile][core]`) was last visited by the
+    /// fabric-model step phase; a core the wheel skipped while parked on
+    /// a remote op replays `now - last - 1` stall cycles when next
+    /// stepped.
+    last_stepped: Vec<Vec<u64>>,
+    /// Core steps executed (see [`MultiTileMachine::core_steps`]).
+    core_steps: u64,
     /// Running cores across the machine — the O(1) `run_until_halt` test.
     running_cores: usize,
     /// Set when [`MultiTileMachine::core_mut`] hands out direct core
@@ -243,7 +248,7 @@ impl MultiTileMachine {
             mem_models: (0..tiles).map(|_| config.memory_model().build()).collect(),
             pending: (0..tiles).map(|_| vec![None; cores_per_tile]).collect(),
             in_flight: HashMap::new(),
-            deferred: VecDeque::new(),
+            deferred: Vec::new(),
             delivered_buf: Vec::new(),
             cycles: 0,
             local_accesses: 0,
@@ -255,7 +260,8 @@ impl MultiTileMachine {
             exec: AdaptiveExecutor::default(),
             live_cores: vec![0; tiles],
             blocked_cores: vec![0; tiles],
-            last_stepped: vec![0; tiles],
+            last_stepped: vec![vec![0; cores_per_tile]; tiles],
+            core_steps: 0,
             running_cores: 0,
             liveness_dirty: false,
             runnable_tiles: Histogram::new(),
@@ -319,6 +325,15 @@ impl MultiTileMachine {
     /// core/pending state, identical in either stepping mode.
     pub fn runnable_tiles(&self) -> &Histogram {
         &self.runnable_tiles
+    }
+
+    /// Core steps executed so far: one per [`CoreSim::step`] of a running
+    /// core. This is a work counter, not a statistic: dense stepping steps
+    /// every running core every cycle, while the wheel skips cores parked
+    /// on an in-flight remote op and jumps frozen windows. It therefore
+    /// depends on the stepping mode and stays out of [`MachineStats`].
+    pub fn core_steps(&self) -> u64 {
+        self.core_steps
     }
 
     /// Installs a telemetry sink for machine-level events (remote-latency
@@ -626,7 +641,8 @@ impl MultiTileMachine {
     /// its own gauges/digests, and the endpoint cycle is offered to the
     /// machine's sample series and digest lanes exactly as a stepped
     /// cycle would be. `wheel_skip_window` guarantees no observation
-    /// boundary lies strictly inside the span.
+    /// boundary lies strictly inside the span. No core holds a remote op
+    /// during a window, so no core owes a gap replay across it.
     fn skip_stall_window(&mut self, window: u64) {
         let runnable = self
             .live_cores
@@ -636,8 +652,8 @@ impl MultiTileMachine {
             .count();
         self.cycles += window;
         self.runnable_tiles.record_n(runnable as u64, window);
-        for (t, tile_cores) in self.cores.iter_mut().enumerate() {
-            if self.live_cores[t] == 0 {
+        for (tile_cores, &live) in self.cores.iter_mut().zip(&self.live_cores) {
+            if live == 0 {
                 continue;
             }
             for core in tile_cores {
@@ -645,7 +661,6 @@ impl MultiTileMachine {
                     core.drain_stall_cycles(window);
                 }
             }
-            self.last_stepped[t] = self.cycles;
         }
         self.fabric.skip_cycles(window);
         self.sample_cycle();
@@ -793,6 +808,7 @@ impl MultiTileMachine {
                 if active_only && !was_running {
                     continue;
                 }
+                self.core_steps += u64::from(was_running);
                 let outcome = self.step_core_analytic(tile_idx, core_idx);
                 outcome.map_err(|source| RunMachineError::CoreFault {
                     tile,
@@ -920,12 +936,16 @@ impl MultiTileMachine {
             }
         };
         self.runnable_buf = runnable_vec;
+        if outs.iter().any(|out| out.error.is_some()) {
+            self.settle_after_fault(&bands, &outs, rotate);
+        }
 
         // Sequential commit, in band order.
         let commit_timer = self.profiler.start();
         let mut first_error: Option<RunMachineError> = None;
         for mut out in outs {
             self.profiler.fold(&out.profile);
+            self.core_steps += out.core_steps;
             self.local_accesses += out.local_accesses;
             self.remote_accesses += out.remote_accesses;
             self.network_stall_cycles += out.network_stall_cycles;
@@ -974,6 +994,54 @@ impl MultiTileMachine {
         }
     }
 
+    /// Settles every parked core's skipped stall steps after a core fault
+    /// aborted this cycle, so the run's counters read as the dense sweep
+    /// would leave them. Each band stepped this cycle up to its own first
+    /// fault: cores it had reached owe steps through this cycle, the rest
+    /// through the previous one.
+    fn settle_after_fault(&mut self, bands: &[Range<usize>], outs: &[ShardOut], rotate: usize) {
+        let n = self.config.cores_per_tile();
+        let array = self.faults.array();
+        let stops: Vec<(usize, usize)> = bands
+            .iter()
+            .zip(outs)
+            .map(|(band, out)| match out.error {
+                Some(RunMachineError::CoreFault { tile, core, .. }) => {
+                    (array.index_of(tile), (core + n - rotate) % n)
+                }
+                _ => (band.end, 0),
+            })
+            .collect();
+        let cycles = self.cycles;
+        self.settle_parked(rotate, |t, position| {
+            let stop = stops[bands.partition_point(|band| band.end <= t)];
+            if (t, position) < stop {
+                cycles
+            } else {
+                cycles - 1
+            }
+        });
+    }
+
+    /// Credits every core parked on a remote op the stall steps the wheel
+    /// skipped, through the cycle `through(tile, position)` returns for
+    /// it, where `position` is the core's place in the order rotated by
+    /// `rotate`.
+    fn settle_parked(&mut self, rotate: usize, through: impl Fn(usize, usize) -> u64) {
+        let n = self.config.cores_per_tile();
+        for t in 0..self.cores.len() {
+            for position in 0..n {
+                let c = (position + rotate) % n;
+                self.network_stall_cycles += replay_parked(
+                    &mut self.cores[t][c],
+                    self.pending[t][c],
+                    &mut self.last_stepped[t][c],
+                    through(t, position),
+                );
+            }
+        }
+    }
+
     /// Moves the fabric one cycle and services what it delivered:
     /// requests perform their access at the owner (arbitrating the
     /// owner's crossbar against its own cores) and send the result back;
@@ -984,20 +1052,20 @@ impl MultiTileMachine {
         self.fabric.tick_into(&mut delivered);
         for &packet in &delivered {
             match packet.kind {
-                PacketKind::Request => self.deferred.push_back(packet),
+                PacketKind::Request => {
+                    let op = self.in_flight[&packet.id];
+                    self.deferred.push((packet, op));
+                }
                 PacketKind::Response => self.complete_response(&packet),
             }
         }
         self.delivered_buf = delivered;
         let memory_timer = self.profiler.start();
-        // Rotate the deferred queue in place: each request gets one
-        // service attempt, refused ones keep their relative order.
-        for _ in 0..self.deferred.len() {
-            let packet = self.deferred.pop_front().expect("counted");
-            if !self.try_service_request(&packet) {
-                self.deferred.push_back(packet);
-            }
-        }
+        // Each deferred request gets one service attempt; refused ones
+        // keep their relative order.
+        let mut deferred = std::mem::take(&mut self.deferred);
+        deferred.retain(|(packet, op)| !self.try_service_request(packet, op));
+        self.deferred = deferred;
         self.profiler.stop("machine.fabric.memory", memory_timer);
         self.profiler.stop("machine.fabric", fabric_timer);
     }
@@ -1005,9 +1073,8 @@ impl MultiTileMachine {
     /// Performs a delivered request at its owner tile if a bank port is
     /// free this cycle, injecting the response. Returns `false` when the
     /// memory model denied the port (retry next cycle).
-    fn try_service_request(&mut self, packet: &FabricPacket) -> bool {
+    fn try_service_request(&mut self, packet: &FabricPacket, op: &RemoteOp) -> bool {
         let owner_idx = self.faults.array().index_of(packet.dst);
-        let op = self.in_flight[&packet.id];
         let offset = (op.addr() - GLOBAL_BASE) % GLOBAL_REGION_BYTES as u32;
         // The issuing closure validated range and alignment before the
         // packet was injected. Models stamp with the absolute cycle, so
@@ -1237,6 +1304,8 @@ impl MultiTileMachine {
         }
         while self.running_cores > 0 {
             if self.cycles - start >= max_cycles {
+                let cycles = self.cycles;
+                self.settle_parked(0, |_, _| cycles);
                 return Err(RunMachineError::CycleLimit { max_cycles });
             }
             self.step()?;
@@ -1413,8 +1482,10 @@ struct FabricShard<'a> {
     pending: &'a mut [Vec<Option<PendingAccess>>],
     /// Per-tile running-core counts; the band decrements on halt.
     live: &'a mut [u32],
-    /// Cycle each tile last ran its step phase (active-set gap replay).
-    last_stepped: &'a mut [u64],
+    /// Cycle each core was last visited, per tile: a core the wheel
+    /// skipped while parked on a remote op replays the gap when next
+    /// stepped.
+    last_stepped: &'a mut [Vec<u64>],
 }
 
 /// A remote access a fabric shard wants injected; the sequential commit
@@ -1432,6 +1503,8 @@ struct InjectIntent {
 /// What one fabric shard produced in one cycle: counter deltas, buffered
 /// telemetry, deferred injections, and the band's first core fault.
 struct ShardOut {
+    /// Core steps executed (see [`MultiTileMachine::core_steps`]).
+    core_steps: u64,
     local_accesses: u64,
     remote_accesses: u64,
     network_stall_cycles: u64,
@@ -1452,6 +1525,7 @@ struct ShardOut {
 impl ShardOut {
     fn new(telemetry_on: bool, profile_on: bool) -> Self {
         ShardOut {
+            core_steps: 0,
             local_accesses: 0,
             remote_accesses: 0,
             network_stall_cycles: 0,
@@ -1466,16 +1540,20 @@ impl ShardOut {
     }
 }
 
-/// Steps every core of every healthy tile in one band for one cycle
-/// under the fabric model. Stops at the band's first core fault (matching
-/// the sequential engine, which steps nothing after a fault).
+/// Steps the running cores of every healthy tile in one band for one
+/// cycle under the fabric model. Stops at the band's first core fault
+/// (matching the sequential engine, which steps nothing after a fault).
 ///
-/// With `active_only` set the band visits only *runnable* tiles (at least one
-/// running core that is not blocked on an in-flight remote op). Skipping
-/// is unobservable: a halted core's step is a no-op, and a blocked core's
+/// With `active_only` set the band visits only *runnable* tiles (at least
+/// one running core that is not parked on an in-flight remote op), and
+/// within them steps only the cores that are not parked. Skipping is
+/// unobservable: a halted core's step is a no-op, and a parked core's
 /// dense step does exactly `cycles += 1`, `stall_cycles += 1`,
-/// `network_stall_cycles += 1` — replayed in bulk on wake from the gap
-/// since the tile last stepped.
+/// `network_stall_cycles += 1` and touches nothing else. Each core
+/// replays that in bulk for the gap since its own `last_stepped` when it
+/// is next stepped, or when a fault or the cycle limit ends the run
+/// early. The replay is a no-op under dense stepping, which visits every
+/// core every cycle.
 #[allow(clippy::too_many_arguments)]
 fn step_fabric_band(
     array: TileArray,
@@ -1509,30 +1587,25 @@ fn step_fabric_band(
         if active_only && !runnable[tile_idx] {
             continue;
         }
-        // Replay the skipped span: every core sitting on an in-flight or
-        // just-completed remote op stepped-and-stalled once per skipped
-        // cycle in the dense sweep.
-        let gap = cycles - last_stepped[local_t] - 1;
-        if gap > 0 {
-            for slot in 0..cores_per_tile {
-                if matches!(
-                    pending[local_t][slot],
-                    Some(PendingAccess::InFlight { .. }) | Some(PendingAccess::Ready { .. })
-                ) {
-                    cores[local_t][slot].absorb_stall_cycles(gap);
-                    out.network_stall_cycles += gap;
-                }
-            }
-        }
-        last_stepped[local_t] = cycles;
         for i in 0..cores_per_tile {
             let core_idx = (i + rotate) % cores_per_tile;
+            // The pending slot is read first, so a parked core is skipped
+            // without touching its `CoreSim`.
+            let slot = pending[local_t][core_idx];
+            if active_only && matches!(slot, Some(PendingAccess::InFlight { .. })) {
+                continue;
+            }
+            let core = &mut cores[local_t][core_idx];
+            let last = &mut last_stepped[local_t][core_idx];
+            out.network_stall_cycles += replay_parked(core, slot, last, cycles - 1);
+            *last = cycles;
             // Identical in both modes: stepping a non-running core is a
             // no-op in `CoreSim::step`, so eliding the call changes
             // nothing and keeps the halt accounting below exact.
-            if cores[local_t][core_idx].state() != CoreState::Running {
+            if core.state() != CoreState::Running {
                 continue;
             }
+            out.core_steps += 1;
             let outcome = step_one_core_fabric(
                 array,
                 faults,
@@ -1540,7 +1613,7 @@ fn step_fabric_band(
                 tile_idx,
                 core_idx,
                 cycles,
-                &mut cores[local_t][core_idx],
+                core,
                 &mut memories[local_t],
                 mem_models[local_t].as_mut(),
                 &mut pending[local_t][core_idx],
@@ -1564,6 +1637,28 @@ fn step_fabric_band(
             }
         }
     }
+}
+
+/// Credits a core parked on a remote op (in flight, or delivered but not
+/// yet consumed) the dense sweep's stall steps for the cycles after
+/// `*last_stepped` through `through`, and returns how many it credited.
+fn replay_parked(
+    core: &mut CoreSim,
+    slot: Option<PendingAccess>,
+    last_stepped: &mut u64,
+    through: u64,
+) -> u64 {
+    let parked = matches!(
+        slot,
+        Some(PendingAccess::InFlight { .. } | PendingAccess::Ready { .. })
+    );
+    if !parked || through <= *last_stepped {
+        return 0;
+    }
+    let gap = through - *last_stepped;
+    core.absorb_stall_cycles(gap);
+    *last_stepped = through;
+    gap
 }
 
 /// Steps one fabric-model core. Local accesses arbitrate this tile's
@@ -2332,6 +2427,129 @@ mod tests {
             );
         }
         assert_eq!(run(Stepping::Dense, 8), baseline, "dense, threads = 8");
+    }
+
+    /// Loads every core of every tile of a 4×4 machine with a loop that
+    /// sums `loads` words of its own block on the tile east of it (wrapping)
+    /// and stores the sum in its own tile. Returns the result addresses.
+    fn load_partner_sums(m: &mut MultiTileMachine, loads: u32) -> Vec<u32> {
+        let mut results = Vec::new();
+        for tile in TileArray::new(4, 4).tiles() {
+            let partner = TileCoord::new((tile.x + 1) % 4, tile.y);
+            for core in 0..14u32 {
+                let block = m.global_address(partner, core * loads * 4).expect("ok");
+                let result = m.global_address(tile, 0x1_0000 + core * 4).expect("ok");
+                for i in 0..loads {
+                    m.write_word(block + i * 4, core * 100 + i).expect("ok");
+                }
+                let program = Program::builder()
+                    .ldi(Reg::R1, block)
+                    .ldi(Reg::R3, loads)
+                    .ldi(Reg::R5, 0)
+                    .ldi(Reg::R0, 0)
+                    .label("next")
+                    .ld(Reg::R2, Reg::R1, 0)
+                    .add(Reg::R5, Reg::R5, Reg::R2)
+                    .addi(Reg::R1, Reg::R1, 4)
+                    .addi(Reg::R3, Reg::R3, -1)
+                    .bne(Reg::R3, Reg::R0, "next")
+                    .ldi(Reg::R6, result)
+                    .st(Reg::R5, Reg::R6, 0)
+                    .halt()
+                    .build()
+                    .expect("builds");
+                m.load_program(tile, core as usize, &program).expect("ok");
+                results.push(result);
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn wheel_never_steps_a_parked_core() {
+        // All 14 cores of every tile stream remote loads, so most cores of
+        // a runnable tile sit parked on an in-flight load. The wheel skips
+        // exactly those steps: each remote access parks its core from the
+        // cycle after issue through the cycle its response lands, which is
+        // `latency - 1` dense steps, and nothing else may be skipped
+        // (fixed memory never freezes a core).
+        let run = |stepping: Stepping| {
+            let mut m = machine(4);
+            m.set_stepping(stepping);
+            let results = load_partner_sums(&mut m, 6);
+            let stats = m.run_until_halt(100_000).expect("halts");
+            let words: Vec<u32> = results
+                .iter()
+                .map(|&a| m.read_word(a).expect("ok"))
+                .collect();
+            ((stats, words, m.per_tile_activity()), m.core_steps())
+        };
+        let (dense, dense_steps) = run(Stepping::Dense);
+        let (wheel, wheel_steps) = run(Stepping::Wheel);
+        assert_eq!(wheel, dense);
+        let stats = dense.0;
+        assert_eq!(stats.remote_accesses, 16 * 14 * 6);
+        assert_eq!(stats.local_accesses, 16 * 14);
+        assert_eq!(dense.1[0], 6 * 5 / 2, "core 0 sums 0..6");
+        let parked_steps = stats.remote_latency_total - stats.remote_accesses;
+        assert!(parked_steps > wheel_steps, "parking dominates this program");
+        assert_eq!(dense_steps - wheel_steps, parked_steps);
+    }
+
+    #[test]
+    fn early_exits_settle_parked_cores_like_dense() {
+        // A fault (or the cycle limit) can end a run while cores are
+        // parked on in-flight loads; their skipped stall steps must be
+        // settled so the counters read as the dense sweep leaves them.
+        let dead = TileCoord::new(3, 3);
+        let run = |stepping: Stepping, faulting: bool, max_cycles: u64| {
+            let cfg = SystemConfig::with_array(TileArray::new(4, 4));
+            let mut m = MultiTileMachine::new(cfg, FaultMap::from_faulty(cfg.array(), [dead]));
+            m.set_stepping(stepping);
+            let target = m.global_address(TileCoord::new(2, 0), 0).expect("ok");
+            let streaming = Program::builder()
+                .ldi(Reg::R1, target)
+                .ldi(Reg::R3, 50)
+                .ldi(Reg::R0, 0)
+                .label("next")
+                .ld(Reg::R2, Reg::R1, 0)
+                .addi(Reg::R3, Reg::R3, -1)
+                .bne(Reg::R3, Reg::R0, "next")
+                .halt()
+                .build()
+                .expect("builds");
+            for core in 0..14 {
+                m.load_program(TileCoord::new(0, 0), core, &streaming)
+                    .expect("ok");
+            }
+            if faulting {
+                // Idles for a while, then loads from the dead tile's
+                // address range.
+                let mut program = Program::builder();
+                for _ in 0..40 {
+                    program = program.addi(Reg::R5, Reg::R5, 1);
+                }
+                let program = program
+                    .ldi(Reg::R1, GLOBAL_BASE + 15 * GLOBAL_REGION_BYTES as u32)
+                    .ld(Reg::R2, Reg::R1, 0)
+                    .halt()
+                    .build()
+                    .expect("builds");
+                m.load_program(TileCoord::new(1, 1), 3, &program)
+                    .expect("ok");
+            }
+            let err = m.run_until_halt(max_cycles).expect_err("stops early");
+            (err, m.stats(), m.per_tile_activity())
+        };
+        for (faulting, max_cycles) in [(true, 100_000), (false, 45)] {
+            let dense = run(Stepping::Dense, faulting, max_cycles);
+            let wheel = run(Stepping::Wheel, faulting, max_cycles);
+            assert_eq!(wheel, dense, "faulting = {faulting}");
+            assert!(
+                dense.1.remote_accesses > 0,
+                "loads completed before the stop"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileCoord};
@@ -97,6 +98,12 @@ impl fmt::Display for NetworkChoice {
 
 /// Plans per-pair network assignments over a known fault map.
 ///
+/// Relay decisions are memoised per ordered pair on first query: they are
+/// a pure function of the fault map, and the relay search scans every
+/// healthy tile, so a pair that needs a relay pays for it once. Pairs with
+/// a direct path never touch the memo. The memo sits behind a lock so one
+/// planner can be shared across worker threads.
+///
 /// # Examples
 ///
 /// ```
@@ -107,17 +114,39 @@ impl fmt::Display for NetworkChoice {
 /// let choice = planner.choose(TileCoord::new(0, 0), TileCoord::new(5, 5));
 /// assert!(matches!(choice, NetworkChoice::Direct(_)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RoutePlanner {
     faults: FaultMap,
     oracle: SegmentOracle,
+    /// [`RoutePlanner::find_relay`]'s answer for every pair asked so far
+    /// that has no healthy direct path.
+    relays: RwLock<HashMap<(TileCoord, TileCoord), NetworkChoice>>,
+}
+
+impl Clone for RoutePlanner {
+    fn clone(&self) -> Self {
+        RoutePlanner {
+            faults: self.faults.clone(),
+            oracle: self.oracle.clone(),
+            relays: RwLock::new(
+                self.relays
+                    .read()
+                    .expect("relay memo lock poisoned")
+                    .clone(),
+            ),
+        }
+    }
 }
 
 impl RoutePlanner {
     /// Creates a planner for the given post-assembly fault map.
     pub fn new(faults: FaultMap) -> Self {
         let oracle = SegmentOracle::new(&faults);
-        RoutePlanner { faults, oracle }
+        RoutePlanner {
+            faults,
+            oracle,
+            relays: RwLock::new(HashMap::new()),
+        }
     }
 
     /// The fault map the planner consults.
@@ -143,8 +172,32 @@ impl RoutePlanner {
             (true, true) => NetworkChoice::Direct(self.balance(src, dst)),
             (true, false) => NetworkChoice::Direct(NetworkKind::Xy),
             (false, true) => NetworkChoice::Direct(NetworkKind::Yx),
-            (false, false) => self.find_relay(src, dst),
+            (false, false) => self.memoised_relay(src, dst),
         }
+    }
+
+    /// [`RoutePlanner::find_relay`] through the per-pair memo. Two threads
+    /// missing on the same pair both search and store the same answer.
+    /// Kept out of line: relays are the rare last resort, and the direct
+    /// arms of [`RoutePlanner::choose`] stay compact.
+    #[cold]
+    #[inline(never)]
+    fn memoised_relay(&self, src: TileCoord, dst: TileCoord) -> NetworkChoice {
+        let memoised = self
+            .relays
+            .read()
+            .expect("relay memo lock poisoned")
+            .get(&(src, dst))
+            .copied();
+        if let Some(choice) = memoised {
+            return choice;
+        }
+        let choice = self.find_relay(src, dst);
+        self.relays
+            .write()
+            .expect("relay memo lock poisoned")
+            .insert((src, dst), choice);
+        choice
     }
 
     /// Deterministic load balancing: pairs hash onto the two networks so
@@ -392,6 +445,104 @@ mod tests {
         let (_, _, relay, dead) = table.utilization();
         let frac = (relay + dead) as f64 / table.len() as f64;
         assert!(frac < 0.03, "relay+dead fraction {frac}");
+    }
+
+    /// A seeded faulty 16×16 planner, with every ordered healthy pair.
+    fn faulty_planner(seed: u64) -> (RoutePlanner, Vec<(TileCoord, TileCoord)>) {
+        let mut rng = seeded_rng(seed);
+        let faults = FaultMap::sample_uniform(TileArray::new(16, 16), 12, &mut rng);
+        let healthy: Vec<TileCoord> = faults.healthy_tiles().collect();
+        let pairs = healthy
+            .iter()
+            .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        (RoutePlanner::new(faults), pairs)
+    }
+
+    #[test]
+    fn memoised_answers_equal_a_fresh_planners() {
+        for seed in [5, 11] {
+            let (planner, pairs) = faulty_planner(seed);
+            let first: Vec<NetworkChoice> =
+                pairs.iter().map(|&(s, d)| planner.choose(s, d)).collect();
+            let relayed = first
+                .iter()
+                .filter(|c| matches!(c, NetworkChoice::Relay { .. }))
+                .count();
+            assert!(relayed > 0, "the map must exercise the relay memo");
+            let again: Vec<NetworkChoice> =
+                pairs.iter().map(|&(s, d)| planner.choose(s, d)).collect();
+            assert_eq!(again, first);
+            let fresh = RoutePlanner::new(planner.faults().clone());
+            for (&(s, d), &want) in pairs.iter().zip(&first) {
+                assert_eq!(fresh.choose(s, d), want, "{s}->{d}");
+            }
+            let clone = planner.clone();
+            for (&(s, d), &want) in pairs.iter().zip(&first) {
+                assert_eq!(clone.choose(s, d), want, "clone {s}->{d}");
+            }
+        }
+    }
+
+    #[test]
+    fn relay_search_runs_once_per_pair() {
+        let (planner, pairs) = faulty_planner(5);
+        let &(s, d) = pairs
+            .iter()
+            .find(|&&(s, d)| matches!(planner.choose(s, d), NetworkChoice::Relay { .. }))
+            .expect("some pair needs a relay");
+        let memo_len = planner.relays.read().expect("unpoisoned").len();
+        // Overwrite the stored answer: a second query that searched again
+        // would return the real relay, one served from the memo the stub.
+        planner
+            .relays
+            .write()
+            .expect("unpoisoned")
+            .insert((s, d), NetworkChoice::Disconnected);
+        assert_eq!(planner.choose(s, d), NetworkChoice::Disconnected);
+        assert_eq!(planner.relays.read().expect("unpoisoned").len(), memo_len);
+        // Direct pairs never enter the memo.
+        let direct = RoutePlanner::new(FaultMap::none(TileArray::new(16, 16)));
+        direct.build_table();
+        assert!(direct.relays.read().expect("unpoisoned").is_empty());
+    }
+
+    #[test]
+    fn threads_sharing_one_planner_agree() {
+        let (planner, pairs) = faulty_planner(11);
+        let reference: Vec<NetworkChoice> = {
+            let fresh = RoutePlanner::new(planner.faults().clone());
+            pairs.iter().map(|&(s, d)| fresh.choose(s, d)).collect()
+        };
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<NetworkChoice>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (planner, pairs, barrier) = (&planner, &pairs, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        // Each thread walks the pairs from its own offset so
+                        // memo misses and hits interleave across threads.
+                        let offset = t * pairs.len() / 4;
+                        let mut out = vec![NetworkChoice::Disconnected; pairs.len()];
+                        for k in 0..pairs.len() {
+                            let i = (k + offset) % pairs.len();
+                            let (s, d) = pairs[i];
+                            out[i] = planner.choose(s, d);
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("query thread panicked"))
+                .collect()
+        });
+        for answer in answers {
+            assert_eq!(answer, reference);
+        }
     }
 
     #[test]

@@ -149,4 +149,21 @@ if grep -q "| false" "$DET_DIR/banked.txt"; then
 fi
 echo "    banked backend runs clean"
 
+echo "==> wsp-benchmark unit tests"
+cargo test --offline --manifest-path wsp-benchmark/Cargo.toml
+
+echo "==> wsp-benchmark exact-output gate (seed 2021, all six workloads vs wsp-benchmark/expected.txt)"
+# One short run of every benchmark workload: the run exits 1 on any
+# failed check, including a digest or simulated value that differs from
+# the seed-2021 line in wsp-benchmark/expected.txt.
+BENCH_OUT="$(mktemp -d)"
+trap 'rm -rf "$DET_DIR" "$BENCH_OUT"' EXIT
+if ! cargo run --release --quiet --offline --manifest-path wsp-benchmark/Cargo.toml -- \
+    --seed 2021 --seconds 0 --out "$BENCH_OUT" > "$BENCH_OUT/report.txt"; then
+    echo "FAIL: wsp-benchmark reported a failed check; its report:" >&2
+    cat "$BENCH_OUT/report.txt" >&2
+    exit 1
+fi
+echo "    every workload passed its checks and matched expected.txt"
+
 echo "All checks passed."

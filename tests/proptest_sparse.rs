@@ -8,12 +8,13 @@
 //! fault maps, and thread counts.
 
 use proptest::prelude::*;
+use rand::RngExt as _;
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
 use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
-use wsp_tile::MemoryModelKind;
+use wsp_tile::{MemoryModelKind, CORES_PER_TILE};
 use wsp_topo::{FaultMap, TileArray};
 
 /// Thread counts exercised against the single-threaded dense baseline.
@@ -73,16 +74,20 @@ fn run_fabric_with_capacity(
     sim.run(pattern, requests, &mut rng)
 }
 
-/// Builds a 4×4 fabric-model machine whose healthy tiles all atomically
-/// increment one counter on the first healthy tile (a hot-spot with
-/// long blocked stretches — the active-set walk's hardest case), runs
-/// it, and returns everything observable: the stats, the architectural
-/// counter word, the per-core activity counters (which the gap replay
-/// must reconstruct exactly), and the runnable-tiles sample.
+/// Builds a 4×4 fabric-model machine in which the first `cores` cores of
+/// every healthy tile atomically increment one counter on the first
+/// healthy tile (a hot-spot with long blocked stretches — the active-set
+/// walk's hardest case), runs it, and returns everything observable: the
+/// stats, the architectural counter word, the per-core activity counters
+/// (which the gap replay must reconstruct exactly), and the
+/// runnable-tiles sample. Several cores per tile park and wake at
+/// different cycles, so a runnable tile holds parked cores.
+#[allow(clippy::too_many_arguments)]
 fn run_machine(
     seed: u64,
     fault_count: usize,
     reps: u32,
+    cores: usize,
     stepping: Stepping,
     threads: usize,
     memory: MemoryModelKind,
@@ -106,27 +111,38 @@ fn run_machine(
         .find(|&t| !faults.is_faulty(t))
         .expect("some tile survives");
     let counter = m.global_address(owner, 256).expect("mapped");
-    let program = Program::builder()
-        .ldi(Reg::R1, counter)
-        .ldi(Reg::R2, 1)
-        .ldi(Reg::R3, reps)
-        .ldi(Reg::R0, 0)
-        .label("loop")
-        .amo_add(Reg::R4, Reg::R1, Reg::R2)
-        .addi(Reg::R3, Reg::R3, -1)
-        .bne(Reg::R3, Reg::R0, "loop")
-        .halt()
-        .build()
-        .expect("builds");
     for tile in array.tiles() {
         if faults.is_faulty(tile) {
             continue;
         }
-        m.load_program(tile, 0, &program).expect("loads");
+        for core in 0..cores {
+            // A seeded prologue of 0..8 idle instructions staggers the
+            // first issues, so cores park at different cycles.
+            let mut program = Program::builder();
+            for _ in 0..rng.random_range(0..8u32) {
+                program = program.addi(Reg::R5, Reg::R5, 1);
+            }
+            let program = program
+                .ldi(Reg::R1, counter)
+                .ldi(Reg::R2, 1)
+                .ldi(Reg::R3, reps)
+                .ldi(Reg::R0, 0)
+                .label("loop")
+                .amo_add(Reg::R4, Reg::R1, Reg::R2)
+                .addi(Reg::R3, Reg::R3, -1)
+                .bne(Reg::R3, Reg::R0, "loop")
+                .halt()
+                .build()
+                .expect("builds");
+            m.load_program(tile, core, &program).expect("loads");
+        }
     }
     // A heavily faulted map can disconnect a tile from the owner, which
     // faults the accessing core — a legitimate outcome that must still
     // match between stepping modes, so the error is part of the tuple.
+    // With staggered issues the fault can land while other cores are
+    // parked, so the tuple also pins the fault-path settling of their
+    // skipped stall steps.
     let outcome = m.run_until_halt(1_000_000).map_err(|e| format!("{e:?}"));
     let journal = m.journal().expect("digests on").to_text();
     let series: Vec<(String, Vec<(u64, f64)>)> = m
@@ -149,21 +165,23 @@ proptest! {
     /// cycle/stall counters the active-set gap replay reconstructs, the
     /// memory profile, time series, and digest journal — are
     /// bit-identical between wheel and dense stepping over random
-    /// schedules, fault maps, memory backends, and thread counts: the
-    /// active-set walk and the stalled-window jumps are unobservable.
+    /// schedules, fault maps, cores per tile, memory backends, and thread
+    /// counts: the active-set walk, the per-core skip of parked cores, and
+    /// the stalled-window jumps are unobservable.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         reps in 1u32..6,
+        cores in 1usize..=CORES_PER_TILE,
         threads_idx in 0usize..3,
         mem_idx in 0usize..3,
     ) {
         let faults = MACHINE_FAULTS[fault_idx];
         let threads = THREADS[threads_idx];
         let memory = MEMORY[mem_idx];
-        let dense = run_machine(seed, faults, reps, Stepping::Dense, 1, memory);
-        let wheel = run_machine(seed, faults, reps, Stepping::Wheel, threads, memory);
+        let dense = run_machine(seed, faults, reps, cores, Stepping::Dense, 1, memory);
+        let wheel = run_machine(seed, faults, reps, cores, Stepping::Wheel, threads, memory);
         prop_assert_eq!(dense, wheel);
     }
 
