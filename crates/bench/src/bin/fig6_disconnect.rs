@@ -90,10 +90,19 @@ fn main() {
             dual += wsp_noc::disconnected_fraction(&faults, wsp_noc::RoutingScheme::DualXyYx);
             oe += wsp_noc::odd_even_disconnected_fraction(&faults, 64);
         }
+        let (dual_pct, oe_pct) = (dual / trials as f64 * 100.0, oe / trials as f64 * 100.0);
+        sink.gauge_set(
+            &format!("noc.disconnect.oddeven_16x16.{count}_faults.dual_pct"),
+            dual_pct,
+        );
+        sink.gauge_set(
+            &format!("noc.disconnect.oddeven_16x16.{count}_faults.odd_even_pct"),
+            oe_pct,
+        );
         row(&[
             format!("{count}"),
-            format!("{:.2}", dual / trials as f64 * 100.0),
-            format!("{:.3}", oe / trials as f64 * 100.0),
+            format!("{dual_pct:.2}"),
+            format!("{oe_pct:.3}"),
         ]);
     }
 

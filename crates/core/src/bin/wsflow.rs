@@ -88,6 +88,16 @@ impl Options {
         if opts.tiles == 0 {
             return Err("--tiles must be at least 1".into());
         }
+        let tile_count = opts.array().tile_count();
+        if opts.faults > tile_count {
+            return Err(format!(
+                "--faults {} exceeds the {tile_count} tiles of a {}x{} array",
+                opts.faults, opts.tiles, opts.tiles
+            ));
+        }
+        if opts.vertices == 0 {
+            return Err("--vertices must be at least 1".into());
+        }
         Ok(opts)
     }
 

@@ -14,7 +14,7 @@
 //!
 //! * [`routing`] — DoR path computation and health checks;
 //! * [`connectivity`] — the Monte-Carlo disconnection analysis behind
-//!   Fig. 6, using O(1) per-pair prefix-sum path checks;
+//!   Fig. 6, counting disconnected pairs a row word at a time;
 //! * [`kernel`] — the kernel-software policy: per-pair network selection,
 //!   load balancing across the two networks, and relaying through an
 //!   intermediate tile when both direct paths are broken;

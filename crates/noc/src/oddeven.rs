@@ -135,55 +135,24 @@ pub fn route_odd_even(
 
 /// All healthy tiles reachable from `from` under the odd-even rules
 /// within `max_hops`, as a row-major boolean mask (the source itself is
-/// always marked).
+/// always marked when healthy).
 ///
-/// One bounded BFS over the same `(tile, incoming-direction)` state
-/// space [`route_odd_even`] searches — but with no early exit, so a
-/// single pass answers reachability for *every* destination at once. A
-/// destination counts as reached when any of its four incoming-direction
+/// Runs one [`FrontierSearch`] over the same `(tile, travel-direction)`
+/// state space [`route_odd_even`] searches, with no early exit, so one
+/// search answers reachability for *every* destination at once. A
+/// destination counts as reached when any of its four travel-direction
 /// states is reached within the hop budget, exactly the condition under
 /// which the per-pair search would have returned a path.
 pub fn odd_even_reachable(faults: &FaultMap, from: TileCoord, max_hops: u32) -> Vec<bool> {
     let array = faults.array();
-    let mut reached = vec![false; array.tile_count()];
     if faults.is_faulty(from) {
-        return reached;
+        return vec![false; array.tile_count()];
     }
-    reached[array.index_of(from)] = true;
-    let states = array.tile_count() * 5;
-    let mut dist: Vec<u32> = vec![u32::MAX; states];
-    let start = array.index_of(from) * 5 + 4;
-    dist[start] = 0;
-    let mut queue = VecDeque::from([start]);
-    while let Some(state) = queue.pop_front() {
-        let tile_idx = state / 5;
-        let in_dir = state % 5;
-        let tile = array.coord_of(tile_idx);
-        let hops = dist[state];
-        if hops >= max_hops {
-            continue;
-        }
-        for out in DIRECTIONS {
-            if in_dir < 4 && !turn_allowed(tile, DIRECTIONS[in_dir], out) {
-                continue;
-            }
-            let Some(nb) = array.neighbor(tile, out) else {
-                continue;
-            };
-            if faults.is_faulty(nb) {
-                continue;
-            }
-            let nb_idx = array.index_of(nb);
-            let nb_state = nb_idx * 5 + out.index();
-            if dist[nb_state] != u32::MAX {
-                continue;
-            }
-            dist[nb_state] = hops + 1;
-            reached[nb_idx] = true;
-            queue.push_back(nb_state);
-        }
-    }
-    reached
+    let mut search = FrontierSearch::new(faults);
+    search.run(array.index_of(from), max_hops);
+    (0..array.tile_count())
+        .map(|idx| search.reached_word(idx / 64) >> (idx % 64) & 1 != 0)
+        .collect()
 }
 
 /// Fraction of healthy-tile ordered pairs with no rule-abiding path under
@@ -191,28 +160,184 @@ pub fn odd_even_reachable(faults: &FaultMap, from: TileCoord, max_hops: u32) -> 
 /// disconnection, comparable to [`crate::connectivity`]'s dual-DoR
 /// numbers).
 ///
-/// One multi-destination search per source ([`odd_even_reachable`]), so
-/// the cost is `O(H · states)` for `H` healthy tiles instead of the
-/// `O(H² · states)` the former per-pair [`route_odd_even`] sweep paid —
-/// on the 16×16 arrays `fig6_disconnect` resamples per trial that is a
-/// ~200× reduction in BFS work for bit-identical fractions.
+/// One [`FrontierSearch`] per healthy source, over scratch allocated once
+/// per map. A hop level costs a few dozen word operations per 64 tiles,
+/// so a map costs `O(H · L · T / 64)` for `H` healthy sources, `L`
+/// levels (at most `max_hops`; the frontier empties after ~25 on the
+/// 16×16 arrays `fig6_disconnect` resamples) and `T` tiles — four words
+/// per level there.
 pub fn odd_even_disconnected_fraction(faults: &FaultMap, max_hops: u32) -> f64 {
-    let array = faults.array();
-    let healthy: Vec<TileCoord> = faults.healthy_tiles().collect();
-    if healthy.len() < 2 {
+    let mut search = FrontierSearch::new(faults);
+    let healthy = search.healthy;
+    if healthy < 2 {
         return 0.0;
     }
     let mut disconnected = 0u64;
-    let total = (healthy.len() as u64) * (healthy.len() as u64 - 1);
-    for &s in &healthy {
-        let reached = odd_even_reachable(faults, s, max_hops);
-        for &d in &healthy {
-            if s != d && !reached[array.index_of(d)] {
-                disconnected += 1;
-            }
+    for (idx, tile) in faults.array().tiles().enumerate() {
+        if faults.is_healthy(tile) {
+            search.run(idx, max_hops);
+            let reached: u64 = (0..search.seen.len())
+                .map(|w| u64::from(search.reached_word(w).count_ones()))
+                .sum();
+            disconnected += healthy - reached;
         }
     }
-    disconnected as f64 / total as f64
+    disconnected as f64 / (healthy * (healthy - 1)) as f64
+}
+
+/// Travel directions in [`DIRECTIONS`] order, as indices into the
+/// per-word `[u64; 4]` state sets of [`FrontierSearch`].
+const N: usize = 0;
+const S: usize = 1;
+const E: usize = 2;
+const W: usize = 3;
+
+/// Level-synchronous, bit-parallel odd-even reachability over one fault
+/// map.
+///
+/// Tile `(x, y)` is bit `y · cols + x` of a row-major bitset, so a hop
+/// east or west shifts the bitset by one bit and a hop north or south by
+/// one row of `cols` bits, whatever the width. For each travel direction
+/// the search keeps the `(tile, direction)` states reached so far. Each
+/// level advances the whole frontier one hop: the next frontier of
+/// out-direction `o` is the union of the current frontier's directions
+/// that may turn into `o` at their tile's column parity
+/// ([`turn_allowed`]), shifted one tile towards `o`, ANDed with the
+/// healthy tiles such a hop may land on and with the states not yet seen
+/// in `o`. A state thus joins the frontier at its shortest distance, the
+/// distance at which the queue BFS of [`route_odd_even`] first visits it,
+/// so a hop budget keeps exactly the states that BFS keeps.
+struct FrontierSearch {
+    /// Per word, the healthy tiles a hop N, S, E, W may land on: an east
+    /// (west) hop never lands in the first (last) column, which is where
+    /// a one-bit shift wraps in from the neighbouring row.
+    landing: Vec<[u64; 4]>,
+    /// Per word, the tiles in even columns.
+    even: Vec<u64>,
+    /// The length of a north or south hop, one row, as `(words, bits)`.
+    row: (usize, u32),
+    /// Zero words on each side of `turning` and `next`, so that every
+    /// shift reads in bounds.
+    pad: usize,
+    /// Healthy tiles on the map.
+    healthy: u64,
+    /// The source of the last [`FrontierSearch::run`].
+    source: usize,
+    /// Per word, the states reached in each direction.
+    seen: Vec<[u64; 4]>,
+    /// Per padded word and out-direction, the current frontier's states
+    /// that may turn into it.
+    turning: Vec<[u64; 4]>,
+    /// The same for the next frontier, being built.
+    next: Vec<[u64; 4]>,
+}
+
+impl FrontierSearch {
+    fn new(faults: &FaultMap) -> Self {
+        let array = faults.array();
+        let cols = usize::from(array.cols());
+        let words = array.tile_count().div_ceil(64);
+        let mut landing = vec![[0u64; 4]; words];
+        let mut even = vec![0u64; words];
+        let mut healthy = 0;
+        for (idx, tile) in array.tiles().enumerate() {
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            let x = usize::from(tile.x);
+            if faults.is_healthy(tile) {
+                healthy += 1;
+                let lands = &mut landing[word];
+                lands[N] |= bit;
+                lands[S] |= bit;
+                if x != 0 {
+                    lands[E] |= bit;
+                }
+                if x + 1 != cols {
+                    lands[W] |= bit;
+                }
+            }
+            if x % 2 == 0 {
+                even[word] |= bit;
+            }
+        }
+        let row = (cols / 64, (cols % 64) as u32);
+        let pad = row.0 + 1;
+        FrontierSearch {
+            landing,
+            even,
+            row,
+            pad,
+            healthy,
+            source: 0,
+            seen: vec![[0; 4]; words],
+            turning: vec![[0; 4]; words + 2 * pad],
+            next: vec![[0; 4]; words + 2 * pad],
+        }
+    }
+
+    /// Searches from the healthy tile with row-major index `source` for up
+    /// to `max_hops` levels.
+    fn run(&mut self, source: usize, max_hops: u32) {
+        self.source = source;
+        self.seen.fill([0; 4]);
+        if max_hops == 0 {
+            return;
+        }
+        // Level 1: the injected packet may leave in any direction.
+        self.turning.fill([0; 4]);
+        self.turning[self.pad + source / 64] = [1 << (source % 64); 4];
+        let mut level = 1;
+        while self.advance() && level < max_hops {
+            level += 1;
+        }
+    }
+
+    /// Advances the frontier one hop; returns whether it is non-empty.
+    fn advance(&mut self) -> bool {
+        let (q, r) = self.row;
+        let t = &self.turning;
+        let mut any = 0u64;
+        for (i, seen) in self.seen.iter_mut().enumerate() {
+            let c = self.pad + i;
+            // Shifting by `(x >> 1) >> (63 - r)` rather than `x >> (64 - r)`
+            // keeps every shift below 64 when a row is whole words (r = 0).
+            let north = t[c + q][N] >> r | (t[c + q + 1][N] << 1) << (63 - r);
+            let south = t[c - q][S] << r | (t[c - q - 1][S] >> 1) >> (63 - r);
+            let east = t[c][E] << 1 | t[c - 1][E] >> 63;
+            let west = t[c][W] >> 1 | t[c + 1][W] << 63;
+            let lands = self.landing[i];
+            let f = [
+                north & lands[N] & !seen[N],
+                south & lands[S] & !seen[S],
+                east & lands[E] & !seen[E],
+                west & lands[W] & !seen[W],
+            ];
+            for (seen, new) in seen.iter_mut().zip(f) {
+                *seen |= new;
+            }
+            any |= f[N] | f[S] | f[E] | f[W];
+            // The turns `turn_allowed` permits at each tile's parity.
+            let (even, odd) = (self.even[i], !self.even[i]);
+            self.next[c] = [
+                f[N] | f[W] | (f[E] & odd),
+                f[S] | f[W] | (f[E] & odd),
+                f[E] | f[N] | f[S],
+                f[W] | ((f[N] | f[S]) & even),
+            ];
+        }
+        std::mem::swap(&mut self.turning, &mut self.next);
+        any != 0
+    }
+
+    /// Word `w` of the tiles the last run reached, the source included.
+    fn reached_word(&self, w: usize) -> u64 {
+        let seen = self.seen[w];
+        let source = if w == self.source / 64 {
+            1 << (self.source % 64)
+        } else {
+            0
+        };
+        seen[N] | seen[S] | seen[E] | seen[W] | source
+    }
 }
 
 #[cfg(test)]
@@ -366,16 +491,28 @@ mod tests {
 
     #[test]
     fn multi_destination_fraction_matches_brute_force() {
-        // Small grids, a spread of fault densities and hop budgets — the
-        // single-source BFS must reproduce the per-pair sweep exactly
-        // (identical counts, so identical f64 fractions).
+        // Small grids (a single row, a single column, and rows spanning
+        // two words, drawn once per density to bound the per-pair cost), a
+        // spread of fault densities and hop budgets — the frontier search
+        // must reproduce the per-pair sweep exactly (identical counts, so
+        // identical f64 fractions).
         let mut rng = seeded_rng(17);
-        for (w, h) in [(4u16, 4u16), (6, 6), (6, 3)] {
+        for (w, h, maps) in [
+            (4u16, 4u16, 4),
+            (6, 6, 4),
+            (6, 3, 4),
+            (1, 6, 4),
+            (6, 1, 4),
+            (65, 2, 1),
+        ] {
             let array = TileArray::new(w, h);
             for faults_n in [0usize, 2, 5, 9] {
-                for _ in 0..4 {
+                if faults_n > array.tile_count() {
+                    continue;
+                }
+                for _ in 0..maps {
                     let faults = FaultMap::sample_uniform(array, faults_n, &mut rng);
-                    for max_hops in [3, 8, 40] {
+                    for max_hops in [0, 1, 2, 3, 8, 40] {
                         let fast = odd_even_disconnected_fraction(&faults, max_hops);
                         let brute = brute_force_disconnected_fraction(&faults, max_hops);
                         assert_eq!(
@@ -395,14 +532,20 @@ mod tests {
         for _ in 0..6 {
             let faults = FaultMap::sample_uniform(array, 7, &mut rng);
             for s in faults.healthy_tiles() {
-                let reached = odd_even_reachable(&faults, s, 20);
-                for d in array.tiles() {
-                    let expect = if s == d {
-                        faults.is_healthy(s)
-                    } else {
-                        route_odd_even(&faults, s, d, 20).is_some()
-                    };
-                    assert_eq!(reached[array.index_of(d)], expect, "{s}->{d}\n{faults}");
+                for max_hops in [0, 20] {
+                    let reached = odd_even_reachable(&faults, s, max_hops);
+                    for d in array.tiles() {
+                        let expect = if s == d {
+                            faults.is_healthy(s)
+                        } else {
+                            route_odd_even(&faults, s, d, max_hops).is_some()
+                        };
+                        assert_eq!(
+                            reached[array.index_of(d)],
+                            expect,
+                            "{s}->{d}, budget {max_hops}\n{faults}"
+                        );
+                    }
                 }
             }
         }

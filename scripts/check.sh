@@ -87,6 +87,22 @@ for bin in fig7_network workloads serve; do
 done
 echo "    byte-identical to the goldens across stepping modes and thread counts"
 
+echo "==> Fig. 6 golden (fig6_disconnect smoke JSON vs tests/golden)"
+# The connectivity counts behind Fig. 6 and its odd-even table are exact
+# integers, so the smoke report must match the golden byte for byte.
+# This bin writes no digest sidecar, so it sits outside the loop above.
+if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
+    target/release/fig6_disconnect --smoke --json tests/golden/fig6_disconnect_smoke.json >/dev/null
+    echo "    refreshed tests/golden/fig6_disconnect_smoke.json"
+fi
+target/release/fig6_disconnect --smoke --json "$DET_DIR/fig6_disconnect.json" >/dev/null
+if ! cmp -s tests/golden/fig6_disconnect_smoke.json "$DET_DIR/fig6_disconnect.json"; then
+    echo "FAIL: fig6_disconnect smoke JSON differs from tests/golden/fig6_disconnect_smoke.json" >&2
+    diff tests/golden/fig6_disconnect_smoke.json "$DET_DIR/fig6_disconnect.json" >&2 || true
+    exit 1
+fi
+echo "    Fig. 6 disconnect fractions byte-identical to the golden"
+
 echo "==> serve snapshot gate (snapshot -> restore -> resume is bit-identical)"
 # Checkpoint a serving campaign after 9 of its 24 smoke jobs, restore it
 # in a fresh process, run the remainder, and demand the resumed run's
