@@ -19,6 +19,5 @@
 pub mod parallel;
 pub mod rng;
 pub mod units;
-pub mod wheel;
 
 pub use rng::seeded_rng;

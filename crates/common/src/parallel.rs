@@ -252,10 +252,9 @@ impl WorkerPool {
 ///
 /// `Wheel` is the default: each executed cycle visits only the active
 /// sets the schedulers in `wsp-noc` and `wsp-core` track, and whenever
-/// nothing can make progress until a known future deadline (an
-/// [`EventWheel`](crate::wheel::EventWheel) entry, a stall expiry),
-/// simulated `now` jumps straight there and the skipped window is
-/// replayed in bulk. Both halves are bit-identical to the dense sweep by
+/// nothing can make progress until a known future deadline (a pending
+/// response's ready cycle, a stall expiry), simulated `now` jumps
+/// straight there and the skipped window is replayed in bulk. Both halves are bit-identical to the dense sweep by
 /// construction (see DESIGN.md "Simulator internals"), so dense mode
 /// exists as the reference the equivalence tests and the CI byte-compare
 /// gate run against.

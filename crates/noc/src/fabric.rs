@@ -65,19 +65,20 @@
 //! # Active-set scheduling
 //!
 //! A tile whose five input FIFOs are all empty on a network cannot plan a
-//! move, a stall, or a round-robin update on that network, so sweeping it
+//! move, a stall, or a round-robin update on that network, so visiting it
 //! is pure overhead. Each [`Network`] therefore keeps a per-tile occupancy
-//! count and a *wake list* of tiles with at least one queued packet,
-//! maintained at every push and pop. Under the default
-//! [`Stepping::Wheel`] mode, each tick canonicalises the wake lists
-//! (drop drained tiles, sort ascending) and plans only the awake tiles;
-//! the apply phase wakes every destination it pushes into. Because
-//! "awake" is exactly "occupancy > 0" and the wake order is sorted, the
-//! planned move stream — and therefore every counter and every packet —
-//! is byte-identical to the dense sweep at any thread count
-//! ([`Stepping::Dense`] remains available as the reference). When the
-//! fabric is empty, wheel drivers skip whole cycles instead
-//! ([`Fabric::skip_cycles`]).
+//! count `occ` and one *occupancy bitset* over row-major tile indices
+//! (bit `t` set iff `occ[t] > 0`, any array width), both maintained at
+//! the single push/pop choke points. Under the default
+//! [`Stepping::Wheel`] mode a tick walks the set bits word by word with
+//! `trailing_zeros`, which yields the occupied tiles in ascending index
+//! order — the order the dense sweep commits in — with nothing to sort,
+//! dedup or prune; a banded tick clips each band's first and last words.
+//! [`Stepping::Dense`] is the reference: it scans the `occ` counts of
+//! every network holding packets and never reads the bitset, so every
+//! dense-vs-wheel byte-compare also checks the bitset's upkeep
+//! ([`Fabric::check_invariants`] checks it directly). When the fabric is empty, wheel drivers skip whole cycles
+//! instead ([`Fabric::skip_cycles`]).
 //!
 //! # Examples
 //!
@@ -350,27 +351,29 @@ struct Network {
     /// Packets queued on this network: the sum of `occ`, kept at every
     /// push and pop so in-flight queries never walk the tiles.
     packets: usize,
-    /// Per-row occupancy bitmask: bit `col` of `row_mask[row]` is set iff
-    /// `occ[row * mask_cols + col] > 0`. The dense sweep walks set bits
-    /// with `trailing_zeros` instead of touching every idle tile.
-    row_mask: Vec<u64>,
-    /// Columns per `row_mask` word; 0 disables the mask (cols > 64).
-    mask_cols: usize,
-    /// Tiles with `occ > 0`, maintained in O(1) at every push and pop —
-    /// the dense path's active count, without walking the wake list.
+    /// Occupancy bitset over row-major tile indices: bit `t % 64` of
+    /// word `t / 64` is set iff `occ[t] > 0`. The wheel walks its set
+    /// bits; the dense sweep never reads it.
+    occupied: Vec<u64>,
+    /// Tiles with `occ > 0` (the popcount of `occupied`), kept in O(1).
     live: usize,
-    /// Tiles with `occ > 0` (plus possibly drained stragglers until the
-    /// next [`Network::prune_wake`]). Every push registers its tile here.
-    wake: Vec<usize>,
-    /// Membership dedup for `wake`, so a tile is listed at most once.
-    in_wake: Vec<bool>,
+}
+
+/// Tile indices of the set bits of occupancy word `word`, ascending.
+#[inline]
+fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let tile_idx = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            tile_idx
+        })
+    })
 }
 
 impl Network {
     fn new(array: TileArray, queue_capacity: usize) -> Self {
         let tiles = array.tile_count();
-        let cols = array.cols() as usize;
-        let mask_cols = if cols <= 64 { cols } else { 0 };
         // Link FIFOs never outgrow the plan phase's backpressure cap; the
         // local injection FIFO starts at its bounded-inject depth and
         // grows only under `inject_unbounded` response buffering.
@@ -388,25 +391,18 @@ impl Network {
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
             packets: 0,
-            row_mask: if mask_cols != 0 {
-                vec![0; array.rows() as usize]
-            } else {
-                Vec::new()
-            },
-            mask_cols,
+            occupied: vec![0; tiles.div_ceil(64)],
             live: 0,
-            wake: Vec::new(),
-            in_wake: vec![false; tiles],
         }
     }
 
     /// Enqueues arena slot `slot` (heading for `target` on `net`, with
     /// `hops` traversals so far) into FIFO `port` of `tile_idx`,
-    /// maintaining the occupancy count, the wake list, the row bitmask,
-    /// and the cached head routing decision. All fabric pushes go
-    /// through here. The slot's output port *at this tile* is computed
-    /// once here and packed into the ring entry, so later head refreshes
-    /// and forwards never go back to the arena.
+    /// maintaining the occupancy count and bitset and the cached head
+    /// routing decision. All fabric pushes go through here. The slot's
+    /// output port *at this tile* is computed once here and packed into
+    /// the ring entry, so later head refreshes and forwards never go back
+    /// to the arena.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn push(
@@ -461,51 +457,68 @@ impl Network {
         self.occ[tile_idx] += 1;
         if self.occ[tile_idx] == 1 {
             self.live += 1;
-        }
-        if self.mask_cols != 0 {
-            self.row_mask[tile_idx / self.mask_cols] |= 1u64 << (tile_idx % self.mask_cols);
-        }
-        if !self.in_wake[tile_idx] {
-            self.in_wake[tile_idx] = true;
-            self.wake.push(tile_idx);
+            self.occupied[tile_idx / 64] |= 1u64 << (tile_idx % 64);
         }
     }
 
-    /// Registers one packet popped from any FIFO of `tile_idx`. The tile
-    /// stays on the wake list until the next prune observes `occ == 0`.
+    /// Registers one packet popped from any FIFO of `tile_idx`.
     #[inline]
     fn note_pop(&mut self, tile_idx: usize) {
         self.packets -= 1;
         self.occ[tile_idx] -= 1;
         if self.occ[tile_idx] == 0 {
             self.live -= 1;
-            if self.mask_cols != 0 {
-                self.row_mask[tile_idx / self.mask_cols] &= !(1u64 << (tile_idx % self.mask_cols));
-            }
+            self.occupied[tile_idx / 64] &= !(1u64 << (tile_idx % 64));
         }
     }
 
-    /// Canonicalises the wake list: drops drained tiles and sorts
-    /// ascending, so active-set planning visits awake tiles in exactly the
-    /// order the dense sweep would.
-    fn prune_wake(&mut self) {
-        let Network {
-            occ, wake, in_wake, ..
-        } = self;
-        wake.retain(|&tile_idx| {
-            let live = occ[tile_idx] > 0;
-            if !live {
-                in_wake[tile_idx] = false;
+    /// Checks this network's mirrors against its rings; see
+    /// [`Fabric::check_invariants`].
+    fn check_invariants(&self, net: usize) -> Result<(), String> {
+        let mut packets = 0usize;
+        for (tile, (queues, router)) in self.queues.iter().zip(&self.routers).enumerate() {
+            let occ = self.occ[tile] as usize;
+            let queued: usize = queues.iter().map(PacketRing::len).sum();
+            if occ != queued {
+                return Err(format!("net {net} tile {tile}: occ {occ}, {queued} queued"));
             }
-            live
-        });
-        wake.sort_unstable();
-    }
-
-    /// Recounts `packets` from the per-tile counts — the O(tiles)
-    /// cross-check for debug assertions.
-    fn recount_packets(&self) -> usize {
-        self.occ.iter().map(|&n| n as usize).sum()
+            if (self.occupied[tile / 64] >> (tile % 64) & 1 == 1) != (occ > 0) {
+                return Err(format!(
+                    "net {net} tile {tile}: occupancy bit wrong for occ {occ}"
+                ));
+            }
+            for (port, queue) in queues.iter().enumerate() {
+                let head = queue.front().map_or(EMPTY_HEAD, |entry| entry.out());
+                if router.head_out[port] != head {
+                    return Err(format!(
+                        "net {net} tile {tile} port {port}: head_out {} but head routes to {head}",
+                        router.head_out[port]
+                    ));
+                }
+                if port < LOCAL && usize::from(router.link_len[port]) != queue.len() {
+                    return Err(format!(
+                        "net {net} tile {tile} port {port}: link_len {} but ring holds {}",
+                        router.link_len[port],
+                        queue.len()
+                    ));
+                }
+            }
+            packets += occ;
+        }
+        let popcount: usize = self.occupied.iter().map(|w| w.count_ones() as usize).sum();
+        if self.live != popcount {
+            return Err(format!(
+                "net {net}: live {} but {popcount} bits set",
+                self.live
+            ));
+        }
+        if self.packets != packets {
+            return Err(format!(
+                "net {net}: packets {} but Σ occ {packets}",
+                self.packets
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -607,50 +620,47 @@ impl PlanCtx<'_> {
         }
     }
 
-    /// Plans one dense band of tiles (the reference sweep) into the
-    /// caller's (pre-cleared) per-network move buffers. When the row
-    /// bitmasks are live (cols ≤ 64) the walk visits only occupied tiles
-    /// via `trailing_zeros` — identical output, because a tile with all
-    /// five FIFOs empty plans nothing.
-    fn plan_band_into(&self, band: Range<usize>, out: &mut [Vec<PlannedMove>; 2]) {
-        for (network, moves) in self.networks.iter().zip(out.iter_mut()) {
-            let cols = network.mask_cols;
-            if cols == 0 {
-                for tile_idx in band.clone() {
-                    self.plan_tile(network, tile_idx, moves);
-                }
-                continue;
-            }
-            // Bands are tile-index ranges, so clip the first and last
-            // rows' masks to the band boundaries.
-            let mut row = band.start / cols;
-            while row * cols < band.end {
-                let base = row * cols;
-                let mut bits = network.row_mask[row];
-                if base < band.start {
-                    bits &= !0u64 << (band.start - base);
-                }
-                if base + cols > band.end {
-                    bits &= (1u64 << (band.end - base)) - 1;
-                }
-                while bits != 0 {
-                    let col = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.plan_tile(network, base + col, moves);
-                }
-                row += 1;
-            }
+    /// Plans the occupied tiles of one band (a tile-index range) into the
+    /// caller's (pre-cleared) per-network move buffers, in ascending tile
+    /// order. Dense scans the `occ` counts; the wheel walks the bitset,
+    /// clipping the band's first and last words. Skipping an empty tile
+    /// (or an empty network) changes nothing, because a tile with all
+    /// five FIFOs empty plans nothing, so concatenating consecutive bands
+    /// replays the full sweep.
+    fn plan_band_into(
+        &self,
+        band: Range<usize>,
+        stepping: Stepping,
+        out: &mut [Vec<PlannedMove>; 2],
+    ) {
+        if band.is_empty() {
+            return;
         }
-    }
-
-    /// Plans one slice of each network's (sorted) wake list into the
-    /// caller's (pre-cleared) buffers. Concatenating the outputs of
-    /// consecutive slices replays the dense band walk exactly, because
-    /// idle tiles plan nothing.
-    fn plan_wake_slices_into(&self, slices: [&[usize]; 2], out: &mut [Vec<PlannedMove>; 2]) {
-        for ((network, moves), slice) in self.networks.iter().zip(out.iter_mut()).zip(slices) {
-            for &tile_idx in slice {
-                self.plan_tile(network, tile_idx, moves);
+        for (network, moves) in self.networks.iter().zip(out.iter_mut()) {
+            match stepping {
+                _ if network.packets == 0 => {}
+                Stepping::Dense => {
+                    for tile_idx in band.clone() {
+                        if network.occ[tile_idx] > 0 {
+                            self.plan_tile(network, tile_idx, moves);
+                        }
+                    }
+                }
+                Stepping::Wheel => {
+                    let (first, last) = (band.start / 64, (band.end - 1) / 64);
+                    for word in first..=last {
+                        let mut bits = network.occupied[word];
+                        if word == first {
+                            bits &= !0u64 << (band.start % 64);
+                        }
+                        if word == last {
+                            bits &= !0u64 >> (63 - (band.end - 1) % 64);
+                        }
+                        for tile_idx in set_bits(word, bits) {
+                            self.plan_tile(network, tile_idx, moves);
+                        }
+                    }
+                }
             }
         }
     }
@@ -666,8 +676,8 @@ struct TickScratch {
     /// active set crosses the banding threshold, and shrinking would
     /// free the idle shards' capacity.
     shard_plans: Vec<[Vec<PlannedMove>; 2]>,
-    /// Shard band ranges, one buffer per network (dense uses `[0]` only).
-    bands: [Vec<Range<usize>>; 2],
+    /// Shard band ranges over the tile indices.
+    bands: Vec<Range<usize>>,
     /// Staged link arrivals `(net, dest tile, in side, entry)` — the
     /// entry's hop count already bumped — committed in order after the
     /// moves that produced them.
@@ -727,7 +737,7 @@ pub struct Fabric {
     /// Adaptive executor for the plan phase: bands across a worker pool
     /// when the active set is large enough, inline otherwise.
     exec: AdaptiveExecutor,
-    /// Per-tick active-set sizes (awake tiles summed over both networks),
+    /// Per-tick active-set sizes (occupied tiles summed over both networks),
     /// sampled in *both* stepping modes so the exported telemetry is
     /// independent of the mode and thread count.
     active_tiles: Histogram,
@@ -1006,6 +1016,31 @@ impl Fabric {
         self.arena.slots()
     }
 
+    /// Checks the redundant bookkeeping the tick loop keeps beside the
+    /// rings, and returns the first violation found. Per network: the
+    /// occupancy bit of tile `t` is set iff `occ[t] > 0` (and `occ[t]`
+    /// is the tile's queued count), `live` is the bitset's popcount, the
+    /// packet count is `Σ occ`, each link port's `link_len` is its ring
+    /// length, and each `head_out` is the ring front's output port
+    /// (`EMPTY_HEAD` iff the ring is empty). Across the fabric, the
+    /// arena holds exactly the queued packets. O(tiles); call it between
+    /// ticks (tests do after every tick, `skip_cycles` in debug builds).
+    /// A stale occupancy bit costs only a wasted visit, so no
+    /// bit-identity comparison can catch one — this check can.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (net, network) in self.networks.iter().enumerate() {
+            network.check_invariants(net)?;
+        }
+        if self.arena_live() != self.in_flight() {
+            return Err(format!(
+                "arena holds {} packets but {} are queued",
+                self.arena_live(),
+                self.in_flight()
+            ));
+        }
+        Ok(())
+    }
+
     /// Advances one cycle: every router grants each output port to one
     /// input FIFO head round-robin, winners move one hop (or stall on a
     /// full downstream FIFO), relay packets reaching their intermediate
@@ -1034,23 +1069,8 @@ impl Fabric {
 
         // Sample the active set in both stepping modes: the sample is a
         // pure function of queue state, so the exported histogram is
-        // identical across modes and threads. Only the active-set walk
-        // needs the wake lists canonicalised (pruned and sorted); the
-        // dense sweep reads the O(1) occupied-tile counters instead.
-        let mut active = 0usize;
-        match self.stepping {
-            Stepping::Dense => {
-                for network in &self.networks {
-                    active += network.live;
-                }
-            }
-            Stepping::Wheel => {
-                for network in &mut self.networks {
-                    network.prune_wake();
-                    active += network.wake.len();
-                }
-            }
-        }
+        // identical across modes and threads.
+        let active = self.networks[0].live + self.networks[1].live;
         self.active_tiles.record(active as u64);
 
         // Gauge sampling reads the same pre-cycle queue state the sample
@@ -1069,11 +1089,11 @@ impl Fabric {
         // Whenever planning would run on a single shard anyway, the
         // plan/apply split buys no parallelism — take the fused single
         // pass instead (bit-identical; see the module docs).
-        let fused = match self.stepping {
-            Stepping::Dense => self.exec.pool().is_none(),
-            Stepping::Wheel => self.exec.shards_for(active) <= 1,
+        let shards = match self.stepping {
+            Stepping::Dense => self.exec.threads(),
+            Stepping::Wheel => self.exec.shards_for(active),
         };
-        if fused {
+        if shards == 1 {
             let fused_timer = self.profiler.start();
             self.fused_walk(0);
             self.fused_walk(1);
@@ -1081,7 +1101,7 @@ impl Fabric {
             self.profiler.stop("fused", fused_timer);
         } else {
             let plan_timer = self.profiler.start();
-            let shards = self.plan_into_scratch(active);
+            self.plan_into_scratch(shards);
             self.profiler.stop("plan", plan_timer);
             let apply_timer = self.profiler.start();
             self.apply_scratch(shards);
@@ -1110,9 +1130,11 @@ impl Fabric {
         }
     }
 
-    /// The two-pass plan phase, sharded across the executor into the
-    /// reusable scratch buffers. Returns the shard count planned with.
-    fn plan_into_scratch(&mut self, active: usize) -> usize {
+    /// The two-pass plan phase: bands the tile indices into `shards`
+    /// ranges and plans them across the executor into the reusable
+    /// scratch buffers. Concatenating shard outputs per network restores
+    /// the ascending tile order of the sequential walk.
+    fn plan_into_scratch(&mut self, shards: usize) {
         let tiles = self.array.tile_count();
         let Fabric {
             queue_capacity,
@@ -1128,40 +1150,13 @@ impl Fabric {
             neighbors,
             networks,
         };
-        match stepping {
-            Stepping::Dense => {
-                let pool = exec.pool().expect("dense single-shard ticks are fused");
-                let shards = pool.threads();
-                scratch.reset_shards(shards);
-                band_ranges_into(tiles, shards, &mut scratch.bands[0]);
-                let bands = &scratch.bands[0];
-                pool.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-                    ctx.plan_band_into(bands[shard].clone(), out)
-                });
-                shards
-            }
-            Stepping::Wheel => {
-                let shards = exec.shards_for(active);
-                debug_assert!(shards > 1, "single-shard active-set ticks are fused");
-                scratch.reset_shards(shards);
-                // Shard each network's wake list independently;
-                // concatenating shard outputs per network restores the
-                // ascending tile order of the dense walk.
-                band_ranges_into(ctx.networks[0].wake.len(), shards, &mut scratch.bands[0]);
-                band_ranges_into(ctx.networks[1].wake.len(), shards, &mut scratch.bands[1]);
-                let bands = &scratch.bands;
-                exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-                    ctx.plan_wake_slices_into(
-                        [
-                            &ctx.networks[0].wake[bands[0][shard].clone()],
-                            &ctx.networks[1].wake[bands[1][shard].clone()],
-                        ],
-                        out,
-                    )
-                });
-                shards
-            }
-        }
+        let stepping = *stepping;
+        scratch.reset_shards(shards);
+        band_ranges_into(tiles, shards, &mut scratch.bands);
+        let bands = &scratch.bands;
+        exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
+            ctx.plan_band_into(bands[shard].clone(), stepping, out)
+        });
     }
 
     /// The two-pass apply phase: commits the planned moves of the first
@@ -1216,39 +1211,28 @@ impl Fabric {
     /// immediately, staging arrivals until the pass completes. See the
     /// module docs for the bit-identity argument.
     fn fused_walk(&mut self, net_idx: usize) {
+        // Pops change only the occupancy of the tile being visited and
+        // pushes are staged, so every tile still unvisited shows its
+        // pre-cycle occupancy — what the two-pass plan would read.
         match self.stepping {
+            // An empty network plans nothing, which spares the scan on
+            // the idle cycles that dominate bursty traffic.
+            Stepping::Dense if self.networks[net_idx].packets == 0 => {}
             Stepping::Dense => {
-                let cols = self.networks[net_idx].mask_cols;
-                if cols == 0 {
-                    for tile_idx in 0..self.array.tile_count() {
+                for tile_idx in 0..self.array.tile_count() {
+                    if self.networks[net_idx].occ[tile_idx] > 0 {
                         self.fuse_tile(net_idx, tile_idx);
-                    }
-                } else {
-                    // Copy each row's mask before walking it: the walk
-                    // only clears bits of the tile it is visiting (pops
-                    // at that tile), and pushes are staged, so the copy
-                    // is exactly the pre-cycle occupancy the two-pass
-                    // plan would read.
-                    for row in 0..self.networks[net_idx].row_mask.len() {
-                        let base = row * cols;
-                        let mut bits = self.networks[net_idx].row_mask[row];
-                        while bits != 0 {
-                            let col = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            self.fuse_tile(net_idx, base + col);
-                        }
                     }
                 }
             }
             Stepping::Wheel => {
-                // The wake list is pruned and sorted; pops never touch
-                // it and pushes are staged, so it is stable for the walk
-                // (taken and restored around the borrow).
-                let wake = std::mem::take(&mut self.networks[net_idx].wake);
-                for &tile_idx in &wake {
-                    self.fuse_tile(net_idx, tile_idx);
+                // `set_bits` walks a copy of each word, so the visited
+                // tile's own pops cannot disturb it.
+                for word in 0..self.networks[net_idx].occupied.len() {
+                    for tile_idx in set_bits(word, self.networks[net_idx].occupied[word]) {
+                        self.fuse_tile(net_idx, tile_idx);
+                    }
                 }
-                self.networks[net_idx].wake = wake;
             }
         }
         self.commit_arrivals();
@@ -1465,11 +1449,7 @@ impl Fabric {
             return;
         }
         debug_assert_eq!(self.in_flight(), 0, "only an empty fabric may skip");
-        for network in &mut self.networks {
-            debug_assert_eq!(network.recount_packets(), network.packets);
-            network.prune_wake();
-            debug_assert!(network.wake.is_empty());
-        }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         let start = self.cycle;
         self.cycle += cycles;
         self.active_tiles.record_n(0, cycles);
@@ -1647,8 +1627,8 @@ impl Fabric {
             .sum()
     }
 
-    /// Per-tick active-set sizes sampled so far (awake tiles summed over
-    /// both networks) — a pure function of queue state, identical in
+    /// Per-tick active-set sizes sampled so far (occupied tiles summed
+    /// over both networks) — a pure function of queue state, identical in
     /// either stepping mode.
     pub fn active_tiles(&self) -> &Histogram {
         &self.active_tiles
@@ -1841,7 +1821,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_stepping_is_bit_identical_to_dense() {
+    fn wheel_stepping_is_bit_identical_to_dense() {
         // Same hotspot-plus-background flood as the thread-count test,
         // compared across the dense/wheel × thread-count matrix. The
         // active-set histogram must match too: it is sampled from queue
@@ -1931,10 +1911,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_sparse_matches_the_sharded_two_pass_walk() {
+    fn fused_wheel_matches_the_banded_two_pass_walk() {
         // A 32x32 all-tiles flood keeps the active set above the banding
-        // threshold (64 x threads), so the threaded run genuinely shards
-        // its wake lists while threads == 1 takes the fused pass.
+        // threshold (64 x threads), so the threaded run genuinely bands
+        // its occupancy bitsets while threads == 1 takes the fused pass.
         let run = |threads: usize| {
             let mut fabric = Fabric::new(TileArray::new(32, 32), 2);
             fabric.set_threads(threads);
@@ -1997,9 +1977,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_tiles_cost_nothing_in_sparse_mode() {
-        // One packet on a big array: after the first prune, only the
-        // tiles along the path are ever awake.
+    fn idle_tiles_cost_nothing_under_wheel_stepping() {
+        // One packet on a big array: only the tile holding it has its
+        // occupancy bit set, so one tile per tick is visited.
         let mut fabric = Fabric::new(TileArray::new(16, 16), 4);
         assert_eq!(fabric.executor(), "wheel");
         let p = direct_req(&mut fabric, (0, 0), (3, 0));
@@ -2007,8 +1987,28 @@ mod tests {
         let delivered = fabric.drain();
         assert_eq!(delivered.len(), 1);
         let active = fabric.active_tiles();
-        assert_eq!(active.max(), 1, "a single flit wakes one tile per tick");
+        assert_eq!(active.max(), 1, "a single flit occupies one tile per tick");
         assert_eq!(fabric.in_flight(), 0);
+    }
+
+    #[test]
+    fn invariant_checker_flags_a_stale_occupancy_bit() {
+        // 70 columns: the bitset's words straddle rows.
+        let mut fabric = Fabric::new(TileArray::new(70, 2), 2);
+        for x in 0..70u16 {
+            let p = direct_req(&mut fabric, (x, 0), (69 - x, 1));
+            fabric.inject(p);
+        }
+        while fabric.in_flight() > 0 {
+            assert_eq!(fabric.check_invariants(), Ok(()));
+            fabric.tick();
+        }
+        assert_eq!(fabric.check_invariants(), Ok(()));
+        // A stray bit on an idle tile would only cost the wheel a wasted
+        // visit; the checker must still see it.
+        fabric.networks[1].occupied[2] |= 1 << 5;
+        let err = fabric.check_invariants().expect_err("stale bit");
+        assert!(err.contains("net 1 tile 133"), "{err}");
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! through — so congestion numbers measured here transfer directly to
 //! workload execution.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 use wsp_common::parallel::Stepping;
-use wsp_common::wheel::EventWheel;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 use crate::fabric::{Fabric, FabricPacket, PacketKind};
@@ -105,12 +105,13 @@ pub struct NocSim {
     config: SimConfig,
     fabric: Fabric,
     healthy: Vec<TileCoord>,
-    /// Responses waiting out the destination's service delay, keyed by
-    /// ready cycle. The wheel pops in `(ready, scheduling)` order, which
-    /// under the constant `response_delay` is exactly the FIFO order the
-    /// old deque released them in — and its `next_at` is the deadline the
-    /// wheel-stepping mode jumps the clock to when the fabric is empty.
-    pending_responses: EventWheel<FabricPacket>,
+    /// Responses waiting out the destination's service delay, as
+    /// `(ready cycle, response)`. Each is scheduled at `now +
+    /// response_delay` with a constant delay and a monotone clock, so
+    /// ready cycles never decrease along the queue: FIFO order is
+    /// `(ready, scheduling)` order, and the front's ready cycle is the
+    /// deadline wheel stepping jumps an empty fabric to.
+    pending_responses: VecDeque<(u64, FabricPacket)>,
     stats: SimReport,
     /// Reusable per-step delivery buffer ([`Fabric::tick_into`] clears
     /// it), so the steady-state step allocates nothing.
@@ -131,7 +132,7 @@ impl NocSim {
             config,
             fabric: Fabric::new(array, config.queue_capacity),
             healthy,
-            pending_responses: EventWheel::new(),
+            pending_responses: VecDeque::new(),
             stats: SimReport::default(),
             delivered_buf: Vec::new(),
             inject_buf: Vec::new(),
@@ -241,8 +242,8 @@ impl NocSim {
             if self.fabric.stepping() == Stepping::Wheel && self.fabric.in_flight() == 0 {
                 let horizon = self
                     .pending_responses
-                    .next_at()
-                    .map_or(end, |ready| ready.saturating_sub(1).min(end));
+                    .front()
+                    .map_or(end, |&(ready, _)| ready.saturating_sub(1).min(end));
                 let gap = horizon.saturating_sub(self.fabric.cycle());
                 if gap > 0 {
                     self.fabric.skip_cycles(gap);
@@ -281,7 +282,7 @@ impl NocSim {
         if self.fabric.stepping() != Stepping::Wheel || self.fabric.in_flight() != 0 {
             return;
         }
-        let Some(ready) = self.pending_responses.next_at() else {
+        let Some(&(ready, _)) = self.pending_responses.front() else {
             return;
         };
         let gap = ready.saturating_sub(1).saturating_sub(self.fabric.cycle());
@@ -341,12 +342,15 @@ impl NocSim {
 
     /// Advances the simulator one cycle.
     fn step(&mut self) {
-        // Release responses whose service delay has elapsed; they join
-        // this cycle's arbitration exactly as in-network packets do.
-        // The wheel pops in (ready, scheduling) order — FIFO under the
-        // constant response delay.
+        // Release responses whose service delay has elapsed, in
+        // scheduling order; they join this cycle's arbitration exactly
+        // as in-network packets do.
         let next_cycle = self.fabric.cycle() + 1;
-        for packet in self.pending_responses.pop_due(next_cycle) {
+        while let Some(&(ready, packet)) = self.pending_responses.front() {
+            if ready > next_cycle {
+                break;
+            }
+            self.pending_responses.pop_front();
             // Local injection queues for responses are allowed to grow —
             // the destination tile buffers them in its local memory.
             self.fabric.inject_unbounded(packet);
@@ -370,9 +374,15 @@ impl NocSim {
                 self.stats.max_request_latency =
                     self.stats.max_request_latency.max(now - packet.injected_at);
                 // Schedule the response on the complementary network.
-                let response = FabricPacket::response(&packet);
+                let ready = now + self.config.response_delay;
+                debug_assert!(
+                    self.pending_responses
+                        .back()
+                        .is_none_or(|&(last, _)| last <= ready),
+                    "response deadlines never decrease"
+                );
                 self.pending_responses
-                    .schedule(now + self.config.response_delay, response);
+                    .push_back((ready, FabricPacket::response(&packet)));
             }
             PacketKind::Response => {
                 self.stats.responses_delivered += 1;

@@ -2,8 +2,10 @@
 //! conservation, destination correctness, exclusion of disconnected
 //! pairs, deterministic replay of the traffic simulator, and the
 //! arena/ring-buffer invariants of the data-oriented hot loop —
-//! wrap-around at tiny FIFO capacities, drain-to-empty wake pruning,
-//! and slot recycling, swept across fault-map × stepping × threads.
+//! wrap-around at tiny FIFO capacities, [`Fabric::check_invariants`]
+//! after every tick, arrays wider than one occupancy word, drain to
+//! empty, and slot recycling, swept across fault-map × stepping ×
+//! threads.
 
 use std::collections::HashMap;
 
@@ -55,6 +57,63 @@ fn delivery_key(p: &FabricPacket) -> (u64, TileCoord, TileCoord, u64, u32) {
 }
 
 const STEPPINGS: [Stepping; 2] = [Stepping::Dense, Stepping::Wheel];
+
+/// Injects the same random pairs into a dense single-thread reference
+/// and a `{stepping, threads}` variant, then checks that the variant
+/// replays the reference bit for bit — same deliveries in the same
+/// order each cycle, same link traversals — with both fabrics passing
+/// [`Fabric::check_invariants`] after every tick, and that both drain
+/// to an empty arena.
+#[allow(clippy::too_many_arguments)]
+fn replay_against_dense(
+    array: TileArray,
+    fault_count: usize,
+    queue_capacity: usize,
+    attempts: usize,
+    seed: u64,
+    stepping: Stepping,
+    threads: usize,
+) -> TestCaseResult {
+    let mut rng = wsp_common::seeded_rng(seed.wrapping_mul(17).wrapping_add(3));
+    let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
+    if faults.healthy_count() < 2 {
+        return Ok(());
+    }
+
+    let mut reference = Fabric::new(array, queue_capacity);
+    reference.set_stepping(Stepping::Dense);
+    let mut variant = Fabric::new(array, queue_capacity);
+    variant.set_stepping(stepping);
+    variant.set_threads(threads);
+
+    let (injected_ref, _) = inject_random_pairs(&mut reference, &faults, attempts, seed);
+    let (injected_var, _) = inject_random_pairs(&mut variant, &faults, attempts, seed);
+    prop_assert_eq!(injected_ref, injected_var);
+    prop_assert_eq!(variant.check_invariants(), Ok(()));
+
+    let mut batch_ref = Vec::new();
+    let mut batch_var = Vec::new();
+    let mut idle = 0;
+    while reference.in_flight() > 0 || variant.in_flight() > 0 {
+        reference.tick_into(&mut batch_ref);
+        variant.tick_into(&mut batch_var);
+        prop_assert_eq!(reference.check_invariants(), Ok(()));
+        prop_assert_eq!(variant.check_invariants(), Ok(()));
+        let keys_ref: Vec<_> = batch_ref.iter().map(delivery_key).collect();
+        let keys_var: Vec<_> = batch_var.iter().map(delivery_key).collect();
+        prop_assert_eq!(keys_ref, keys_var);
+        idle = if batch_ref.is_empty() { idle + 1 } else { 0 };
+        prop_assert!(idle < 10_000, "fabric failed to drain");
+    }
+    prop_assert_eq!(reference.cycle(), variant.cycle());
+    prop_assert_eq!(reference.link_traversals(), variant.link_traversals());
+    prop_assert_eq!(reference.total_stall_cycles(), variant.total_stall_cycles());
+
+    // Drain-to-empty returns every arena slot on both fabrics.
+    prop_assert_eq!(reference.arena_live(), 0);
+    prop_assert_eq!(variant.arena_live(), 0);
+    Ok(())
+}
 
 proptest! {
     /// Every packet accepted by `inject` is either still in flight or
@@ -151,10 +210,9 @@ proptest! {
     }
 
     /// Every `{stepping, threads}` executor configuration replays the
-    /// dense single-thread reference bit for bit — same deliveries in
-    /// the same order each cycle, same link traversals — at any ring
-    /// capacity (capacity 1 forces wrap-around on every push/pop pair),
-    /// under any fault map, and both drain to an empty arena.
+    /// dense single-thread reference bit for bit at any ring capacity
+    /// (capacity 1 forces wrap-around on every push/pop pair), under any
+    /// fault map; see [`replay_against_dense`].
     #[test]
     fn executor_axes_replay_the_dense_reference(
         cols in 2u16..7,
@@ -166,43 +224,15 @@ proptest! {
         stepping_idx in 0usize..STEPPINGS.len(),
         threads in 1usize..5,
     ) {
-        let array = TileArray::new(cols, rows);
-        let mut rng = wsp_common::seeded_rng(seed.wrapping_mul(17).wrapping_add(3));
-        let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
-        if faults.healthy_count() < 2 {
-            return Ok(());
-        }
-
-        let mut reference = Fabric::new(array, queue_capacity);
-        reference.set_stepping(Stepping::Dense);
-        let mut variant = Fabric::new(array, queue_capacity);
-        variant.set_stepping(STEPPINGS[stepping_idx]);
-        variant.set_threads(threads);
-
-        let (injected_ref, _) = inject_random_pairs(&mut reference, &faults, attempts, seed);
-        let (injected_var, _) = inject_random_pairs(&mut variant, &faults, attempts, seed);
-        prop_assert_eq!(injected_ref, injected_var);
-
-        // Lockstep for a few cycles: each tick's delivery batch must
-        // match exactly, order included.
-        let mut batch_ref = Vec::new();
-        let mut batch_var = Vec::new();
-        for _ in 0..4 {
-            reference.tick_into(&mut batch_ref);
-            variant.tick_into(&mut batch_var);
-            let keys_ref: Vec<_> = batch_ref.iter().map(delivery_key).collect();
-            let keys_var: Vec<_> = batch_var.iter().map(delivery_key).collect();
-            prop_assert_eq!(keys_ref, keys_var);
-        }
-
-        let rest_ref: Vec<_> = reference.drain().iter().map(delivery_key).collect();
-        let rest_var: Vec<_> = variant.drain().iter().map(delivery_key).collect();
-        prop_assert_eq!(rest_ref, rest_var);
-        prop_assert_eq!(reference.link_traversals(), variant.link_traversals());
-
-        // Drain-to-empty returns every arena slot on both fabrics.
-        prop_assert_eq!(reference.arena_live(), 0);
-        prop_assert_eq!(variant.arena_live(), 0);
+        replay_against_dense(
+            TileArray::new(cols, rows),
+            fault_count,
+            queue_capacity,
+            attempts,
+            seed,
+            STEPPINGS[stepping_idx],
+            threads,
+        )?;
     }
 
     /// Repeated identical waves through a drained fabric recycle arena
@@ -234,10 +264,10 @@ proptest! {
         prop_assert_eq!(footprints[2], footprints[3]);
     }
 
-    /// A drained fabric is inert: after the wake lists empty out, extra
-    /// ticks deliver nothing and traverse no links, and the fabric still
-    /// accepts and completes a fresh wave afterwards (pruning the wake
-    /// sets must not wedge the executor).
+    /// A drained fabric is inert: once its occupancy bitsets empty out,
+    /// extra ticks deliver nothing and traverse no links, and the fabric
+    /// still accepts and completes a fresh wave afterwards (the emptied
+    /// bitsets must not wedge the executor).
     #[test]
     fn drain_to_empty_prunes_wakes_without_wedging(
         queue_capacity in 1usize..4,
@@ -268,5 +298,39 @@ proptest! {
         let (again, _) = inject_random_pairs(&mut fabric, &faults, attempts, seed ^ 0xabcd);
         prop_assert_eq!(fabric.drain().len() as u64, again);
         prop_assert_eq!(fabric.arena_live(), 0);
+    }
+}
+
+/// The same replay on arrays wider than one 64-bit occupancy word, so
+/// words span rows and plan bands end inside a word: widths 63, 64, 65
+/// and 129 with 1–3 rows, both steppings, threads {1, 2, 8}. Traffic
+/// scales with the tile count, so the wheel's active set crosses the
+/// two-thread banding threshold on the larger arrays.
+#[test]
+fn executor_axes_replay_the_dense_reference_on_wide_arrays() {
+    let mut case = 0u64;
+    for cols in [63u16, 64, 65, 129] {
+        for rows in 1u16..=3 {
+            let array = TileArray::new(cols, rows);
+            for stepping in STEPPINGS {
+                for threads in [1, 2, 8] {
+                    case += 1;
+                    let fault_count = (case % 3) as usize;
+                    let queue_capacity = 1 + (case % 4) as usize;
+                    let attempts = 2 * array.tile_count();
+                    if let Err(err) = replay_against_dense(
+                        array,
+                        fault_count,
+                        queue_capacity,
+                        attempts,
+                        case,
+                        stepping,
+                        threads,
+                    ) {
+                        panic!("{cols}x{rows} {stepping:?} threads {threads}: {err}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,39 +1,56 @@
-//! Regression test pinning the zero-allocation steady-state property of
-//! the fabric hot loop.
+//! Regression tests pinning the zero-allocation steady state of the
+//! fabric hot loop and of the traffic simulator driving it.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up phase (arena free list populated, rings grown to their working
 //! depth, scratch buffers at their high-water mark) a measured window of
 //! inject → tick → deliver rounds must perform **zero** heap allocations.
 //! Integration tests are separate binaries, so the wrapper allocator is
-//! confined to this file and cannot slow the rest of the suite.
+//! confined to this file and cannot slow the rest of the suite. Counts
+//! are per thread, so tests running in parallel (and the harness's own
+//! reporting) cannot pollute each other's windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use wsp_noc::{Fabric, FabricPacket, NetworkChoice, NetworkKind};
-use wsp_topo::{TileArray, TileCoord};
+use wsp_noc::{
+    Fabric, FabricPacket, NetworkChoice, NetworkKind, NocSim, SimConfig, TrafficPattern,
+};
+use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 /// System allocator wrapper that counts every allocation-path call.
 /// Frees are deliberately not counted: handing memory back is harmless;
 /// acquiring it in the hot loop is the regression this test pins.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation-path calls made by this thread. Const-initialised and
+    /// drop-free, so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocation-path calls made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -106,14 +123,14 @@ fn steady_state_ticks_do_not_allocate() {
 
     // Measured window: the same traffic shape must fit entirely inside
     // the warmed buffers.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut moved = 0;
     for _ in 0..40 {
         moved += inject_wave(&mut fabric, COLS, ROWS);
         fabric.tick_into(&mut delivered);
     }
     let drained = drain_into(&mut fabric, &mut delivered);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert!(moved > 0, "measured window injected traffic");
     assert!(drained > 0, "measured window delivered traffic");
@@ -127,4 +144,23 @@ fn steady_state_ticks_do_not_allocate() {
         footprint,
         "steady-state traffic reuses warm arena slots instead of growing"
     );
+}
+
+#[test]
+fn steady_state_traffic_runs_allocate_only_the_report() {
+    let mut sim = NocSim::new(FaultMap::none(TileArray::new(8, 8)), SimConfig::default());
+    let mut rng = wsp_common::seeded_rng(7);
+    // Warm-up: grow the arena, the rings, the pending-response queue and
+    // the per-step buffers to their working depth.
+    sim.run(TrafficPattern::UniformRandom, 4000, &mut rng);
+
+    for warm in [500, 2000] {
+        let before = allocs();
+        let report = sim.run(TrafficPattern::UniformRandom, warm, &mut rng);
+        let made = allocs() - before;
+        assert!(report.responses_delivered > 0, "warm = {warm}: traffic ran");
+        // The returned report clones the latency histogram; nothing
+        // else may allocate, however long the run.
+        assert!(made <= 4, "warm = {warm}: {made} allocations");
+    }
 }

@@ -188,7 +188,7 @@ proptest! {
     /// Fabric packet delivery is bit-identical between the dense sweep
     /// and wheel stepping at every thread count, over clean and heavily
     /// faulted wafers: with injections running the wheel is the pure
-    /// wake-list walk, and the drain phase jumps empty windows.
+    /// occupancy-bitset walk, and the drain phase jumps empty windows.
     #[test]
     fn wheel_fabric_matches_dense(
         seed in any::<u64>(),
@@ -228,11 +228,11 @@ proptest! {
         prop_assert_eq!(dense, other);
     }
 
-    /// Arena slots are recycled and wake lists pruned across drained
+    /// Arena slots are recycled and occupancy bits cleared across drained
     /// campaigns: repeated traffic runs through one fabric leave no live
     /// arena slots behind, the second and later identical campaigns fit
-    /// in recycled slots without growing the columns, and the pruned
-    /// wake lists never wedge a later run — at every stepping mode,
+    /// in recycled slots without growing the columns, and the emptied
+    /// bitsets never wedge a later run — at every stepping mode,
     /// thread count, and ring capacity, over faulted wafers.
     #[test]
     fn drained_campaigns_recycle_arena_slots(
