@@ -8,12 +8,14 @@
 //! (`--jobs`, `--slice`, `--fail-after`) and the checkpoint flags
 //! (`--snapshot`, `--snapshot-after`, `--restore`); see `ServeOpts`.
 //!
-//! Every reported number is a simulated-clock quantity — no wall-clock
-//! gauges — so the JSON report and the `.digest` sidecar (one digest
-//! lane per job, recorded at its completion cycle) are byte-identical
-//! across hosts, thread counts, and stepping modes; `scripts/check.sh`
-//! byte-compares them against `tests/golden/serve_smoke.json` and gates
-//! a snapshot→restore→resume roundtrip on digest identity.
+//! Smoke runs report only simulated-clock quantities, so the JSON report
+//! and the `.digest` sidecar (one digest lane per job, recorded at its
+//! completion cycle) are byte-identical across hosts, thread counts, and
+//! stepping modes; `scripts/check.sh` byte-compares them against
+//! `tests/golden/serve_smoke.json` and gates a snapshot→restore→resume
+//! roundtrip on digest identity. Full runs add the campaign's per-kind
+//! wall profile (`wall.profile.serve.<kind>[.graph]`, host time spent
+//! per job kind and in its graph generation), which no golden reads.
 
 use wsp_bench::{header, result_line, row, ServeOpts};
 use wsp_noc::sample_connected_fault_map;
@@ -127,6 +129,9 @@ fn main() {
         format!("{}", campaign.clock()),
     ]);
     campaign.export_metrics(&mut recorder.clone());
+    if !opts.bench.smoke {
+        campaign.export_profile(&mut recorder.clone());
+    }
     result_line(
         "takeaway",
         "queueing percentiles, utilisation, and throughput are in the JSON report",

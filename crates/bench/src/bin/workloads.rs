@@ -126,6 +126,8 @@ fn main() {
                 &format!("machine.pagerank.{key}.cycles"),
                 report.cycles as f64,
             );
+            // The ranks are the sequential reference's (`run_pagerank`
+            // prices only the traffic), so this column pins determinism.
             row(&[
                 name.to_string(),
                 format!("{}", report.cycles),

@@ -60,3 +60,30 @@ fn unwritable_snapshot_path_is_rejected() {
     ]);
     assert!(line.contains("cannot write snapshot"), "{line}");
 }
+
+#[test]
+fn snapshot_listing_a_job_outside_the_stream_is_rejected() {
+    let path = scratch_path("out-of-range.snap");
+    let path_str = path.to_str().expect("utf-8 path");
+    let written = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--smoke", "--snapshot", path_str, "--snapshot-after", "9"])
+        .output()
+        .expect("serve binary runs");
+    assert!(written.status.success(), "snapshot run failed");
+    let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
+    let mutated: String = snapshot
+        .lines()
+        .map(|line| {
+            if line.starts_with("completed") {
+                format!("{line} 99999\n")
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    std::fs::write(&path, mutated).expect("temp dir is writable");
+    let line = assert_rejected(&["--smoke", "--restore", path_str]);
+    std::fs::remove_file(&path).expect("remove the temp file");
+    assert!(line.contains("bad snapshot"), "{line}");
+    assert!(line.contains("job 99999"), "{line}");
+}

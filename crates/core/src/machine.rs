@@ -56,6 +56,9 @@ const REMOTE_OVERHEAD: u64 = 6;
 /// traffic simulator's default).
 const FABRIC_QUEUE_CAPACITY: usize = 4;
 
+// A tile's cores fit one `u16` mask.
+const _: () = assert!(wsp_tile::CORES_PER_TILE <= 16);
+
 /// A remote access in flight on the fabric, keyed by its request packet
 /// id. The owner fills `result` when it services the request; the value
 /// travels back with the response packet's id.
@@ -180,12 +183,14 @@ pub struct MultiTileMachine {
     /// its pool with the fabric's plan phase. Falls back to inline
     /// stepping when the runnable set is small or `threads <= 1`.
     exec: AdaptiveExecutor,
-    /// Per-tile count of cores currently in [`CoreState::Running`].
-    live_cores: Vec<u32>,
-    /// Per-tile count of running cores blocked on an in-flight remote op
-    /// (fabric model). A tile with `live == blocked` cannot retire, issue,
-    /// or touch memory this cycle, so the active-set scheduler skips it.
-    blocked_cores: Vec<u32>,
+    /// Per-tile mask of the cores in [`CoreState::Running`] (bit `c` is
+    /// core `c`).
+    running: Vec<u16>,
+    /// Per-tile mask of the running cores parked on an in-flight remote op
+    /// (fabric model), a subset of `running`. Only the `running & !parked`
+    /// cores can retire, issue, or touch memory this cycle, so the wheel
+    /// visits exactly those and skips tiles where none is left.
+    parked: Vec<u16>,
     /// Cycle each core (`[tile][core]`) was last visited by the
     /// fabric-model step phase; a core the wheel skipped while parked on
     /// a remote op replays `now - last - 1` stall cycles when next
@@ -196,13 +201,11 @@ pub struct MultiTileMachine {
     /// Running cores across the machine — the O(1) `run_until_halt` test.
     running_cores: usize,
     /// Set when [`MultiTileMachine::core_mut`] hands out direct core
-    /// access; liveness counters are recomputed on the next step.
+    /// access; the core masks are recomputed on the next step.
     liveness_dirty: bool,
     /// Per-cycle runnable-tile counts, sampled in both stepping modes so
     /// the exported telemetry is independent of mode and thread count.
     runnable_tiles: Histogram,
-    /// Reusable per-cycle runnable-tile scratch buffer.
-    runnable_buf: Vec<bool>,
     /// Telemetry sink; [`NoopSink`] by default. Remote completions record
     /// a latency histogram sample, bank denials bump a counter, and
     /// [`MultiTileMachine::run_until_halt`] emits a `machine` run span.
@@ -258,14 +261,13 @@ impl MultiTileMachine {
             bank_conflicts: 0,
             stepping: Stepping::default(),
             exec: AdaptiveExecutor::default(),
-            live_cores: vec![0; tiles],
-            blocked_cores: vec![0; tiles],
+            running: vec![0; tiles],
+            parked: vec![0; tiles],
             last_stepped: vec![vec![0; cores_per_tile]; tiles],
             core_steps: 0,
             running_cores: 0,
             liveness_dirty: false,
             runnable_tiles: Histogram::new(),
-            runnable_buf: Vec::with_capacity(tiles),
             sink: Box::new(NoopSink),
             sample_every: 0,
             samples: Self::make_samples(0),
@@ -448,7 +450,7 @@ impl MultiTileMachine {
         let was_running = slot.state() == CoreState::Running;
         slot.load_program(program);
         if !was_running && slot.state() == CoreState::Running {
-            self.live_cores[idx] += 1;
+            self.running[idx] |= 1 << core;
             self.running_cores += 1;
         }
         Ok(())
@@ -461,8 +463,8 @@ impl MultiTileMachine {
     /// Panics for out-of-range tiles or cores.
     pub fn core_mut(&mut self, tile: TileCoord, core: usize) -> &mut CoreSim {
         let idx = self.faults.array().index_of(tile);
-        // The caller may flip core state directly; recount liveness before
-        // the next step so the active-set scheduler never skips a woken tile.
+        // The caller may flip core state directly; rebuild the core masks
+        // before the next step so the wheel never skips a woken core.
         self.liveness_dirty = true;
         &mut self.cores[idx][core]
     }
@@ -512,23 +514,91 @@ impl MultiTileMachine {
             .any(|c| c.state() == CoreState::Running)
     }
 
-    /// Recomputes the per-tile liveness counters from scratch after a
-    /// caller mutated cores through [`MultiTileMachine::core_mut`].
+    /// Rebuilds the core masks from scratch after a caller mutated cores
+    /// through [`MultiTileMachine::core_mut`].
     fn refresh_liveness(&mut self) {
         self.running_cores = 0;
-        for (t, tile_cores) in self.cores.iter().enumerate() {
-            let live = tile_cores
-                .iter()
-                .filter(|c| c.state() == CoreState::Running)
-                .count() as u32;
-            self.live_cores[t] = live;
-            self.running_cores += live as usize;
-            self.blocked_cores[t] = self.pending[t]
-                .iter()
-                .filter(|p| matches!(p, Some(PendingAccess::InFlight { .. })))
-                .count() as u32;
+        for (t, (tile_cores, pending)) in self.cores.iter().zip(&self.pending).enumerate() {
+            (self.running[t], self.parked[t]) = scan_masks(tile_cores, pending);
+            self.running_cores += self.running[t].count_ones() as usize;
         }
         self.liveness_dirty = false;
+    }
+
+    /// Tiles with at least one running core that is not parked.
+    fn runnable_tile_count(&self) -> usize {
+        self.running
+            .iter()
+            .zip(&self.parked)
+            .filter(|&(&running, &parked)| running & !parked != 0)
+            .count()
+    }
+
+    /// Checks the machine's incremental bookkeeping against a rescan of
+    /// its cores and pending slots. Between steps:
+    ///
+    /// * each tile's `running` mask is the set of cores in
+    ///   [`CoreState::Running`], and its `parked` mask the running cores
+    ///   whose pending slot is [`PendingAccess::InFlight`];
+    /// * the running-core count is the sum of the `running` popcounts;
+    /// * under [`LatencyModel::Fabric`], every parked core owns exactly
+    ///   one in-flight remote op, and every request deferred at its owner
+    ///   is one of them.
+    ///
+    /// The masks only steer which cores the wheel visits, so a stale bit
+    /// skips or wastes a visit without always changing any output; this
+    /// check sees it directly. After [`MultiTileMachine::core_mut`] the
+    /// masks are rebuilt on the next step, so they are not checked until
+    /// then.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first broken invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut running_total = 0;
+        let mut parked_total = 0;
+        for (t, (tile_cores, pending)) in self.cores.iter().zip(&self.pending).enumerate() {
+            let (running, parked) = scan_masks(tile_cores, pending);
+            running_total += running.count_ones() as usize;
+            parked_total += parked.count_ones() as usize;
+            if self.liveness_dirty {
+                continue;
+            }
+            if self.running[t] != running {
+                return Err(format!(
+                    "tile {t}: running mask {:#06x}, cores say {running:#06x}",
+                    self.running[t]
+                ));
+            }
+            if self.parked[t] != parked {
+                return Err(format!(
+                    "tile {t}: parked mask {:#06x}, pending slots say {parked:#06x}",
+                    self.parked[t]
+                ));
+            }
+        }
+        if !self.liveness_dirty && self.running_cores != running_total {
+            return Err(format!(
+                "{} running cores counted, {running_total} running",
+                self.running_cores
+            ));
+        }
+        if self.config.latency_model() == LatencyModel::Fabric {
+            if self.in_flight.len() != parked_total {
+                return Err(format!(
+                    "{} remote ops in flight, {parked_total} cores parked",
+                    self.in_flight.len()
+                ));
+            }
+            if let Some((packet, _)) = self
+                .deferred
+                .iter()
+                .find(|(packet, _)| !self.in_flight.contains_key(&packet.id))
+            {
+                return Err(format!("deferred request {} is not in flight", packet.id));
+            }
+        }
+        Ok(())
     }
 
     /// Advances every tile one cycle.
@@ -561,12 +631,9 @@ impl MultiTileMachine {
             }
             LatencyModel::Fabric => self.step_tiles_fabric().map(|()| self.advance_fabric()),
         };
-        if result.is_err() {
-            // A core fault stops its band mid-sweep; recount liveness
-            // before any further stepping instead of patching the
-            // partially updated counters.
-            self.liveness_dirty = true;
-        } else {
+        // A core fault stops its band mid-sweep, but every mask update
+        // up to the fault (the faulting core's included) has landed.
+        if result.is_ok() {
             self.sample_cycle();
             if self.config.latency_model() == LatencyModel::Fabric {
                 self.record_digest_lanes();
@@ -580,7 +647,7 @@ impl MultiTileMachine {
     ///
     /// A window opens only when the machine is *fully stalled*: nothing
     /// is in flight anywhere (`in_flight`, `deferred`, and the fabric are
-    /// all empty — which forces `blocked_cores` to all-zero) and every
+    /// all empty — which forces every `parked` mask to zero) and every
     /// running core is frozen behind a positive `stall_pending`. During
     /// such a window the dense sweep provably does nothing but decrement
     /// each frozen core's `stall_pending` by one per cycle: a frozen
@@ -605,15 +672,9 @@ impl MultiTileMachine {
             return 0;
         }
         let mut window = u64::MAX;
-        for (tile_cores, &live) in self.cores.iter().zip(&self.live_cores) {
-            if live == 0 {
-                continue;
-            }
-            for core in tile_cores {
-                if core.state() != CoreState::Running {
-                    continue;
-                }
-                let pending = core.stall_pending();
+        for (tile_cores, &running) in self.cores.iter().zip(&self.running) {
+            for c in core_bits(running, 0, tile_cores.len()) {
+                let pending = tile_cores[c].stall_pending();
                 if pending == 0 {
                     return 0;
                 }
@@ -644,22 +705,14 @@ impl MultiTileMachine {
     /// boundary lies strictly inside the span. No core holds a remote op
     /// during a window, so no core owes a gap replay across it.
     fn skip_stall_window(&mut self, window: u64) {
-        let runnable = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count();
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        let runnable = self.runnable_tile_count();
         self.cycles += window;
         self.runnable_tiles.record_n(runnable as u64, window);
-        for (tile_cores, &live) in self.cores.iter_mut().zip(&self.live_cores) {
-            if live == 0 {
-                continue;
-            }
-            for core in tile_cores {
-                if core.state() == CoreState::Running {
-                    core.drain_stall_cycles(window);
-                }
+        for (tile_cores, &running) in self.cores.iter_mut().zip(&self.running) {
+            let n = tile_cores.len();
+            for c in core_bits(running, 0, n) {
+                tile_cores[c].drain_stall_cycles(window);
             }
         }
         self.fabric.skip_cycles(window);
@@ -675,12 +728,7 @@ impl MultiTileMachine {
             return;
         }
         let cycle = self.cycles;
-        let runnable = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count();
+        let runnable = self.runnable_tile_count();
         self.samples[0].1.record(cycle, runnable as f64);
         self.samples[1].1.record(cycle, self.in_flight.len() as f64);
         // The row-hit-rate series only exists on stateful backends,
@@ -694,7 +742,7 @@ impl MultiTileMachine {
 
     /// Fingerprints each tile's architectural state into the fabric's
     /// digest journal at window boundaries: per-core state/pc/registers/
-    /// stats, pending-access slots, liveness counters, and the memory
+    /// stats, pending-access slots, running/parked core counts, and the memory
     /// model's timing fingerprint. Shared-memory *contents* are not
     /// hashed (too large at this cadence); a data-only divergence
     /// surfaces as soon as a core loads it into a register.
@@ -703,8 +751,8 @@ impl MultiTileMachine {
             cores,
             mem_models,
             pending,
-            live_cores,
-            blocked_cores,
+            running,
+            parked,
             fabric,
             cycles,
             ..
@@ -766,8 +814,8 @@ impl MultiTileMachine {
                 }
             }
             h.write_u64(mem_models[t].state_fingerprint());
-            h.write_u32(live_cores[t]);
-            h.write_u32(blocked_cores[t]);
+            h.write_u32(running[t].count_ones());
+            h.write_u32(parked[t].count_ones());
             journal.record(cycle, LaneId::Machine { tile: t as u32 }, h.finish());
         }
     }
@@ -782,43 +830,38 @@ impl MultiTileMachine {
         // active-set walk below is the per-cycle half of wheel stepping;
         // the cross-cycle skip lives in [`MultiTileMachine::step`].
         let active_only = self.stepping == Stepping::Wheel;
-        let runnable_now = self
-            .live_cores
-            .iter()
-            .zip(&self.blocked_cores)
-            .filter(|&(&l, &b)| l > b)
-            .count() as u64;
-        self.runnable_tiles.record(runnable_now);
+        self.runnable_tiles
+            .record(self.runnable_tile_count() as u64);
         let n = self.config.cores_per_tile();
         let rotate = (self.cycles % n as u64) as usize;
         for tile_idx in 0..array.tile_count() {
+            // Analytic accesses never park a core, so the wheel visits
+            // exactly the running cores; the dense sweep visits them all.
+            let visit = if active_only {
+                self.running[tile_idx]
+            } else {
+                all_cores(n)
+            };
+            if visit == 0 {
+                continue;
+            }
             let tile = array.coord_of(tile_idx);
             if self.faults.is_faulty(tile) {
                 continue;
             }
-            // Analytic accesses never arm `InFlight` (a tile with zero
-            // running cores does nothing in the dense sweep), so only
-            // fully halted tiles may be skipped.
-            if active_only && self.live_cores[tile_idx] == 0 {
-                continue;
-            }
-            for i in 0..n {
-                let core_idx = (i + rotate) % n;
+            for core_idx in core_bits(visit, rotate, n) {
                 let was_running = self.cores[tile_idx][core_idx].state() == CoreState::Running;
-                if active_only && !was_running {
-                    continue;
-                }
                 self.core_steps += u64::from(was_running);
                 let outcome = self.step_core_analytic(tile_idx, core_idx);
+                if was_running && self.cores[tile_idx][core_idx].state() != CoreState::Running {
+                    self.running[tile_idx] &= !(1 << core_idx);
+                    self.running_cores -= 1;
+                }
                 outcome.map_err(|source| RunMachineError::CoreFault {
                     tile,
                     core: core_idx,
                     source,
                 })?;
-                if was_running && self.cores[tile_idx][core_idx].state() != CoreState::Running {
-                    self.live_cores[tile_idx] -= 1;
-                    self.running_cores -= 1;
-                }
             }
         }
         Ok(())
@@ -845,17 +888,10 @@ impl MultiTileMachine {
         let profile_on = self.profiler.enabled();
         let active_only = self.stepping == Stepping::Wheel;
 
-        // Active-set pre-scan, in both stepping modes: the telemetry
-        // sample and the shard-count decision are pure functions of
-        // liveness state, so they never depend on mode or thread count.
-        let mut runnable_vec = std::mem::take(&mut self.runnable_buf);
-        runnable_vec.clear();
-        let mut active = 0usize;
-        for t in 0..tiles {
-            let r = self.live_cores[t] > self.blocked_cores[t];
-            runnable_vec.push(r);
-            active += usize::from(r);
-        }
+        // Runnable-tile count, in both stepping modes: the telemetry
+        // sample and the shard-count decision are pure functions of the
+        // core masks, so they never depend on mode or thread count.
+        let active = self.runnable_tile_count();
         self.runnable_tiles.record(active as u64);
 
         let shard_count = match self.stepping {
@@ -872,12 +908,12 @@ impl MultiTileMachine {
                 memories,
                 mem_models,
                 pending,
-                live_cores,
+                running,
+                parked,
                 last_stepped,
                 exec,
                 ..
             } = self;
-            let runnable: &[bool] = &runnable_vec;
             let mut shards = Vec::with_capacity(bands.len());
             {
                 let mut rest = (
@@ -885,7 +921,7 @@ impl MultiTileMachine {
                     memories.as_mut_slice(),
                     mem_models.as_mut_slice(),
                     pending.as_mut_slice(),
-                    live_cores.as_mut_slice(),
+                    running.as_mut_slice(),
                     last_stepped.as_mut_slice(),
                 );
                 let mut offset = 0;
@@ -905,7 +941,8 @@ impl MultiTileMachine {
                         memories: m,
                         mem_models: x,
                         pending: p,
-                        live: l,
+                        running: l,
+                        parked: &parked[band.clone()],
                         last_stepped: s,
                     });
                 }
@@ -922,7 +959,6 @@ impl MultiTileMachine {
                     cores_per_tile,
                     cycles,
                     active_only,
-                    runnable,
                     &mut out,
                 );
                 out.profile.stop("machine.tiles", tiles_timer);
@@ -935,7 +971,6 @@ impl MultiTileMachine {
                 exec.map(shards, |_, shard| step_shard(shard))
             }
         };
-        self.runnable_buf = runnable_vec;
         if outs.iter().any(|out| out.error.is_some()) {
             self.settle_after_fault(&bands, &outs, rotate);
         }
@@ -977,7 +1012,7 @@ impl MultiTileMachine {
                             addr: intent.addr,
                             issued_at: cycles,
                         });
-                    self.blocked_cores[intent.tile_idx] += 1;
+                    self.parked[intent.tile_idx] |= 1 << intent.core_idx;
                 }
                 // On injection backpressure the id is burned (ids count
                 // attempts, as in the traffic layer) and the core
@@ -1136,9 +1171,9 @@ impl MultiTileMachine {
                 issued_at,
                 value: op.result.unwrap_or(0),
             });
-            // The core can make progress again: its tile re-enters the
-            // active-set scheduler's runnable set next cycle.
-            self.blocked_cores[op.tile_idx] -= 1;
+            // The core can make progress again: the wheel visits it from
+            // the next cycle on.
+            self.parked[op.tile_idx] &= !(1 << op.core_idx);
         }
     }
 
@@ -1480,8 +1515,12 @@ struct FabricShard<'a> {
     memories: &'a mut [MemoryChiplet],
     mem_models: &'a mut [Box<dyn MemoryModel>],
     pending: &'a mut [Vec<Option<PendingAccess>>],
-    /// Per-tile running-core counts; the band decrements on halt.
-    live: &'a mut [u32],
+    /// Per-tile running-core masks; the band clears a core's bit when it
+    /// halts or faults.
+    running: &'a mut [u16],
+    /// Per-tile parked-core masks, fixed for the tile phase (only the
+    /// commit and the fabric phase park or wake a core).
+    parked: &'a [u16],
     /// Cycle each core was last visited, per tile: a core the wheel
     /// skipped while parked on a remote op replays the gap when next
     /// stepped.
@@ -1544,16 +1583,16 @@ impl ShardOut {
 /// cycle under the fabric model. Stops at the band's first core fault
 /// (matching the sequential engine, which steps nothing after a fault).
 ///
-/// With `active_only` set the band visits only *runnable* tiles (at least
-/// one running core that is not parked on an in-flight remote op), and
-/// within them steps only the cores that are not parked. Skipping is
-/// unobservable: a halted core's step is a no-op, and a parked core's
-/// dense step does exactly `cycles += 1`, `stall_cycles += 1`,
-/// `network_stall_cycles += 1` and touches nothing else. Each core
-/// replays that in bulk for the gap since its own `last_stepped` when it
-/// is next stepped, or when a fault or the cycle limit ends the run
-/// early. The replay is a no-op under dense stepping, which visits every
-/// core every cycle.
+/// With `active_only` set the band visits only the `running & !parked`
+/// cores of each tile, in the rotated core order, and skips tiles where
+/// no such core is left. Skipping is unobservable: a halted core's step
+/// is a no-op, and a parked core's dense step does exactly
+/// `cycles += 1`, `stall_cycles += 1`, `network_stall_cycles += 1` and
+/// touches nothing else. Each core replays that in bulk for the gap since
+/// its own `last_stepped` when it is next stepped, or when a fault or the
+/// cycle limit ends the run early. Without `active_only` (the dense
+/// sweep) every core slot is visited and the replay is a no-op; the masks
+/// are kept up to date either way.
 #[allow(clippy::too_many_arguments)]
 fn step_fabric_band(
     array: TileArray,
@@ -1564,7 +1603,6 @@ fn step_fabric_band(
     cores_per_tile: usize,
     cycles: u64,
     active_only: bool,
-    runnable: &[bool],
     out: &mut ShardOut,
 ) {
     let FabricShard {
@@ -1573,35 +1611,34 @@ fn step_fabric_band(
         memories,
         mem_models,
         pending,
-        live,
+        running,
+        parked,
         last_stepped,
     } = shard;
     for local_t in 0..band.len() {
         let tile_idx = band.start + local_t;
+        let visit = if active_only {
+            running[local_t] & !parked[local_t]
+        } else {
+            all_cores(cores_per_tile)
+        };
+        if visit == 0 {
+            continue;
+        }
         let tile = array.coord_of(tile_idx);
         // A faulty tile's memory model is never arbitrated: its cores
         // never run and it owns no servable memory.
         if faults.is_faulty(tile) {
             continue;
         }
-        if active_only && !runnable[tile_idx] {
-            continue;
-        }
-        for i in 0..cores_per_tile {
-            let core_idx = (i + rotate) % cores_per_tile;
-            // The pending slot is read first, so a parked core is skipped
-            // without touching its `CoreSim`.
+        for core_idx in core_bits(visit, rotate, cores_per_tile) {
             let slot = pending[local_t][core_idx];
-            if active_only && matches!(slot, Some(PendingAccess::InFlight { .. })) {
-                continue;
-            }
             let core = &mut cores[local_t][core_idx];
             let last = &mut last_stepped[local_t][core_idx];
             out.network_stall_cycles += replay_parked(core, slot, last, cycles - 1);
             *last = cycles;
-            // Identical in both modes: stepping a non-running core is a
-            // no-op in `CoreSim::step`, so eliding the call changes
-            // nothing and keeps the halt accounting below exact.
+            // Stepping a non-running core is a no-op in `CoreSim::step`,
+            // so the dense sweep elides the call.
             if core.state() != CoreState::Running {
                 continue;
             }
@@ -1619,24 +1656,57 @@ fn step_fabric_band(
                 &mut pending[local_t][core_idx],
                 out,
             );
-            match outcome {
-                Err(source) => {
-                    out.error = Some(RunMachineError::CoreFault {
-                        tile,
-                        core: core_idx,
-                        source,
-                    });
-                    return;
-                }
-                Ok(state) => {
-                    if state != CoreState::Running {
-                        live[local_t] -= 1;
-                        out.halted_cores += 1;
-                    }
-                }
+            // A fault leaves the core `Faulted`: it stops running too.
+            if outcome != Ok(CoreState::Running) {
+                running[local_t] &= !(1 << core_idx);
+                out.halted_cores += 1;
+            }
+            if let Err(source) = outcome {
+                out.error = Some(RunMachineError::CoreFault {
+                    tile,
+                    core: core_idx,
+                    source,
+                });
+                return;
             }
         }
     }
+}
+
+/// Every core of a tile of `n` cores, as a mask.
+fn all_cores(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
+}
+
+/// A tile's `(running, parked)` core masks rescanned from its cores and
+/// pending slots.
+fn scan_masks(cores: &[CoreSim], pending: &[Option<PendingAccess>]) -> (u16, u16) {
+    let mut running = 0;
+    let mut parked = 0;
+    for (c, (core, slot)) in cores.iter().zip(pending).enumerate() {
+        if core.state() == CoreState::Running {
+            running |= 1 << c;
+            if matches!(slot, Some(PendingAccess::InFlight { .. })) {
+                parked |= 1 << c;
+            }
+        }
+    }
+    (running, parked)
+}
+
+/// The cores set in `mask` (over a tile of `n` cores) in the tile walk's
+/// order: core `rotate` first, then upwards, wrapping at `n`, i.e. the
+/// set cores among `(i + rotate) % n` for `i` in `0..n`.
+fn core_bits(mask: u16, rotate: usize, n: usize) -> impl Iterator<Item = usize> {
+    let mask = u32::from(mask);
+    let mut bits = ((mask >> rotate) | (mask << (n - rotate))) & ((1 << n) - 1);
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            (i + rotate) % n
+        })
+    })
 }
 
 /// Credits a core parked on a remote op (in flight, or delivered but not
@@ -2643,5 +2713,41 @@ mod tests {
             .expect("ok");
         m.run_until_halt(1_000).expect("halts");
         assert_eq!(m.read_word(local).expect("ok"), 42);
+    }
+
+    #[test]
+    fn core_bits_walks_the_rotated_order() {
+        let n = wsp_tile::CORES_PER_TILE;
+        for mask in [0u16, 1, 0b11, 0b10_0000_0000_0001, all_cores(n), 0x2a5a] {
+            for rotate in 0..n {
+                let want: Vec<usize> = (0..n)
+                    .map(|i| (i + rotate) % n)
+                    .filter(|&c| mask >> c & 1 == 1)
+                    .collect();
+                let got: Vec<usize> = core_bits(mask, rotate, n).collect();
+                assert_eq!(got, want, "mask {mask:#06x}, rotate {rotate}");
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_checker_sees_stale_core_masks() {
+        let mut m = crate::workload::build_halo_machine(4, 1);
+        let mut parked_seen = false;
+        while m.any_running() {
+            m.step().expect("halo machine runs");
+            assert_eq!(m.check_invariants(), Ok(()));
+            parked_seen |= m.parked.iter().any(|&p| p != 0);
+        }
+        assert!(parked_seen, "the halo loads park cores");
+        // A running bit left on a halted core: no output changes (the
+        // wheel just wastes a visit), but the checker must see it.
+        m.running[5] |= 1;
+        let err = m.check_invariants().expect_err("stale running bit");
+        assert!(err.contains("tile 5: running mask"), "{err}");
+        m.running[5] = 0;
+        m.parked[5] = 1;
+        let err = m.check_invariants().expect_err("stale parked bit");
+        assert!(err.contains("tile 5: parked mask"), "{err}");
     }
 }

@@ -1,13 +1,8 @@
 //! Distributed level-synchronous breadth-first search.
 
-use wsp_noc::NetworkChoice;
-use wsp_topo::TileCoord;
-
 use crate::system::WaferscaleSystem;
 use crate::workload::graph::Graph;
-use crate::workload::{
-    RunWorkloadError, WorkloadReport, CYCLES_PER_EDGE, CYCLES_PER_HOP, CYCLES_PER_MESSAGE,
-};
+use crate::workload::{RunWorkloadError, SuperstepCost, WorkloadReport};
 
 /// Runs BFS from `source` across the system's usable tiles.
 ///
@@ -50,11 +45,7 @@ pub fn run_bfs(
             vertices: n,
         });
     }
-    let placement = crate::workload::VertexPlacement::new(system)?;
-    let owner_of = |v: usize| placement.owner_of(v);
-    let planner = system.route_planner();
-    let cores = system.config().cores_per_tile() as u64;
-    let mut mem = crate::workload::MemorySim::new(system.config().memory_model());
+    let mut cost = SuperstepCost::new(system, n)?;
 
     let mut dist = vec![u32::MAX; n];
     dist[source] = 0;
@@ -75,80 +66,32 @@ pub fn run_bfs(
         report.supersteps += 1;
         let level = report.supersteps; // distance assigned this superstep
 
-        // Per-tile work accounting for this superstep.
-        let mut edges_by_tile: std::collections::HashMap<TileCoord, u64> =
-            std::collections::HashMap::new();
-        let mut msgs_by_tile: std::collections::HashMap<TileCoord, u64> =
-            std::collections::HashMap::new();
-        let mut max_hop_latency: u64 = 0;
-
         let mut next = Vec::new();
         for &v in &frontier {
-            let src_tile = owner_of(v);
-            *edges_by_tile.entry(src_tile).or_insert(0) += graph.degree(v) as u64;
+            let src_tile = cost.owner(v);
+            cost.relax(src_tile, graph.degree(v));
             report.edges_relaxed += graph.degree(v) as u64;
             for (nb, _) in graph.neighbors(v) {
                 let nb = nb as usize;
                 // The edge scan reads the neighbour's level word from
                 // shared memory whether or not it improves.
-                mem.access(src_tile, nb as u64);
+                cost.access(src_tile, nb as u64);
                 if dist[nb] != u32::MAX {
                     continue;
                 }
                 dist[nb] = level;
                 report.vertices_reached += 1;
                 next.push(nb);
-                let dst_tile = owner_of(nb);
-                if dst_tile != src_tile {
-                    report.remote_messages += 1;
-                    *msgs_by_tile.entry(src_tile).or_insert(0) += 1;
-                    let latency = match planner.choose(src_tile, dst_tile) {
-                        NetworkChoice::Direct(_) => {
-                            u64::from(src_tile.manhattan_distance(dst_tile)) * CYCLES_PER_HOP
-                        }
-                        NetworkChoice::Relay { via, .. } => {
-                            (u64::from(src_tile.manhattan_distance(via))
-                                + u64::from(via.manhattan_distance(dst_tile)))
-                                * CYCLES_PER_HOP
-                        }
-                        NetworkChoice::Disconnected => {
-                            // Kernel fallback: store-and-forward through
-                            // intermediate tiles; each hop re-injects.
-                            let hops = crate::workload::store_and_forward_hops(
-                                system.faults(),
-                                src_tile,
-                                dst_tile,
-                            )
-                            .ok_or(RunWorkloadError::OwnerUnreachable { vertex: nb })?;
-                            hops * (CYCLES_PER_HOP + CYCLES_PER_MESSAGE)
-                        }
-                    };
-                    max_hop_latency = max_hop_latency.max(latency);
-                }
+                cost.message(src_tile, nb)?;
             }
         }
-
-        // Superstep cost: the slowest tile's compute (edges spread over
-        // its 14 cores), plus its message injection serialisation, plus
-        // the worst in-flight latency (level-synchronous barrier).
-        let compute = edges_by_tile
-            .values()
-            .map(|e| e.div_ceil(cores) * CYCLES_PER_EDGE)
-            .max()
-            .unwrap_or(0);
-        let inject = msgs_by_tile
-            .values()
-            .map(|m| m * CYCLES_PER_MESSAGE)
-            .max()
-            .unwrap_or(0);
-        let mem_stall = mem.superstep_stall();
-        report.mem_stall_cycles += mem_stall;
-        report.cycles += compute + inject + max_hop_latency + mem_stall;
-
+        report.cycles += cost.finish();
         frontier = next;
     }
 
-    let profile = mem.profile();
+    let profile = cost.memory_profile();
+    report.remote_messages = cost.remote_messages;
+    report.mem_stall_cycles = cost.mem_stall_cycles;
     report.row_hits = profile.row_hits;
     report.row_misses = profile.row_misses;
     Ok((dist, report))

@@ -49,41 +49,47 @@ impl Graph {
     /// Panics if `vertices` is zero.
     pub fn generate<R: Rng + ?Sized>(kind: GraphKind, vertices: usize, rng: &mut R) -> Self {
         assert!(vertices > 0, "graph needs at least one vertex");
-        let mut adjacency: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vertices];
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        let mut weights = Vec::new();
         match kind {
             GraphKind::UniformRandom { avg_degree } => {
-                for edges in adjacency.iter_mut() {
+                let edges = vertices * avg_degree as usize;
+                targets.reserve_exact(edges);
+                weights.reserve_exact(edges);
+                for _ in 0..vertices {
                     for _ in 0..avg_degree {
-                        let dst = rng.random_range(0..vertices) as u32;
-                        let w = rng.random_range(1..16u32);
-                        edges.push((dst, w));
+                        targets.push(rng.random_range(0..vertices) as u32);
+                        weights.push(rng.random_range(1..16u32));
                     }
+                    offsets.push(targets.len());
                 }
             }
             GraphKind::Grid2d => {
                 let side = (vertices as f64).sqrt().ceil() as usize;
                 for v in 0..vertices {
                     let (x, y) = (v % side, v / side);
-                    let link = |nx: usize, ny: usize, adj: &mut Vec<Vec<(u32, u32)>>| {
-                        let n = ny * side + nx;
+                    let east = (x + 1 < side).then(|| v + 1);
+                    let west = (x > 0).then(|| v - 1);
+                    let north = (y > 0).then(|| v - side);
+                    for n in [east, west, Some(v + side), north].into_iter().flatten() {
                         if n < vertices {
-                            adj[v].push((n as u32, 1));
+                            targets.push(n as u32);
+                            weights.push(1);
                         }
-                    };
-                    if x + 1 < side {
-                        link(x + 1, y, &mut adjacency);
                     }
-                    if x > 0 {
-                        link(x - 1, y, &mut adjacency);
-                    }
-                    link(x, y + 1, &mut adjacency);
-                    if y > 0 {
-                        link(x, y - 1, &mut adjacency);
-                    }
+                    offsets.push(targets.len());
                 }
             }
             GraphKind::PowerLaw { avg_degree } => {
+                // Edges are drawn with random sources, so they land in
+                // one flat buffer in draw order and a stable counting
+                // sort by source places them: each source's list keeps
+                // its draw order.
                 let total_edges = vertices * avg_degree as usize;
+                let mut drawn = Vec::with_capacity(total_edges);
+                let mut degree = vec![0usize; vertices];
                 for _ in 0..total_edges {
                     let src = rng.random_range(0..vertices);
                     // Square the uniform draw to bias destinations towards
@@ -91,21 +97,22 @@ impl Graph {
                     let u: f64 = rng.random();
                     let dst = ((u * u) * vertices as f64) as usize % vertices;
                     let w = rng.random_range(1..16u32);
-                    adjacency[src].push((dst as u32, w));
+                    degree[src] += 1;
+                    drawn.push((src as u32, dst as u32, w));
+                }
+                for d in &degree {
+                    offsets.push(offsets[offsets.len() - 1] + d);
+                }
+                let mut cursor = offsets[..vertices].to_vec();
+                targets = vec![0; total_edges];
+                weights = vec![0; total_edges];
+                for (src, dst, w) in drawn {
+                    let at = &mut cursor[src as usize];
+                    targets[*at] = dst;
+                    weights[*at] = w;
+                    *at += 1;
                 }
             }
-        }
-
-        let mut offsets = Vec::with_capacity(vertices + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        offsets.push(0);
-        for list in &adjacency {
-            for &(dst, w) in list {
-                targets.push(dst);
-                weights.push(w);
-            }
-            offsets.push(targets.len());
         }
         Graph {
             offsets,

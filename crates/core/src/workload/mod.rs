@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use wsp_common::units::Seconds;
 
 use wsp_common::units::Amps;
+use wsp_noc::{NetworkChoice, RoutePlanner};
 use wsp_tile::memory::GLOBAL_REGION_BYTES;
 use wsp_tile::{MemTiming, MemoryModel, MemoryModelKind};
 use wsp_topo::{FaultMap, TileCoord};
@@ -54,11 +55,7 @@ pub(crate) const CYCLES_PER_MESSAGE: u64 = 6;
 /// kernel's last-resort store-and-forward route when no one- or two-leg
 /// DoR path survives (Sec. VI: packets "divert to an intermediate tile",
 /// generalised to as many intermediates as the fault maze requires).
-pub(crate) fn store_and_forward_hops(
-    faults: &FaultMap,
-    from: TileCoord,
-    to: TileCoord,
-) -> Option<u64> {
+fn store_and_forward_hops(faults: &FaultMap, from: TileCoord, to: TileCoord) -> Option<u64> {
     if faults.is_faulty(from) || faults.is_faulty(to) {
         return None;
     }
@@ -83,7 +80,8 @@ pub(crate) fn store_and_forward_hops(
     None
 }
 
-/// Fault-stable vertex placement shared by the graph kernels.
+/// Fault-stable vertex placement shared by the graph kernels: the owner
+/// tile index (row-major) of every vertex `0..vertices`.
 ///
 /// Vertex `v`'s *home* is tile `v % tile_count` of the full array —
 /// fixed at load time, independent of the fault map — and vertices homed
@@ -96,44 +94,185 @@ pub(crate) fn store_and_forward_hops(
 /// count was dominated by the modulus, not the faults — a 4-fault wafer
 /// could measure *faster* than a pristine one. With a clean fault map the
 /// two schemes are identical.
-pub(crate) struct VertexPlacement {
-    tiles: Vec<TileCoord>,
-    healthy: Vec<TileCoord>,
-    faulty: Vec<bool>,
+///
+/// # Errors
+///
+/// Returns [`RunWorkloadError::NoUsableTiles`] when every tile is faulty.
+fn vertex_owners(system: &WaferscaleSystem, vertices: usize) -> Result<Vec<u32>, RunWorkloadError> {
+    let array = system.config().array();
+    let faults = system.faults();
+    let healthy: Vec<u32> = faults
+        .healthy_tiles()
+        .map(|t| array.index_of(t) as u32)
+        .collect();
+    if healthy.is_empty() {
+        return Err(RunWorkloadError::NoUsableTiles);
+    }
+    let faulty: Vec<bool> = array.tiles().map(|t| faults.is_faulty(t)).collect();
+    Ok((0..vertices)
+        .map(|v| {
+            let home = v % faulty.len();
+            if faulty[home] {
+                healthy[v % healthy.len()]
+            } else {
+                home as u32
+            }
+        })
+        .collect())
 }
 
-impl VertexPlacement {
-    /// Builds the placement for `system`'s current fault map.
+/// One-way message latencies between tiles: the kernel's planner picks
+/// a direct or relayed DoR path ([`CYCLES_PER_HOP`] per hop), and a pair
+/// with neither falls back to store-and-forward through intermediate
+/// tiles, re-injecting at every hop ([`CYCLES_PER_HOP`] +
+/// [`CYCLES_PER_MESSAGE`] per hop).
+pub(crate) struct MessageLatency<'a> {
+    faults: &'a FaultMap,
+    planner: RoutePlanner,
+}
+
+impl<'a> MessageLatency<'a> {
+    pub(crate) fn new(system: &'a WaferscaleSystem) -> Self {
+        MessageLatency {
+            faults: system.faults(),
+            planner: system.route_planner(),
+        }
+    }
+
+    /// Latency of one message from tile `src` to tile `dst` (row-major
+    /// indices, `src != dst`), or `None` when no healthy path joins them.
+    pub(crate) fn between(&self, src: usize, dst: usize) -> Option<u64> {
+        let array = self.faults.array();
+        let (from, to) = (array.coord_of(src), array.coord_of(dst));
+        Some(match self.planner.choose(from, to) {
+            NetworkChoice::Direct(_) => u64::from(from.manhattan_distance(to)) * CYCLES_PER_HOP,
+            NetworkChoice::Relay { via, .. } => {
+                u64::from(from.manhattan_distance(via) + via.manhattan_distance(to))
+                    * CYCLES_PER_HOP
+            }
+            NetworkChoice::Disconnected => {
+                store_and_forward_hops(self.faults, from, to)?
+                    * (CYCLES_PER_HOP + CYCLES_PER_MESSAGE)
+            }
+        })
+    }
+}
+
+/// The cost path BFS, SSSP and PageRank share: vertex owners computed
+/// once per run, per-superstep edge and message counts indexed by tile,
+/// message latencies, and the per-tile memory timing.
+///
+/// A superstep costs its slowest tile's compute (edges spread over the
+/// tile's cores, [`CYCLES_PER_EDGE`] each), plus the busiest tile's
+/// message injection ([`CYCLES_PER_MESSAGE`] each), plus the worst
+/// message latency (the level-synchronous barrier waits for it), plus
+/// the slowest tile's memory stall.
+pub(crate) struct SuperstepCost<'a> {
+    owners: Vec<u32>,
+    latency: MessageLatency<'a>,
+    cores: u64,
+    edges: Vec<u64>,
+    messages: Vec<u64>,
+    max_latency: u64,
+    mem: MemorySim,
+    /// Cross-tile messages over the whole run.
+    pub(crate) remote_messages: u64,
+    /// Memory stall cycles over the whole run, already in the cycles
+    /// [`SuperstepCost::finish`] returns.
+    pub(crate) mem_stall_cycles: u64,
+}
+
+impl<'a> SuperstepCost<'a> {
+    /// The cost path for a graph of `vertices` vertices on `system`.
     ///
     /// # Errors
     ///
     /// Returns [`RunWorkloadError::NoUsableTiles`] when every tile is
     /// faulty.
-    pub(crate) fn new(system: &WaferscaleSystem) -> Result<Self, RunWorkloadError> {
-        let array = system.config().array();
-        let healthy: Vec<TileCoord> = system.faults().healthy_tiles().collect();
-        if healthy.is_empty() {
-            return Err(RunWorkloadError::NoUsableTiles);
-        }
-        Ok(VertexPlacement {
-            tiles: array.tiles().collect(),
-            faulty: array
-                .tiles()
-                .map(|t| system.faults().is_faulty(t))
-                .collect(),
-            healthy,
+    pub(crate) fn new(
+        system: &'a WaferscaleSystem,
+        vertices: usize,
+    ) -> Result<Self, RunWorkloadError> {
+        let tiles = system.config().array().tile_count();
+        Ok(SuperstepCost {
+            owners: vertex_owners(system, vertices)?,
+            latency: MessageLatency::new(system),
+            cores: system.config().cores_per_tile() as u64,
+            edges: vec![0; tiles],
+            messages: vec![0; tiles],
+            max_latency: 0,
+            mem: MemorySim::new(system.config().memory_model(), tiles),
+            remote_messages: 0,
+            mem_stall_cycles: 0,
         })
     }
 
-    /// The (healthy) tile that owns vertex `v`.
+    /// The tile index owning vertex `v`.
     #[inline]
-    pub(crate) fn owner_of(&self, v: usize) -> TileCoord {
-        let home = v % self.tiles.len();
-        if self.faulty[home] {
-            self.healthy[v % self.healthy.len()]
-        } else {
-            self.tiles[home]
+    pub(crate) fn owner(&self, v: usize) -> usize {
+        self.owners[v] as usize
+    }
+
+    /// Charges `edges` edge relaxations to `tile` this superstep.
+    #[inline]
+    pub(crate) fn relax(&mut self, tile: usize, edges: usize) {
+        self.edges[tile] += edges as u64;
+    }
+
+    /// One shared-memory touch by `tile` on the word holding vertex
+    /// state `word`.
+    #[inline]
+    pub(crate) fn access(&mut self, tile: usize, word: u64) {
+        self.mem.access(tile, word);
+    }
+
+    /// Ships an update from tile `src` to the owner of `vertex`: free
+    /// when `src` owns it, otherwise one remote message priced on the
+    /// network.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunWorkloadError::OwnerUnreachable`] naming `vertex`
+    /// when no healthy path reaches its owner.
+    #[inline]
+    pub(crate) fn message(&mut self, src: usize, vertex: usize) -> Result<(), RunWorkloadError> {
+        let dst = self.owner(vertex);
+        if dst == src {
+            return Ok(());
         }
+        self.remote_messages += 1;
+        self.messages[src] += 1;
+        let latency = self
+            .latency
+            .between(src, dst)
+            .ok_or(RunWorkloadError::OwnerUnreachable { vertex })?;
+        self.max_latency = self.max_latency.max(latency);
+        Ok(())
+    }
+
+    /// Closes the superstep: returns its cycles and clears the per-tile
+    /// counts for the next one.
+    pub(crate) fn finish(&mut self) -> u64 {
+        let mut compute = 0;
+        for e in &mut self.edges {
+            compute = compute.max(e.div_ceil(self.cores) * CYCLES_PER_EDGE);
+            *e = 0;
+        }
+        let mut inject = 0;
+        for m in &mut self.messages {
+            inject = inject.max(*m * CYCLES_PER_MESSAGE);
+            *m = 0;
+        }
+        let mem_stall = self.mem.superstep_stall();
+        self.mem_stall_cycles += mem_stall;
+        let cycles = compute + inject + self.max_latency + mem_stall;
+        self.max_latency = 0;
+        cycles
+    }
+
+    /// Aggregate memory-model counters over the run so far.
+    pub(crate) fn memory_profile(&self) -> MemoryProfile {
+        self.mem.profile()
     }
 }
 
@@ -165,14 +304,13 @@ pub fn activity_power_map(system: &WaferscaleSystem, graph: &Graph) -> Vec<Amps>
     let array = system.config().array();
     let peak = wsp_pdn::PdnConfig::PAPER_TILE_CURRENT;
     let idle = Amps(peak.value() * 0.05);
-    let Ok(placement) = VertexPlacement::new(system) else {
+    let Ok(owners) = vertex_owners(system, graph.vertex_count()) else {
         return vec![Amps::ZERO; array.tile_count()];
     };
     // Edge work per owning tile.
     let mut work = vec![0u64; array.tile_count()];
-    for v in 0..graph.vertex_count() {
-        let owner = placement.owner_of(v);
-        work[array.index_of(owner)] += graph.degree(v) as u64;
+    for (v, &owner) in owners.iter().enumerate() {
+        work[owner as usize] += graph.degree(v) as u64;
     }
     let max_work = work.iter().copied().max().unwrap_or(0).max(1);
     array
@@ -200,7 +338,9 @@ pub fn activity_power_map(system: &WaferscaleSystem, graph: &Graph) -> Vec<Amps>
 /// pre-trait model by construction.
 pub(crate) struct MemorySim {
     kind: MemoryModelKind,
-    tiles: std::collections::HashMap<TileCoord, TileMem>,
+    /// Per-tile timing state by tile index, built on a tile's first
+    /// access; empty under [`MemoryModelKind::Fixed`].
+    tiles: Vec<Option<TileMem>>,
 }
 
 struct TileMem {
@@ -213,22 +353,27 @@ struct TileMem {
 }
 
 impl MemorySim {
-    pub(crate) fn new(kind: MemoryModelKind) -> Self {
-        MemorySim {
+    pub(crate) fn new(kind: MemoryModelKind, tiles: usize) -> Self {
+        let mut sim = MemorySim {
             kind,
-            tiles: std::collections::HashMap::new(),
+            tiles: Vec::new(),
+        };
+        if kind != MemoryModelKind::Fixed {
+            sim.tiles.resize_with(tiles, || None);
         }
+        sim
     }
 
-    /// One shared-memory touch by `tile` on the word holding vertex
+    /// One shared-memory touch by tile `tile` on the word holding vertex
     /// state `word` (vertex ids map onto the owner's global region
     /// word-interleaved, like every other shared structure).
-    pub(crate) fn access(&mut self, tile: TileCoord, word: u64) {
+    #[inline]
+    pub(crate) fn access(&mut self, tile: usize, word: u64) {
         if self.kind == MemoryModelKind::Fixed {
             return;
         }
         let kind = self.kind;
-        let mem = self.tiles.entry(tile).or_insert_with(|| TileMem {
+        let mem = self.tiles[tile].get_or_insert_with(|| TileMem {
             model: kind.build(),
             clock: 0,
             step_stalls: 0,
@@ -253,7 +398,7 @@ impl MemorySim {
     /// accumulators.
     pub(crate) fn superstep_stall(&mut self) -> u64 {
         let mut worst = 0;
-        for mem in self.tiles.values_mut() {
+        for mem in self.tiles.iter_mut().flatten() {
             worst = worst.max(mem.step_stalls);
             mem.step_stalls = 0;
         }
@@ -263,7 +408,7 @@ impl MemorySim {
     /// Aggregate model counters over every tile touched so far.
     pub(crate) fn profile(&self) -> MemoryProfile {
         let mut profile = MemoryProfile::default();
-        for mem in self.tiles.values() {
+        for mem in self.tiles.iter().flatten() {
             profile.grants += mem.model.grants();
             profile.conflicts += mem.model.conflicts();
             profile.row_hits += mem.model.row_hits();

@@ -1,14 +1,9 @@
 //! Distributed single-source shortest path (level-synchronous
 //! Bellman-Ford).
 
-use wsp_noc::NetworkChoice;
-use wsp_topo::TileCoord;
-
 use crate::system::WaferscaleSystem;
 use crate::workload::graph::Graph;
-use crate::workload::{
-    RunWorkloadError, WorkloadReport, CYCLES_PER_EDGE, CYCLES_PER_HOP, CYCLES_PER_MESSAGE,
-};
+use crate::workload::{RunWorkloadError, SuperstepCost, WorkloadReport};
 
 /// Runs SSSP from `source` across the system's usable tiles.
 ///
@@ -49,15 +44,15 @@ pub fn run_sssp(
             vertices: n,
         });
     }
-    let placement = crate::workload::VertexPlacement::new(system)?;
-    let owner_of = |v: usize| placement.owner_of(v);
-    let planner = system.route_planner();
-    let cores = system.config().cores_per_tile() as u64;
-    let mut mem = crate::workload::MemorySim::new(system.config().memory_model());
+    let mut cost = SuperstepCost::new(system, n)?;
 
     let mut dist = vec![u64::MAX; n];
     dist[source] = 0;
     let mut active = vec![source];
+    // Marks the members of this superstep's `improved` list, so a vertex
+    // improved twice in one superstep is queued once, in first-insertion
+    // order.
+    let mut queued = vec![false; n];
 
     let mut report = WorkloadReport {
         supersteps: 0,
@@ -72,24 +67,18 @@ pub fn run_sssp(
 
     while !active.is_empty() {
         report.supersteps += 1;
-
-        let mut edges_by_tile: std::collections::HashMap<TileCoord, u64> =
-            std::collections::HashMap::new();
-        let mut msgs_by_tile: std::collections::HashMap<TileCoord, u64> =
-            std::collections::HashMap::new();
-        let mut max_hop_latency: u64 = 0;
         let mut improved: Vec<usize> = Vec::new();
 
         for &v in &active {
-            let src_tile = owner_of(v);
-            *edges_by_tile.entry(src_tile).or_insert(0) += graph.degree(v) as u64;
+            let src_tile = cost.owner(v);
+            cost.relax(src_tile, graph.degree(v));
             report.edges_relaxed += graph.degree(v) as u64;
             let dv = dist[v];
             for (nb, w) in graph.neighbors(v) {
                 let nb = nb as usize;
                 // The relaxation reads the neighbour's distance word
                 // from shared memory whether or not it improves.
-                mem.access(src_tile, nb as u64);
+                cost.access(src_tile, nb as u64);
                 let candidate = dv + u64::from(w);
                 if candidate >= dist[nb] {
                     continue;
@@ -98,57 +87,23 @@ pub fn run_sssp(
                     report.vertices_reached += 1;
                 }
                 dist[nb] = candidate;
-                if !improved.contains(&nb) {
+                if !queued[nb] {
+                    queued[nb] = true;
                     improved.push(nb);
                 }
-                let dst_tile = owner_of(nb);
-                if dst_tile != src_tile {
-                    report.remote_messages += 1;
-                    *msgs_by_tile.entry(src_tile).or_insert(0) += 1;
-                    let latency = match planner.choose(src_tile, dst_tile) {
-                        NetworkChoice::Direct(_) => {
-                            u64::from(src_tile.manhattan_distance(dst_tile)) * CYCLES_PER_HOP
-                        }
-                        NetworkChoice::Relay { via, .. } => {
-                            (u64::from(src_tile.manhattan_distance(via))
-                                + u64::from(via.manhattan_distance(dst_tile)))
-                                * CYCLES_PER_HOP
-                        }
-                        NetworkChoice::Disconnected => {
-                            // Kernel fallback: store-and-forward through
-                            // intermediate tiles; each hop re-injects.
-                            let hops = crate::workload::store_and_forward_hops(
-                                system.faults(),
-                                src_tile,
-                                dst_tile,
-                            )
-                            .ok_or(RunWorkloadError::OwnerUnreachable { vertex: nb })?;
-                            hops * (CYCLES_PER_HOP + CYCLES_PER_MESSAGE)
-                        }
-                    };
-                    max_hop_latency = max_hop_latency.max(latency);
-                }
+                cost.message(src_tile, nb)?;
             }
         }
-
-        let compute = edges_by_tile
-            .values()
-            .map(|e| e.div_ceil(cores) * CYCLES_PER_EDGE)
-            .max()
-            .unwrap_or(0);
-        let inject = msgs_by_tile
-            .values()
-            .map(|m| m * CYCLES_PER_MESSAGE)
-            .max()
-            .unwrap_or(0);
-        let mem_stall = mem.superstep_stall();
-        report.mem_stall_cycles += mem_stall;
-        report.cycles += compute + inject + max_hop_latency + mem_stall;
-
+        report.cycles += cost.finish();
+        for &v in &improved {
+            queued[v] = false;
+        }
         active = improved;
     }
 
-    let profile = mem.profile();
+    let profile = cost.memory_profile();
+    report.remote_messages = cost.remote_messages;
+    report.mem_stall_cycles = cost.mem_stall_cycles;
     report.row_hits = profile.row_hits;
     report.row_misses = profile.row_misses;
     Ok((dist, report))

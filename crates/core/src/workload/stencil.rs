@@ -8,12 +8,11 @@
 //! halo rows with the block-row neighbours and relaxes the interior
 //! (Dirichlet boundaries stay fixed).
 
-use wsp_noc::NetworkChoice;
 use wsp_topo::TileCoord;
 
 use crate::system::WaferscaleSystem;
 use crate::workload::{
-    RunWorkloadError, WorkloadReport, CYCLES_PER_EDGE, CYCLES_PER_HOP, CYCLES_PER_MESSAGE,
+    MessageLatency, RunWorkloadError, WorkloadReport, CYCLES_PER_EDGE, CYCLES_PER_MESSAGE,
 };
 
 /// A dense 2-D grid of `f64` cells.
@@ -146,14 +145,15 @@ pub fn run_stencil(
     if owners.is_empty() {
         return Err(RunWorkloadError::NoUsableTiles);
     }
-    let planner = system.route_planner();
+    let array = system.config().array();
+    let latency = MessageLatency::new(system);
     let cores = system.config().cores_per_tile() as u64;
 
     // Block-row decomposition: interior rows are dealt round-robin so
     // every tile owns ⌈rows/tiles⌉ rows at most.
     let interior_rows = grid.height - 2;
     let tiles = owners.len().min(interior_rows);
-    let owner_of_row = |y: usize| owners[(y - 1) % tiles];
+    let owner_of_row = |y: usize| array.index_of(owners[(y - 1) % tiles]);
 
     // Pre-compute the per-superstep communication bill: each interior row
     // needs the rows above and below; a remote neighbour row costs one
@@ -172,19 +172,10 @@ pub fn run_stencil(
                 continue;
             }
             halo_messages += 1;
-            let latency = match planner.choose(b, a) {
-                NetworkChoice::Direct(_) => u64::from(b.manhattan_distance(a)) * CYCLES_PER_HOP,
-                NetworkChoice::Relay { via, .. } => {
-                    (u64::from(b.manhattan_distance(via)) + u64::from(via.manhattan_distance(a)))
-                        * CYCLES_PER_HOP
-                }
-                NetworkChoice::Disconnected => {
-                    crate::workload::store_and_forward_hops(system.faults(), b, a)
-                        .ok_or(RunWorkloadError::OwnerUnreachable { vertex: ny })?
-                        * (CYCLES_PER_HOP + CYCLES_PER_MESSAGE)
-                }
-            };
-            max_latency = max_latency.max(latency);
+            let cycles = latency
+                .between(b, a)
+                .ok_or(RunWorkloadError::OwnerUnreachable { vertex: ny })?;
+            max_latency = max_latency.max(cycles);
         }
     }
 

@@ -39,12 +39,29 @@ impl JobKind {
 
     /// Stable lowercase label (metric keys, snapshot lines, tables).
     pub fn as_str(self) -> &'static str {
+        self.names()[0]
+    }
+
+    /// Wall-profile phase a whole job of this kind is timed under.
+    pub(crate) fn phase(self) -> &'static str {
+        self.names()[1]
+    }
+
+    /// Wall-profile phase, a child of [`JobKind::phase`], timing a graph
+    /// kind's `Graph::generate`.
+    pub(crate) fn graph_phase(self) -> &'static str {
+        self.names()[2]
+    }
+
+    /// The label and the two profile phases: `<label>`, `serve.<label>`
+    /// and `serve.<label>.graph`.
+    fn names(self) -> [&'static str; 3] {
         match self {
-            JobKind::Bfs => "bfs",
-            JobKind::Sssp => "sssp",
-            JobKind::PageRank => "pagerank",
-            JobKind::Stencil => "stencil",
-            JobKind::Halo => "halo",
+            JobKind::Bfs => ["bfs", "serve.bfs", "serve.bfs.graph"],
+            JobKind::Sssp => ["sssp", "serve.sssp", "serve.sssp.graph"],
+            JobKind::PageRank => ["pagerank", "serve.pagerank", "serve.pagerank.graph"],
+            JobKind::Stencil => ["stencil", "serve.stencil", "serve.stencil.graph"],
+            JobKind::Halo => ["halo", "serve.halo", "serve.halo.graph"],
         }
     }
 

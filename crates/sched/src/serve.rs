@@ -15,10 +15,19 @@
 //! bit-identical too. Between jobs every slice machine is quiescent
 //! (its cores halted, its fabric drained), which is what makes the
 //! snapshot in [`crate::snapshot`] small and exact.
+//!
+//! # Wall profile
+//!
+//! Each job's host time lands in a [`PhaseProfiler`] under
+//! `serve.<kind>`, with a `serve.<kind>.graph` child around graph
+//! generation for the graph kernels: a few clock reads per job, always
+//! on. Wall time is never deterministic, so it stays out of snapshots
+//! and [`ServeCampaign::export_metrics`];
+//! [`ServeCampaign::export_profile`] emits it on its own.
 
 use std::collections::VecDeque;
 
-use rand::RngExt as _;
+use rand::{Rng, RngExt as _};
 use waferscale::workload::{
     reference_pagerank, run_bfs, run_pagerank, run_sssp, run_stencil, Graph, GraphKind,
     StencilGrid, HALO_WORDS,
@@ -26,7 +35,7 @@ use waferscale::workload::{
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig, WaferscaleSystem};
 use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
-use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, LaneId, Sink};
+use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, LaneId, PhaseProfiler, Sink};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
@@ -155,6 +164,8 @@ pub struct ServeCampaign {
     pub(crate) sojourn: Histogram,
     /// One lane per job, recorded at its completion cycle.
     pub(crate) journal: DigestJournal,
+    /// Host wall time per job kind (see the module docs).
+    profile: PhaseProfiler,
 }
 
 impl ServeCampaign {
@@ -202,6 +213,7 @@ impl ServeCampaign {
             service: Histogram::new(),
             sojourn: Histogram::new(),
             journal,
+            profile: PhaseProfiler::new(true),
         })
     }
 
@@ -363,8 +375,10 @@ impl ServeCampaign {
 
     /// Runs one job on `slice` and returns `(service_cycles, digest,
     /// reference_check_passed)`. Pure: depends only on the job spec, the
-    /// slice's restricted fault map, and the campaign's machine options.
-    fn run_job(&self, slice: &Slice, spec: &JobSpec) -> (u64, u64, bool) {
+    /// slice's restricted fault map, and the campaign's machine options
+    /// (the wall profile it feeds is never read back).
+    fn run_job(&mut self, slice: &Slice, spec: &JobSpec) -> (u64, u64, bool) {
+        let job_timer = self.profile.start();
         let faults = restrict_faults(&self.wafer_faults, slice.rect);
         let cfg =
             SystemConfig::with_array(slice.rect.array()).with_memory_model(self.config.memory);
@@ -376,7 +390,9 @@ impl ServeCampaign {
         let (cycles, correct) = match spec.kind {
             JobKind::Bfs => {
                 let system = WaferscaleSystem::with_faults(cfg, faults);
-                let g = Graph::generate(
+                let g = timed_graph(
+                    &mut self.profile,
+                    spec.kind.graph_phase(),
                     GraphKind::UniformRandom { avg_degree: 8 },
                     24 * tiles,
                     &mut rng,
@@ -390,7 +406,9 @@ impl ServeCampaign {
             }
             JobKind::Sssp => {
                 let system = WaferscaleSystem::with_faults(cfg, faults);
-                let g = Graph::generate(
+                let g = timed_graph(
+                    &mut self.profile,
+                    spec.kind.graph_phase(),
                     GraphKind::UniformRandom { avg_degree: 6 },
                     24 * tiles,
                     &mut rng,
@@ -404,9 +422,16 @@ impl ServeCampaign {
             }
             JobKind::PageRank => {
                 let system = WaferscaleSystem::with_faults(cfg, faults);
-                let g =
-                    Graph::generate(GraphKind::PowerLaw { avg_degree: 8 }, 24 * tiles, &mut rng);
+                let g = timed_graph(
+                    &mut self.profile,
+                    spec.kind.graph_phase(),
+                    GraphKind::PowerLaw { avg_degree: 8 },
+                    24 * tiles,
+                    &mut rng,
+                );
                 let (ranks, report) = run_pagerank(&system, &g, 5).expect("admitted slice routes");
+                // The ranks are the sequential reference's (the run prices
+                // only the traffic), so this pins determinism only.
                 for &r in &ranks {
                     hasher.write_u64(r);
                 }
@@ -445,6 +470,7 @@ impl ServeCampaign {
                 (stats.cycles, true)
             }
         };
+        self.profile.stop(spec.kind.phase(), job_timer);
         (cycles.max(1), hasher.finish(), correct)
     }
 
@@ -481,6 +507,28 @@ impl ServeCampaign {
         let seconds = makespan as f64 / SystemConfig::NOMINAL_FREQUENCY.value();
         sink.gauge_set("serve.jobs_per_sec", self.completed.len() as f64 / seconds);
     }
+
+    /// Exports the host wall time spent per job kind as
+    /// `wall.profile.serve.<kind>[.graph].{ms,calls}` gauges (see the
+    /// module docs). Wall clock, so never part of a deterministic report;
+    /// a restored campaign profiles only the jobs it ran itself.
+    pub fn export_profile(&self, sink: &mut dyn Sink) {
+        self.profile.export(sink, "");
+    }
+}
+
+/// [`Graph::generate`], timed into `profile` under `phase`.
+fn timed_graph<R: Rng + ?Sized>(
+    profile: &mut PhaseProfiler,
+    phase: &'static str,
+    kind: GraphKind,
+    vertices: usize,
+    rng: &mut R,
+) -> Graph {
+    let timer = profile.start();
+    let graph = Graph::generate(kind, vertices, rng);
+    profile.stop(phase, timer);
+    graph
 }
 
 /// Builds the halo-exchange machine over a slice's (possibly faulty)
@@ -685,5 +733,41 @@ mod tests {
             stats.local_accesses + stats.remote_accesses,
             14 * 2 * u64::from(HALO_WORDS)
         );
+    }
+
+    #[test]
+    fn wall_profile_times_every_job_outside_the_report() {
+        let mut campaign = ServeCampaign::new(small_config(15, None)).expect("valid");
+        campaign.run_to_completion();
+        let mut profile = wsp_telemetry::Recorder::new();
+        campaign.export_profile(&mut profile);
+        let calls = |phase: &str| {
+            profile
+                .registry
+                .gauge(&format!("wall.profile.{phase}.calls"))
+                .unwrap_or(0.0) as usize
+        };
+        for kind in JobKind::ALL {
+            let jobs = campaign
+                .completed
+                .iter()
+                .filter(|&&id| campaign.config.jobs[id as usize].kind == kind)
+                .count();
+            assert_eq!(calls(&format!("serve.{}", kind.as_str())), jobs, "{kind:?}");
+            let graphs = match kind {
+                JobKind::Bfs | JobKind::Sssp | JobKind::PageRank => jobs,
+                JobKind::Stencil | JobKind::Halo => 0,
+            };
+            assert_eq!(
+                calls(&format!("serve.{}.graph", kind.as_str())),
+                graphs,
+                "{kind:?}"
+            );
+        }
+        // Wall time never reaches the deterministic report or snapshot.
+        let metrics = wsp_telemetry::SharedRecorder::new();
+        campaign.export_metrics(&mut metrics.clone());
+        assert!(!metrics.metrics_json("serve").contains("wall."));
+        assert!(!campaign.snapshot().contains("wall"));
     }
 }

@@ -115,10 +115,17 @@ impl ServeCampaign {
     /// the caller must supply the same config the snapshot was taken
     /// under; dimensions and job count are cross-checked).
     ///
+    /// Job ids are checked against the config's stream: every job that
+    /// has arrived (`0..next_arrival`) must sit exactly once in the
+    /// queue, a slice's pending slot, or the completed or dropped list,
+    /// and nothing else may be listed. Pending slots must be dispatched
+    /// after their job arrived and complete after the snapshot's clock,
+    /// as at every completion boundary.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line or config
-    /// mismatch.
+    /// Returns a description of the first malformed line, config
+    /// mismatch, or inconsistent job bookkeeping.
     pub fn restore(config: ServeConfig, text: &str) -> Result<ServeCampaign, String> {
         let mut campaign = ServeCampaign::new(config).map_err(|e| e.to_string())?;
         let mut lines = text.lines();
@@ -206,7 +213,11 @@ impl ServeCampaign {
                 }
                 Some(other) => return Err(format!("unexpected slice field {other:?}")),
             };
+            if let Some(extra) = f.next() {
+                return Err(format!("slice {idx} has a trailing field {extra:?}"));
+            }
         }
+        campaign.check_jobs()?;
         campaign.queue_wait = parse_hist(lines.next(), "queue_wait")?;
         campaign.service = parse_hist(lines.next(), "service")?;
         campaign.sojourn = parse_hist(lines.next(), "sojourn")?;
@@ -218,6 +229,66 @@ impl ServeCampaign {
         }
         campaign.journal = DigestJournal::parse(&journal)?;
         Ok(campaign)
+    }
+
+    /// The job-bookkeeping half of [`ServeCampaign::restore`]'s checks.
+    fn check_jobs(&self) -> Result<(), String> {
+        let jobs = &self.config.jobs;
+        if self.next_arrival > jobs.len() {
+            return Err(format!(
+                "next_arrival {} is beyond the {}-job stream",
+                self.next_arrival,
+                jobs.len()
+            ));
+        }
+        if let Some(last) = self.next_arrival.checked_sub(1) {
+            if jobs[last].arrival > self.clock {
+                return Err(format!("job {last} arrives after the clock"));
+            }
+        }
+        let pending = self
+            .slices
+            .iter()
+            .filter_map(|s| s.pending.as_ref())
+            .map(|p| ("pending", p.job));
+        let listed = (self.queue.iter().map(|&id| ("queue", id)))
+            .chain(self.completed.iter().map(|&id| ("completed", id)))
+            .chain(self.dropped.iter().map(|&id| ("dropped", id)))
+            .chain(pending);
+        let mut seen = vec![false; self.next_arrival];
+        for (list, id) in listed {
+            if id as usize >= jobs.len() {
+                return Err(format!(
+                    "{list} job {id} is outside the {}-job stream",
+                    jobs.len()
+                ));
+            }
+            let slot = seen
+                .get_mut(id as usize)
+                .ok_or_else(|| format!("{list} job {id} has not arrived yet"))?;
+            if *slot {
+                return Err(format!("job {id} is listed twice"));
+            }
+            *slot = true;
+        }
+        if let Some(missing) = seen.iter().position(|&s| !s) {
+            return Err(format!("arrived job {missing} is not listed"));
+        }
+        for (idx, slice) in self.slices.iter().enumerate() {
+            let Some(p) = &slice.pending else { continue };
+            let arrival = jobs[p.job as usize].arrival;
+            if !(arrival <= p.dispatched_at
+                && p.dispatched_at <= self.clock
+                && self.clock < slice.busy_until)
+            {
+                return Err(format!(
+                    "slice {idx}: job {} arrives at {arrival}, is dispatched at {} and \
+                     completes at {}, around clock {}",
+                    p.job, p.dispatched_at, slice.busy_until, self.clock
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -276,6 +347,8 @@ fn parse_hist(line: Option<&str>, name: &str) -> Result<Histogram, String> {
 mod tests {
     use super::*;
     use crate::synthesize_jobs;
+    use rand::RngExt as _;
+    use wsp_telemetry::Recorder;
     use wsp_topo::TileArray;
 
     fn config() -> ServeConfig {
@@ -335,5 +408,98 @@ mod tests {
         assert!(ServeCampaign::restore(config(), "not a snapshot")
             .unwrap_err()
             .contains(SNAPSHOT_MAGIC));
+    }
+
+    /// Restores `text` and, when it parses, runs the campaign to
+    /// completion and exports its metrics; a panic anywhere fails `case`.
+    fn restore_and_finish(text: &str, case: &str) {
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(mut campaign) = ServeCampaign::restore(config(), text) {
+                campaign.run_to_completion();
+                campaign.export_metrics(&mut Recorder::new());
+            }
+        });
+        assert!(outcome.is_ok(), "{case} panicked");
+    }
+
+    #[test]
+    fn mutated_snapshots_are_rejected_or_resume_cleanly() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        campaign.run_until_completed(5);
+        let snap = campaign.snapshot();
+        let lines: Vec<&str> = snap.lines().collect();
+        let jobs = config().jobs.len() as u32;
+        let mut rng = wsp_common::seeded_rng(29);
+        for i in 0..lines.len() {
+            restore_and_finish(
+                &lines[..i].join("\n"),
+                &format!("truncated after {i} lines"),
+            );
+            let mut dropped = lines.clone();
+            dropped.remove(i);
+            restore_and_finish(&dropped.join("\n"), &format!("line {i} deleted"));
+            let key = lines[i].split_whitespace().next().unwrap_or("");
+            let bad_id = rng.random_range(jobs..=u32::MAX);
+            let mutated = match key {
+                "queue" | "completed" | "dropped" => format!("{} {bad_id}", lines[i]),
+                // A slice line's pending job id is its sixth field.
+                "s" if lines[i].contains(" p ") => {
+                    let mut fields: Vec<String> =
+                        lines[i].split_whitespace().map(String::from).collect();
+                    fields[6] = bad_id.to_string();
+                    fields.join(" ")
+                }
+                _ => continue,
+            };
+            let mut text = lines.clone();
+            text[i] = &mutated;
+            let text = text.join("\n");
+            let err = ServeCampaign::restore(config(), &text)
+                .expect_err(&format!("job {bad_id} appended to {key:?} line {i}"));
+            assert!(err.contains(&format!("job {bad_id}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_job_bookkeeping() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        campaign.run_until_completed(5);
+        let snap = campaign.snapshot();
+        let edit = |key: &str, edit: &dyn Fn(&str) -> String| -> String {
+            snap.lines()
+                .map(|l| {
+                    if l.split_whitespace().next() == Some(key) {
+                        edit(l)
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let first_completed = campaign.completed[0];
+        let cases = [
+            (
+                edit("dropped", &|l| format!("{l} {first_completed}")),
+                "listed twice",
+            ),
+            (edit("completed", &|_| "completed".into()), "not listed"),
+            (
+                edit("next_arrival", &|_| format!("next_arrival {}", 15)),
+                "beyond the 14-job stream",
+            ),
+            (
+                edit("next_arrival", &|_| "next_arrival 0".into()),
+                "has not arrived yet",
+            ),
+            (
+                edit("clock", &|_| "clock 0".into()),
+                "arrives after the clock",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = ServeCampaign::restore(config(), &text).expect_err(want);
+            assert!(err.contains(want), "{err} (wanted {want:?})");
+        }
     }
 }

@@ -22,7 +22,8 @@
 #   BENCH_pdn.json       fig2_droop    (IR-drop / SOR-solver metrics)
 #   BENCH_serve.json     serve         (wafer-as-a-service campaign:
 #                                       queueing-latency p50/p95/p99,
-#                                       slice utilisation, jobs/s)
+#                                       slice utilisation, jobs/s, and
+#                                       the per-kind wall profile)
 #   TRACE_machine.json   workloads     (Chrome trace: machine, fabric,
 #                                       pdn, clock, and dft spans —
 #                                       open in ui.perfetto.dev)
@@ -77,7 +78,8 @@ target/release/validate_json \
 # table (the profiler is disabled so the smoke JSON stays deterministic).
 echo "==> phase profile (wsp-diff profile)"
 target/release/wsp-diff profile \
-    "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json"
+    "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json" \
+    "$OUT/BENCH_serve.json"
 
 if [[ "$CRITERION" == 1 ]]; then
     echo "==> criterion: arena_vs_vecdeque (data-layout micro-bench)"

@@ -143,7 +143,27 @@ fn run_machine(
     // With staggered issues the fault can land while other cores are
     // parked, so the tuple also pins the fault-path settling of their
     // skipped stall steps.
-    let outcome = m.run_until_halt(1_000_000).map_err(|e| format!("{e:?}"));
+    //
+    // Stepped by hand rather than through `run_until_halt`, so the
+    // machine's own bookkeeping (core masks, running count, in-flight
+    // ops) is checked against a rescan after every step, the faulting
+    // one included.
+    let mut outcome = Ok(());
+    while m.any_running() {
+        assert!(m.stats().cycles < 1_000_000, "programs halt");
+        let step = m.step();
+        assert_eq!(
+            m.check_invariants(),
+            Ok(()),
+            "after cycle {}",
+            m.stats().cycles
+        );
+        if let Err(e) = step {
+            outcome = Err(format!("{e:?}"));
+            break;
+        }
+    }
+    let outcome = outcome.map(|()| m.stats());
     let journal = m.journal().expect("digests on").to_text();
     let series: Vec<(String, Vec<(u64, f64)>)> = m
         .timeseries()
