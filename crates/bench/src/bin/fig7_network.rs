@@ -5,14 +5,13 @@
 //!
 //! Run with `cargo run --release -p wsp-bench --bin fig7_network`.
 //! Accepts `--json <path>` (metrics report), `--seed <u64>` (fault /
-//! traffic RNG), `--threads <n>` (deterministic parallel backend — the
-//! results are bit-identical at any value), `--stepping
-//! <dense|wheel>` (tile-visit strategy — also bit-identical), and
-//! `--smoke` (reduced request counts).
+//! traffic RNG), `--stepping <dense|wheel>` (tile-visit strategy — the
+//! results are bit-identical either way), and `--smoke` (reduced
+//! request counts).
 
 use std::time::Instant;
 
-use wsp_bench::{executor_code, header, metric_key, result_line, row, BenchOpts};
+use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
 use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
 use wsp_noc::{NocSim, RoutePlanner, SimConfig, TrafficPattern};
@@ -26,7 +25,6 @@ fn main() {
     let array = TileArray::new(16, 16);
     let requests: u64 = if opts.smoke { 100 } else { 1000 };
     let seed = opts.seed_or(7);
-    let threads = opts.threads_or_available();
 
     header(
         "Fig. 7",
@@ -49,7 +47,6 @@ fn main() {
     ];
     for (name, faults) in scenarios {
         let mut sim = NocSim::new(faults, SimConfig::default());
-        sim.fabric_mut().set_threads(threads);
         sim.fabric_mut().set_stepping(opts.stepping);
         let report = sim.run(TrafficPattern::UniformRandom, requests, &mut rng);
         let key = metric_key(name);
@@ -100,7 +97,6 @@ fn main() {
         ),
     ] {
         let mut sim = NocSim::new(FaultMap::none(array), SimConfig::default());
-        sim.fabric_mut().set_threads(threads);
         sim.fabric_mut().set_stepping(opts.stepping);
         // The hot-spot run is the one whose fabric metrics get exported:
         // give it the full observability treatment (time series, digest
@@ -199,81 +195,40 @@ fn main() {
         Some("<2% even before relaying"),
     );
 
-    header(
-        "Parallel backend",
-        "full-wafer 32x32 fabric, uniform random, 1 thread vs N",
-    );
+    header("Full wafer", "32x32 fabric, uniform random");
     let wafer = TileArray::new(32, 32);
     let wafer_requests: u64 = if opts.smoke { 500 } else { 20_000 };
-    let run_wafer = |threads: usize, stepping: Stepping, profile: bool| {
-        let mut rng = seeded_rng(seed + 9);
-        let mut sim = NocSim::new(FaultMap::none(wafer), SimConfig::default());
-        sim.fabric_mut().set_threads(threads);
-        sim.fabric_mut().set_stepping(stepping);
-        sim.fabric_mut().set_profiling(profile);
-        let start = Instant::now();
-        let report = sim.run(TrafficPattern::UniformRandom, wafer_requests, &mut rng);
-        (report, start.elapsed(), sim)
-    };
-    let (seq_report, seq_wall, _) = run_wafer(1, opts.stepping, false);
-    let (par_report, par_wall, par_sim) = run_wafer(threads, opts.stepping, !opts.smoke);
-    let par_executor = par_sim.fabric().executor();
-    assert_eq!(
-        seq_report, par_report,
-        "parallel fabric diverged from sequential on the full wafer"
+    let mut wafer_rng = seeded_rng(seed + 9);
+    let mut sim = NocSim::new(FaultMap::none(wafer), SimConfig::default());
+    sim.fabric_mut().set_stepping(opts.stepping);
+    sim.fabric_mut().set_profiling(!opts.smoke);
+    let start = Instant::now();
+    let report = sim.run(
+        TrafficPattern::UniformRandom,
+        wafer_requests,
+        &mut wafer_rng,
     );
-    sink.counter_add(
-        "noc.full_wafer.requests_injected",
-        par_report.requests_injected,
-    );
+    let wall = start.elapsed();
+    sink.counter_add("noc.full_wafer.requests_injected", report.requests_injected);
     sink.gauge_set(
         "noc.full_wafer.mean_request_cycles",
-        par_report.mean_request_latency(),
+        report.mean_request_latency(),
     );
     sink.gauge_set(
         "noc.full_wafer.throughput_pkt_per_cycle",
-        par_report.throughput(),
+        report.throughput(),
     );
+    row(&["requests", "mean request cycles", "wall ms"]);
     row(&[
-        "threads".to_string(),
-        "wall ms".to_string(),
-        "speedup".to_string(),
-        "identical".to_string(),
-    ]);
-    let speedup = seq_wall.as_secs_f64() / par_wall.as_secs_f64();
-    row(&[
-        "1".to_string(),
-        format!("{:.1}", seq_wall.as_secs_f64() * 1e3),
-        "1.00".to_string(),
-        "-".to_string(),
-    ]);
-    row(&[
-        format!("{threads}"),
-        format!("{:.1}", par_wall.as_secs_f64() * 1e3),
-        format!("{speedup:.2}"),
-        "true".to_string(),
+        format!("{}", report.requests_injected),
+        format!("{:.1}", report.mean_request_latency()),
+        format!("{:.1}", wall.as_secs_f64() * 1e3),
     ]);
     // Wall-clock gauges only outside smoke mode: the smoke JSON must be
-    // byte-identical across thread counts (the CI determinism gate diffs it).
+    // byte-identical across runs (the CI determinism gate diffs it).
     if !opts.smoke {
-        sink.gauge_set("wall.noc.full_wafer.threads", threads as f64);
-        sink.gauge_set(
-            "wall.noc.full_wafer.ms_1_thread",
-            seq_wall.as_secs_f64() * 1e3,
-        );
-        sink.gauge_set(
-            "wall.noc.full_wafer.ms_n_threads",
-            par_wall.as_secs_f64() * 1e3,
-        );
-        sink.gauge_set("wall.noc.full_wafer.speedup", speedup);
-        sink.gauge_set(
-            "wall.noc.full_wafer.executor_code",
-            executor_code(par_executor),
-        );
-        par_sim
-            .fabric()
-            .export_profile(&mut sink, "fabric.full_wafer.");
-        result_line("full-wafer executor", par_executor, None);
+        sink.gauge_set("wall.noc.full_wafer.ms_1_thread", wall.as_secs_f64() * 1e3);
+        sim.fabric().export_profile(&mut sink, "fabric.full_wafer.");
     }
 
     header(
@@ -293,7 +248,6 @@ fn main() {
         let run_mode = |stepping: Stepping| {
             let mut rng = seeded_rng(seed + 21);
             let mut sim = NocSim::new(FaultMap::none(array), SimConfig::default());
-            sim.fabric_mut().set_threads(threads);
             sim.fabric_mut().set_stepping(stepping);
             let start = Instant::now();
             let report = sim.run(pattern, requests, &mut rng);
@@ -344,7 +298,6 @@ fn main() {
     let run_bursty = |stepping: Stepping| {
         let mut rng = seeded_rng(seed + 33);
         let mut sim = NocSim::new(FaultMap::none(wafer), SimConfig::default());
-        sim.fabric_mut().set_threads(threads);
         sim.fabric_mut().set_stepping(stepping);
         let start = Instant::now();
         let report = sim.run_bursts(

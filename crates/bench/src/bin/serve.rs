@@ -3,15 +3,15 @@
 //! p50/p95/p99, slice utilisation, and throughput.
 //!
 //! Run with `cargo run --release -p wsp-bench --bin serve`.
-//! Accepts the common bench flags (`--json`, `--seed`, `--threads`,
-//! `--stepping`, `--memory`, `--smoke`) plus the serving knobs
+//! Accepts the common bench flags (`--json`, `--seed`, `--stepping`,
+//! `--memory`, `--smoke`) plus the serving knobs
 //! (`--jobs`, `--slice`, `--fail-after`) and the checkpoint flags
 //! (`--snapshot`, `--snapshot-after`, `--restore`); see `ServeOpts`.
 //!
 //! Smoke runs report only simulated-clock quantities, so the JSON report
 //! and the `.digest` sidecar (one digest lane per job, recorded at its
-//! completion cycle) are byte-identical across hosts, thread counts, and
-//! stepping modes; `scripts/check.sh` byte-compares them against
+//! completion cycle) are byte-identical across hosts and stepping
+//! modes; `scripts/check.sh` byte-compares them against
 //! `tests/golden/serve_smoke.json` and gates a snapshot→restore→resume
 //! roundtrip on digest identity. Full runs add the campaign's per-kind
 //! wall profile (`wall.profile.serve.<kind>[.graph]`, host time spent
@@ -52,7 +52,6 @@ fn main() {
     let mut config = ServeConfig::new(wafer, slice_w, slice_h);
     config.wafer_faults = wafer_faults;
     config.jobs = synthesize_jobs(jobs, seed, mean_gap);
-    config.threads = opts.bench.threads_or_available();
     config.stepping = opts.bench.stepping;
     config.memory = opts.bench.memory;
     config.fail_slice_after = (fail_after > 0).then_some(fail_after);

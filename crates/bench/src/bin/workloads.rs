@@ -5,9 +5,8 @@
 //! Run with `cargo run --release -p wsp-bench --bin workloads`.
 //! Accepts `--json <path>` (metrics report), `--trace <path>` (Chrome
 //! trace of an instrumented stencil machine run spanning the machine,
-//! fabric, PDN, clock, and DfT subsystems), `--seed <u64>`,
-//! `--threads <n>` (deterministic parallel backend), and `--smoke`
-//! (reduced graph sizes).
+//! fabric, PDN, clock, and DfT subsystems), `--seed <u64>`, and
+//! `--smoke` (reduced graph sizes).
 //!
 //! Exits non-zero if any fault-tolerance row could not find a connected
 //! fault map within its resample budget (the row is reported as an error
@@ -20,7 +19,7 @@ use waferscale::workload::{
     GraphKind, StencilGrid,
 };
 use waferscale::{SystemConfig, WaferscaleSystem};
-use wsp_bench::{executor_code, header, metric_key, result_line, row, BenchOpts};
+use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
 use wsp_clock::ClockSelector;
 use wsp_common::parallel::Stepping;
 use wsp_common::rng::stream_seed;
@@ -36,7 +35,6 @@ fn main() {
     let opts = BenchOpts::from_env();
     let recorder = SharedRecorder::new();
     let mut sink = recorder.clone();
-    let threads = opts.threads_or_available();
     let seed = opts.seed_or(1234);
     let mut rng = seeded_rng(seed);
     let bfs_vertices = if opts.smoke { 2_000 } else { 20_000 };
@@ -264,14 +262,14 @@ fn main() {
         Some("the kernel reroutes around the fault map"),
     );
 
-    mini_serve_campaign(&mut sink, seed, threads, opts.stepping);
+    mini_serve_campaign(&mut sink, seed, opts.stepping);
 
     if !opts.smoke {
-        memory_fidelity_sweep(&mut sink, seed, threads);
-        full_wafer_machine_bench(&mut sink, threads, opts.stepping);
-        wheel_vs_dense_machine_bench(&mut sink, threads);
+        memory_fidelity_sweep(&mut sink, seed);
+        full_wafer_machine_bench(&mut sink, opts.stepping);
+        wheel_vs_dense_machine_bench(&mut sink);
     }
-    traced_stencil_run(&recorder, &opts, threads);
+    traced_stencil_run(&recorder, &opts);
     opts.write_outputs("workloads", &recorder);
     if sampling_failures > 0 {
         eprintln!(
@@ -290,7 +288,7 @@ fn main() {
 /// and full mode, and every value is a simulated-clock quantity, so the
 /// section is byte-stable across hosts and sweeps with the code, not
 /// with the machine it ran on.
-fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, threads: usize, stepping: Stepping) {
+fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, stepping: Stepping) {
     header(
         "Serving",
         "wafer-as-a-service mini campaign: 8x8 wafer, 4x4 slices",
@@ -301,7 +299,6 @@ fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, threads: usize, ste
     let mut config = wsp_sched::ServeConfig::new(wafer, 4, 4);
     config.wafer_faults = faults;
     config.jobs = wsp_sched::synthesize_jobs(20, seed, 2_500);
-    config.threads = threads;
     config.stepping = stepping;
     config.fail_slice_after = Some(10);
     let mut campaign = wsp_sched::ServeCampaign::new(config).expect("valid campaign config");
@@ -333,7 +330,7 @@ fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, threads: usize, ste
 /// backend must never change answers, and banked cycles must dominate
 /// fixed cycles (the banked model only ever adds latency) — both are
 /// asserted, not just reported. Skipped in smoke mode.
-fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64, threads: usize) {
+fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64) {
     use wsp_tile::MemoryModelKind;
 
     header(
@@ -411,7 +408,7 @@ fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64, threads: usize) {
         pagerank(MemoryModelKind::Banked),
     );
     let halo = |kind| {
-        let mut m = waferscale::workload::build_halo_machine_with_memory(8, threads, kind);
+        let mut m = waferscale::workload::build_halo_machine_with_memory(8, kind);
         let stats = m.run_until_halt(1_000_000).expect("halts");
         (stats.cycles, 0, m.memory_profile().row_hit_rate())
     };
@@ -427,80 +424,34 @@ fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64, threads: usize) {
     );
 }
 
-/// The machine-layer speedup measurement: a full-wafer 32×32
-/// fabric-model machine runs the halo-exchange kernel at one thread and
-/// at `threads`, asserting the results are bit-identical and recording
-/// both wall-clocks. At `threads == 1` the "parallel" run *is* the
-/// sequential run — no worker pool is built and no duplicate heavy run
-/// happens, so the reported speedup is 1.00 by definition (the old
-/// duplicate run measured pool overhead against itself and reported a
-/// bogus 0.59x). Skipped in smoke mode (wall-clock gauges would break
-/// the byte-identical-JSON determinism gate).
-fn full_wafer_machine_bench(sink: &mut SharedRecorder, threads: usize, stepping: Stepping) {
-    header(
-        "Parallel backend",
-        "full-wafer 32x32 machine halo exchange, 1 thread vs N",
-    );
-    let run = |threads: usize| {
-        let mut m = build_halo_machine(32, threads);
-        m.set_stepping(stepping);
-        let start = Instant::now();
-        let stats = m.run_until_halt(1_000_000).expect("halts");
-        (stats, start.elapsed(), m.executor())
-    };
-    let (seq_stats, seq_wall, seq_executor) = run(1);
-    let (par_wall, par_executor) = if threads > 1 {
-        let (par_stats, par_wall, par_executor) = run(threads);
-        assert_eq!(
-            seq_stats, par_stats,
-            "parallel machine diverged from sequential on the full wafer"
-        );
-        (par_wall, par_executor)
-    } else {
-        (seq_wall, seq_executor)
-    };
-    let speedup = if threads > 1 {
-        seq_wall.as_secs_f64() / par_wall.as_secs_f64()
-    } else {
-        1.0
-    };
-    row(&["threads", "wall ms", "speedup", "executor"]);
-    row(&[
-        "1".to_string(),
-        format!("{:.1}", seq_wall.as_secs_f64() * 1e3),
-        "1.00".to_string(),
-        seq_executor.to_string(),
-    ]);
-    row(&[
-        format!("{threads}"),
-        format!("{:.1}", par_wall.as_secs_f64() * 1e3),
-        format!("{speedup:.2}"),
-        par_executor.to_string(),
-    ]);
-    sink.gauge_set("machine.full_wafer.cycles", seq_stats.cycles as f64);
+/// The full-wafer machine measurement: a 32×32 fabric-model machine
+/// runs the halo-exchange kernel once, recording its cycle and
+/// remote-access counts and its wall-clock. Skipped in smoke mode
+/// (wall-clock gauges would break the byte-identical-JSON determinism
+/// gate).
+fn full_wafer_machine_bench(sink: &mut SharedRecorder, stepping: Stepping) {
+    header("Full wafer", "32x32 machine halo exchange");
+    let mut m = build_halo_machine(32);
+    m.set_stepping(stepping);
+    let start = Instant::now();
+    let stats = m.run_until_halt(1_000_000).expect("halts");
+    let wall = start.elapsed();
+    sink.gauge_set("machine.full_wafer.cycles", stats.cycles as f64);
     sink.gauge_set(
         "machine.full_wafer.remote_accesses",
-        seq_stats.remote_accesses as f64,
+        stats.remote_accesses as f64,
     );
-    sink.gauge_set("wall.machine.full_wafer.threads", threads as f64);
     sink.gauge_set(
         "wall.machine.full_wafer.ms_1_thread",
-        seq_wall.as_secs_f64() * 1e3,
-    );
-    sink.gauge_set(
-        "wall.machine.full_wafer.ms_n_threads",
-        par_wall.as_secs_f64() * 1e3,
-    );
-    sink.gauge_set("wall.machine.full_wafer.speedup", speedup);
-    sink.gauge_set(
-        "wall.machine.full_wafer.executor_code",
-        executor_code(par_executor),
+        wall.as_secs_f64() * 1e3,
     );
     result_line(
         "full-wafer machine",
         format!(
-            "{} cycles, bit-identical at 1 and {threads} thread(s), speedup {speedup:.2}x ({par_executor})",
-            seq_stats.cycles
+            "{} cycles, {} remote accesses, {:.1} ms",
+            stats.cycles,
+            stats.remote_accesses,
+            wall.as_secs_f64() * 1e3
         ),
         None,
     );
@@ -512,13 +463,13 @@ fn full_wafer_machine_bench(sink: &mut SharedRecorder, threads: usize, stepping:
 /// match bit for bit, and recording the wall-clocks. Skipped in smoke
 /// mode (the determinism gate byte-compares the smoke JSON across
 /// modes).
-fn wheel_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
+fn wheel_vs_dense_machine_bench(sink: &mut SharedRecorder) {
     header(
         "Stepping",
         "16x16 machine halo exchange, dense sweep vs wheel stepping",
     );
     let run = |stepping: Stepping| {
-        let mut m = build_halo_machine(16, threads);
+        let mut m = build_halo_machine(16);
         m.set_stepping(stepping);
         let start = Instant::now();
         let stats = m.run_until_halt(1_000_000).expect("halts");
@@ -581,7 +532,7 @@ fn wheel_vs_dense_machine_bench(sink: &mut SharedRecorder, threads: usize) {
 /// observability: gauge time series, the determinism-digest journal
 /// (written next to the JSON report), and — outside smoke mode — the
 /// wall-clock phase profile.
-fn traced_stencil_run(recorder: &SharedRecorder, opts: &BenchOpts, threads: usize) {
+fn traced_stencil_run(recorder: &SharedRecorder, opts: &BenchOpts) {
     const N: u16 = 4;
     let stepping = opts.stepping;
     let mut sink = recorder.clone();
@@ -612,7 +563,7 @@ fn traced_stencil_run(recorder: &SharedRecorder, opts: &BenchOpts, threads: usiz
     TestSchedule::paper_multichain().trace_load(16 * 1024, &mut sink);
 
     // The halo-exchange machine, fully instrumented.
-    let mut m = build_halo_machine(N, threads);
+    let mut m = build_halo_machine(N);
     m.set_stepping(stepping);
     m.set_sink(recorder.boxed());
     m.fabric_mut().set_sink(recorder.boxed());

@@ -24,9 +24,9 @@ pub mod diff;
 ///   (binaries without event sources write an empty trace);
 /// - `--seed <u64>` — override the deterministic RNG seed (binaries
 ///   without randomness ignore it);
-/// - `--threads <n>` — worker threads for the deterministic parallel
-///   backend (default: the machine's available parallelism; results are
-///   bit-identical at any value);
+/// - `--threads <n>` — worker threads for the red/black PDN solve
+///   (`fig2_droop`; default: the machine's available parallelism;
+///   results are bit-identical at any value); other binaries ignore it;
 /// - `--stepping <dense|wheel>` — tile-visit strategy for the
 ///   cycle-level engines (default: `wheel`, the active-set walk with
 ///   event-driven jumps over idle/stalled windows; `dense` is the
@@ -64,7 +64,7 @@ pub struct BenchOpts {
     pub trace: Option<PathBuf>,
     /// Seed override for the binary's deterministic RNG streams.
     pub seed: Option<u64>,
-    /// Worker-thread override for the deterministic parallel backend.
+    /// Worker-thread override for the red/black PDN solve.
     pub threads: Option<usize>,
     /// Tile-visit strategy for the cycle-level engines.
     pub stepping: Stepping,
@@ -360,22 +360,6 @@ impl ServeOpts {
     }
 }
 
-/// Encodes an executor label (as reported by the fabric's or machine's
-/// `executor()`) as a stable numeric gauge value, since telemetry gauges
-/// are `f64`-valued: `sequential` → 0, `banded` → 1, `wheel` → 3.
-/// Code 2 belonged to the removed `sparse` mode and stays retired, so
-/// committed reports keep their meaning. Unknown labels map to -1 so a
-/// renamed path shows up in reports instead of silently aliasing a real
-/// one.
-pub fn executor_code(label: &str) -> f64 {
-    match label {
-        "sequential" => 0.0,
-        "banded" => 1.0,
-        "wheel" => 3.0,
-        _ => -1.0,
-    }
-}
-
 /// Turns a human-readable label into a metric-name segment: lowercase,
 /// alphanumerics kept, everything else collapsed to single underscores
 /// (`"hot spot (8,8)"` → `"hot_spot_8_8"`).
@@ -569,14 +553,6 @@ mod tests {
         assert!(parse_serve(&["--restore"]).is_err());
         // Unknown flags still fail through the BenchOpts delegate.
         assert!(parse_serve(&["--frobnicate"]).is_err());
-    }
-
-    #[test]
-    fn executor_codes_are_stable_and_distinct() {
-        assert_eq!(executor_code("sequential"), 0.0);
-        assert_eq!(executor_code("banded"), 1.0);
-        assert_eq!(executor_code("wheel"), 3.0);
-        assert_eq!(executor_code("mystery"), -1.0);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use wsp_telemetry::Fnv1a;
+
 /// Runs the `serve` binary and checks that it rejected its input cleanly.
 /// Returns the error line.
 fn assert_rejected(args: &[&str]) -> String {
@@ -71,8 +73,9 @@ fn snapshot_listing_a_job_outside_the_stream_is_rejected() {
         .expect("serve binary runs");
     assert!(written.status.success(), "snapshot run failed");
     let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
-    let mutated: String = snapshot
+    let mut mutated: String = snapshot
         .lines()
+        .filter(|line| !line.starts_with("checksum "))
         .map(|line| {
             if line.starts_with("completed") {
                 format!("{line} 99999\n")
@@ -81,6 +84,10 @@ fn snapshot_listing_a_job_outside_the_stream_is_rejected() {
             }
         })
         .collect();
+    // Re-seal the edited snapshot so restore reaches the job check.
+    let mut checksum = Fnv1a::new();
+    checksum.write_bytes(mutated.as_bytes());
+    mutated.push_str(&format!("checksum {:016x}\n", checksum.finish()));
     std::fs::write(&path, mutated).expect("temp dir is writable");
     let line = assert_rejected(&["--smoke", "--restore", path_str]);
     std::fs::remove_file(&path).expect("remove the temp file");

@@ -1,16 +1,14 @@
 //! A small persistent worker pool for deterministic band-parallel
-//! simulation loops.
+//! loops, and the [`Stepping`] mode the cycle-level engines share.
 //!
-//! The simulators in this workspace (NoC fabric, machine tile-step, PDN
-//! red/black SOR) all follow the same shape: every cycle, a *plan* phase
-//! reads immutable pre-cycle state and can be computed independently per
-//! contiguous band of tiles/rows, then a short *commit* phase applies the
-//! results sequentially in canonical order. Determinism therefore does not
-//! depend on scheduling — each shard computes a pure function of the
-//! pre-cycle state — but spawning OS threads every cycle would dominate the
-//! runtime. [`WorkerPool`] keeps the threads alive across cycles and hands
-//! them one closure per *epoch* (one `run` call), with a condvar barrier at
-//! the end of each epoch.
+//! The PDN's red/black SOR solve is the one threaded simulation loop: each
+//! half-sweep updates one colour of grid nodes from the other colour
+//! only, so contiguous bands of one colour's nodes are independent and
+//! the result does not depend on scheduling. Spawning OS threads every half-sweep would
+//! dominate the runtime, so [`WorkerPool`] keeps the threads alive and
+//! hands them one closure per *epoch* (one `run` call), with a condvar
+//! barrier at the end of each epoch. The fabric and machine engines are
+//! single-threaded (see DESIGN.md § Deterministic parallel backend).
 //!
 //! A pool with `threads <= 1` has no worker threads at all: `run` invokes
 //! the closure inline for shard 0, so the single-threaded path executes the
@@ -54,17 +52,10 @@ pub fn available_threads() -> usize {
 /// most one. With `shards > items` the trailing ranges are empty, so callers
 /// may always index `bands[shard]` for `shard < shards`.
 pub fn band_ranges(items: usize, shards: usize) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    band_ranges_into(items, shards, &mut out);
-    out
-}
-
-/// [`band_ranges`] into a caller-owned buffer, cleared not reallocated —
-/// for per-tick hot loops that recompute their sharding every cycle.
-pub fn band_ranges_into(items: usize, shards: usize, out: &mut Vec<Range<usize>>) {
     let shards = shards.max(1);
-    out.clear();
-    out.extend((0..shards).map(|s| (s * items / shards)..((s + 1) * items / shards)));
+    (0..shards)
+        .map(|s| (s * items / shards)..((s + 1) * items / shards))
+        .collect()
 }
 
 /// A type-erased pointer to the `run` closure, valid only for the epoch in
@@ -201,27 +192,6 @@ impl WorkerPool {
         assert!(!worker_panicked, "a worker shard panicked");
     }
 
-    /// Runs `f(shard, &mut slots[shard])` for every shard — the
-    /// allocation-free sibling of [`WorkerPool::map`] for hot loops that
-    /// keep one reusable scratch slot per shard across epochs.
-    ///
-    /// `slots.len()` must equal `threads()`.
-    pub fn run_mut<T: Send>(&self, slots: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        assert_eq!(slots.len(), self.threads(), "one slot per shard");
-        struct SlotsPtr<T>(*mut T);
-        // SAFETY: shard indices within an epoch are distinct, so the
-        // `&mut` projections handed to `f` never alias.
-        unsafe impl<T: Send> Sync for SlotsPtr<T> {}
-        let slots = SlotsPtr(slots.as_mut_ptr());
-        let slots = &slots;
-        self.run(&move |shard| {
-            // SAFETY: `shard < threads() == slots.len()` and each shard
-            // runs exactly once per epoch, touching only its own slot.
-            let slot = unsafe { &mut *slots.0.add(shard) };
-            f(shard, slot);
-        });
-    }
-
     /// Moves one value per shard through `f`, returning the outputs in
     /// shard order.
     ///
@@ -276,122 +246,6 @@ impl Stepping {
             "wheel" => Some(Stepping::Wheel),
             _ => None,
         }
-    }
-}
-
-/// Minimum active items per shard before banding pays for itself.
-///
-/// Below this, the plan/apply split plus the pool barrier cost more than
-/// the work they distribute, so [`AdaptiveExecutor::shards_for`] collapses
-/// to a single inline shard.
-pub const MIN_ACTIVE_PER_SHARD: usize = 64;
-
-/// A [`WorkerPool`] wrapper that falls back to inline sequential
-/// execution when the work is too small to amortise the pool barrier.
-///
-/// `threads <= 1` holds no pool at all (satisfying the "never construct a
-/// `WorkerPool` when threads == 1" rule), and `shards_for` returns 1
-/// whenever the active set is under [`MIN_ACTIVE_PER_SHARD`] per thread —
-/// so a mostly idle simulator pays neither thread wake-ups nor per-shard
-/// bookkeeping, while a busy one still bands out.
-///
-/// # Examples
-///
-/// ```
-/// use wsp_common::parallel::{AdaptiveExecutor, MIN_ACTIVE_PER_SHARD};
-///
-/// let exec = AdaptiveExecutor::new(4);
-/// assert_eq!(exec.threads(), 4);
-/// assert_eq!(exec.shards_for(10), 1, "tiny active set runs inline");
-/// assert_eq!(exec.shards_for(MIN_ACTIVE_PER_SHARD * 4), 4);
-///
-/// let inline = AdaptiveExecutor::new(1);
-/// assert!(inline.pool().is_none(), "no pool at one thread");
-/// ```
-#[derive(Clone, Default)]
-pub struct AdaptiveExecutor {
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl AdaptiveExecutor {
-    /// An executor for `threads` workers; `threads <= 1` builds no pool.
-    pub fn new(threads: usize) -> Self {
-        AdaptiveExecutor {
-            pool: (threads > 1).then(|| Arc::new(WorkerPool::new(threads))),
-        }
-    }
-
-    /// Wraps an existing (possibly shared) pool; inline pools are treated
-    /// as absent.
-    pub fn from_pool(pool: Option<Arc<WorkerPool>>) -> Self {
-        AdaptiveExecutor {
-            pool: pool.filter(|p| p.threads() > 1),
-        }
-    }
-
-    /// The shared pool handle, if any — for wiring one pool through
-    /// several subsystems (a machine and its fabric).
-    pub fn pool(&self) -> Option<Arc<WorkerPool>> {
-        self.pool.clone()
-    }
-
-    /// Shards each epoch runs when banded (1 when inline).
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
-    }
-
-    /// How many shards to carve for `active_items` pieces of live work:
-    /// either 1 (inline) or `threads()` (banded), never in between, so
-    /// the result is always a valid [`WorkerPool::map`] input length.
-    pub fn shards_for(&self, active_items: usize) -> usize {
-        match &self.pool {
-            Some(pool) if active_items >= MIN_ACTIVE_PER_SHARD * pool.threads() => pool.threads(),
-            _ => 1,
-        }
-    }
-
-    /// Runs `f(shard, &mut slots[shard])` for every slot: on the pool
-    /// when `slots` fills every shard, inline otherwise. Like
-    /// [`WorkerPool::run_mut`], nothing is allocated per call — the point
-    /// for per-tick simulation loops reusing per-shard scratch buffers.
-    pub fn run_mut<T: Send>(&self, slots: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        match &self.pool {
-            Some(pool) if slots.len() == pool.threads() && pool.threads() > 1 => {
-                pool.run_mut(slots, f);
-            }
-            _ => {
-                for (shard, slot) in slots.iter_mut().enumerate() {
-                    f(shard, slot);
-                }
-            }
-        }
-    }
-
-    /// Moves one value per shard through `f`, in shard order: on the pool
-    /// when `inputs` fills every shard, inline otherwise.
-    pub fn map<T, R>(&self, inputs: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-    {
-        match &self.pool {
-            Some(pool) if inputs.len() == pool.threads() && pool.threads() > 1 => {
-                pool.map(inputs, f)
-            }
-            _ => inputs
-                .into_iter()
-                .enumerate()
-                .map(|(shard, input)| f(shard, input))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for AdaptiveExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveExecutor")
-            .field("threads", &self.threads())
-            .finish()
     }
 }
 
@@ -492,50 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn band_ranges_into_reuses_the_buffer() {
-        let mut buf = Vec::new();
-        band_ranges_into(10, 3, &mut buf);
-        assert_eq!(buf, band_ranges(10, 3));
-        let cap = buf.capacity();
-        band_ranges_into(7, 2, &mut buf);
-        assert_eq!(buf, band_ranges(7, 2));
-        assert_eq!(buf.capacity(), cap, "refill must not reallocate");
-    }
-
-    #[test]
-    fn run_mut_gives_each_shard_its_own_slot() {
-        let pool = WorkerPool::new(4);
-        let mut slots = vec![Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for epoch in 0..50u64 {
-            pool.run_mut(&mut slots, |shard, slot: &mut Vec<u64>| {
-                slot.push(epoch * 10 + shard as u64);
-            });
-        }
-        for (shard, slot) in slots.iter().enumerate() {
-            assert_eq!(slot.len(), 50);
-            for (epoch, &v) in slot.iter().enumerate() {
-                assert_eq!(v, epoch as u64 * 10 + shard as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_run_mut_matches_inline_and_pooled() {
-        let exec = AdaptiveExecutor::new(3);
-        let mut slots = vec![0u64; 3];
-        exec.run_mut(&mut slots, |shard, slot| *slot = shard as u64 + 1);
-        assert_eq!(slots, vec![1, 2, 3]);
-        // Partial slot counts fall back to inline execution.
-        let mut partial = vec![0u64; 2];
-        exec.run_mut(&mut partial, |shard, slot| *slot = shard as u64 + 1);
-        assert_eq!(partial, vec![1, 2]);
-        let inline = AdaptiveExecutor::new(1);
-        let mut one = vec![0u64; 1];
-        inline.run_mut(&mut one, |shard, slot| *slot = shard as u64 + 7);
-        assert_eq!(one, vec![7]);
-    }
-
-    #[test]
     fn map_returns_outputs_in_shard_order() {
         let pool = WorkerPool::new(3);
         let out = pool.map(vec![10u64, 20, 30], |shard, x| x + shard as u64);
@@ -565,51 +375,6 @@ mod tests {
         assert_eq!(Stepping::parse("sparse"), None, "the removed mode");
         assert_eq!(Stepping::parse("turbo"), None);
         assert_eq!(Stepping::default(), Stepping::Wheel);
-    }
-
-    #[test]
-    fn adaptive_executor_collapses_small_active_sets() {
-        let exec = AdaptiveExecutor::new(4);
-        assert_eq!(exec.threads(), 4);
-        assert_eq!(exec.shards_for(0), 1);
-        assert_eq!(exec.shards_for(MIN_ACTIVE_PER_SHARD * 4 - 1), 1);
-        assert_eq!(exec.shards_for(MIN_ACTIVE_PER_SHARD * 4), 4);
-
-        let inline = AdaptiveExecutor::new(1);
-        assert!(inline.pool().is_none());
-        assert_eq!(inline.threads(), 1);
-        assert_eq!(inline.shards_for(usize::MAX), 1);
-    }
-
-    #[test]
-    fn adaptive_map_matches_pool_map_and_runs_inline() {
-        let exec = AdaptiveExecutor::new(3);
-        // Full-width input: banded on the pool.
-        assert_eq!(
-            exec.map(vec![10u64, 20, 30], |shard, x| x + shard as u64),
-            vec![10, 21, 32]
-        );
-        // Single input: inline, shard index 0.
-        assert_eq!(exec.map(vec![5u64], |shard, x| x + shard as u64), vec![5]);
-        // No pool: always inline, any length.
-        let inline = AdaptiveExecutor::new(1);
-        assert_eq!(
-            inline.map(vec![1u64, 2, 3], |shard, x| x * 10 + shard as u64),
-            vec![10, 21, 32]
-        );
-    }
-
-    #[test]
-    fn adaptive_from_pool_filters_inline_pools() {
-        let shared = Arc::new(WorkerPool::new(2));
-        let exec = AdaptiveExecutor::from_pool(Some(Arc::clone(&shared)));
-        assert_eq!(exec.threads(), 2);
-        assert!(
-            AdaptiveExecutor::from_pool(Some(Arc::new(WorkerPool::new(1))))
-                .pool()
-                .is_none()
-        );
-        assert!(AdaptiveExecutor::from_pool(None).pool().is_none());
     }
 
     #[test]

@@ -26,13 +26,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
-
-use wsp_common::parallel::{band_ranges, AdaptiveExecutor, Stepping};
+use wsp_common::parallel::Stepping;
 use wsp_noc::{Fabric, FabricPacket, NetworkChoice, PacketKind, RoutePlanner};
 use wsp_telemetry::{
-    BufferedSink, DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink,
-    TimeSeries,
+    DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };
 use wsp_tile::{
     isa::Reg,
@@ -179,10 +176,6 @@ pub struct MultiTileMachine {
     /// How the tile-step phase visits tiles: the wheel's active-set walk
     /// (default) or the dense reference sweep. Bit-identical either way.
     stepping: Stepping,
-    /// Adaptive executor for the fabric-model tile-step phase, sharing
-    /// its pool with the fabric's plan phase. Falls back to inline
-    /// stepping when the runnable set is small or `threads <= 1`.
-    exec: AdaptiveExecutor,
     /// Per-tile mask of the cores in [`CoreState::Running`] (bit `c` is
     /// core `c`).
     running: Vec<u16>,
@@ -204,7 +197,7 @@ pub struct MultiTileMachine {
     /// access; the core masks are recomputed on the next step.
     liveness_dirty: bool,
     /// Per-cycle runnable-tile counts, sampled in both stepping modes so
-    /// the exported telemetry is independent of mode and thread count.
+    /// the exported telemetry is independent of the mode.
     runnable_tiles: Histogram,
     /// Telemetry sink; [`NoopSink`] by default. Remote completions record
     /// a latency histogram sample, bank denials bump a counter, and
@@ -215,12 +208,11 @@ pub struct MultiTileMachine {
     /// Per-cycle gauge series `(name, series)`: runnable tiles, in-flight
     /// remote ops, and (stateful memory backends only) the cumulative
     /// row-hit rate. Pure functions of architectural state, so the series
-    /// are bit-identical across stepping modes and thread counts.
+    /// are bit-identical across stepping modes.
     samples: [(&'static str, TimeSeries); 3],
-    /// Wall-clock phase attribution: `machine.tiles` (per-shard, folded
-    /// after the barrier), `machine.commit`, `machine.fabric`, and
-    /// `machine.fabric.memory`. The fabric's own `plan`/`apply` phases
-    /// live in its profiler and are re-rooted on export.
+    /// Wall-clock phase attribution: `machine.tiles`, `machine.fabric`,
+    /// and `machine.fabric.memory`. The fabric's own `fused` phase lives
+    /// in its profiler and is re-rooted on export.
     profiler: PhaseProfiler,
 }
 
@@ -260,7 +252,6 @@ impl MultiTileMachine {
             remote_latency_total: 0,
             bank_conflicts: 0,
             stepping: Stepping::default(),
-            exec: AdaptiveExecutor::default(),
             running: vec![0; tiles],
             parked: vec![0; tiles],
             last_stepped: vec![vec![0; cores_per_tile]; tiles],
@@ -284,22 +275,6 @@ impl MultiTileMachine {
         ]
     }
 
-    /// Steps the fabric-model tile phase (and the fabric's plan phase)
-    /// with `threads` worker shards. Observable behaviour — memory
-    /// contents, [`MachineStats`], telemetry stream — is bit-identical at
-    /// any thread count; `threads <= 1` drops back to inline stepping.
-    /// The analytic latency model performs cross-tile accesses
-    /// synchronously and always steps sequentially.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec = AdaptiveExecutor::new(threads);
-        self.fabric.set_pool(self.exec.pool());
-    }
-
-    /// Shards used by the tile-step phase.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Selects how the machine (and its fabric) visit tiles each cycle
     /// (default: [`Stepping::Wheel`]). Results are bit-identical in
     /// either mode.
@@ -311,16 +286,6 @@ impl MultiTileMachine {
     /// The current stepping mode.
     pub fn stepping(&self) -> Stepping {
         self.stepping
-    }
-
-    /// The execution path the tile-step phase currently takes, for bench
-    /// reporting: `"wheel"`, `"banded"`, or `"sequential"`.
-    pub fn executor(&self) -> &'static str {
-        match (self.stepping, self.threads()) {
-            (Stepping::Wheel, _) => "wheel",
-            (Stepping::Dense, t) if t > 1 => "banded",
-            (Stepping::Dense, _) => "sequential",
-        }
     }
 
     /// Per-cycle runnable-tile counts sampled so far — a pure function of
@@ -382,7 +347,7 @@ impl MultiTileMachine {
     }
 
     /// Turns wall-clock phase profiling on or off, for the machine's own
-    /// phases and the fabric's `plan`/`apply`.
+    /// phases and the fabric's `fused` pass.
     pub fn set_profiling(&mut self, on: bool) {
         self.profiler.set_enabled(on);
         self.fabric.set_profiling(on);
@@ -605,11 +570,8 @@ impl MultiTileMachine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault in canonical tile/core order.
-    /// (With multiple shards a fault does not stop *other* bands from
-    /// finishing the cycle, so post-fault machine state may differ from a
-    /// sequential run — the error returned is the same, and a faulted run
-    /// is aborted anyway.)
+    /// Propagates the first core fault in canonical tile/core order; no
+    /// core after it steps this cycle.
     pub fn step(&mut self) -> Result<(), RunMachineError> {
         if self.liveness_dirty {
             self.refresh_liveness();
@@ -622,20 +584,22 @@ impl MultiTileMachine {
             }
         }
         self.cycles += 1;
-        let result = match self.config.latency_model() {
-            LatencyModel::Analytic => {
-                let tiles_timer = self.profiler.start();
-                let r = self.step_tiles_analytic();
-                self.profiler.stop("machine.tiles", tiles_timer);
-                r
-            }
-            LatencyModel::Fabric => self.step_tiles_fabric().map(|()| self.advance_fabric()),
+        let fabric_model = self.config.latency_model() == LatencyModel::Fabric;
+        let tiles_timer = self.profiler.start();
+        let result = if fabric_model {
+            self.step_tiles_fabric()
+        } else {
+            self.step_tiles_analytic()
         };
-        // A core fault stops its band mid-sweep, but every mask update
+        self.profiler.stop("machine.tiles", tiles_timer);
+        // A core fault stops the walk mid-sweep, but every mask update
         // up to the fault (the faulting core's included) has landed.
         if result.is_ok() {
+            if fabric_model {
+                self.advance_fabric();
+            }
             self.sample_cycle();
-            if self.config.latency_model() == LatencyModel::Fabric {
+            if fabric_model {
                 self.record_digest_lanes();
             }
         }
@@ -820,9 +784,8 @@ impl MultiTileMachine {
         }
     }
 
-    /// One cycle of the analytic model: always sequential, because an
-    /// analytic remote access performs synchronously at the *owner*
-    /// tile's crossbar, which may live in any band.
+    /// One cycle of the analytic model. An analytic remote access
+    /// performs synchronously at the *owner* tile's crossbar.
     fn step_tiles_analytic(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
         // No per-cycle crossbar reset: the memory models stamp requests
@@ -867,189 +830,81 @@ impl MultiTileMachine {
         Ok(())
     }
 
-    /// One cycle of the fabric model's tile phase, sharded into row bands.
+    /// One cycle of the fabric model's tile phase: walks the tiles in
+    /// row-major order and steps each tile's cores in the cycle's rotated
+    /// order, stopping at the first core fault.
     ///
-    /// Under the fabric model every cross-tile interaction is deferred: a
-    /// core touching a remote owner only *records an injection intent*,
-    /// so each band reads and writes nothing outside its own tiles and
-    /// the bands are data-independent. The sequential commit below then
-    /// merges shard counters, replays buffered telemetry, and performs
-    /// the intents (id allocation, packet injection, pending-slot arming)
-    /// in canonical `(band, tile, rotated core)` order — exactly the
-    /// order the sequential engine issues them in, which is what makes
-    /// the machine bit-identical at any thread count.
+    /// Wheel stepping visits only the `running & !parked` cores of each
+    /// tile and skips tiles where none is left. Skipping is unobservable:
+    /// a halted core's step is a no-op, and a parked core's dense step
+    /// does exactly `cycles += 1`, `stall_cycles += 1`,
+    /// `network_stall_cycles += 1` and touches nothing else. Each core
+    /// replays that in bulk for the gap since its own `last_stepped` when
+    /// it is next stepped, or when a fault or the cycle limit ends the run
+    /// early. The dense sweep visits every core slot, so its replay is a
+    /// no-op; the masks are kept up to date either way.
     fn step_tiles_fabric(&mut self) -> Result<(), RunMachineError> {
         let array = self.faults.array();
-        let tiles = array.tile_count();
-        let cores_per_tile = self.config.cores_per_tile();
-        let rotate = (self.cycles % cores_per_tile as u64) as usize;
+        let n = self.config.cores_per_tile();
+        let rotate = (self.cycles % n as u64) as usize;
         let cycles = self.cycles;
-        let telemetry_on = self.sink.enabled();
-        let profile_on = self.profiler.enabled();
-        let active_only = self.stepping == Stepping::Wheel;
-
-        // Runnable-tile count, in both stepping modes: the telemetry
-        // sample and the shard-count decision are pure functions of the
-        // core masks, so they never depend on mode or thread count.
-        let active = self.runnable_tile_count();
-        self.runnable_tiles.record(active as u64);
-
-        let shard_count = match self.stepping {
-            Stepping::Dense => self.exec.threads(),
-            Stepping::Wheel => self.exec.shards_for(active),
-        };
-        let bands = band_ranges(tiles, shard_count);
-
-        let outs: Vec<ShardOut> = {
-            let MultiTileMachine {
-                faults,
-                planner,
-                cores,
-                memories,
-                mem_models,
-                pending,
-                running,
-                parked,
-                last_stepped,
-                exec,
-                ..
-            } = self;
-            let mut shards = Vec::with_capacity(bands.len());
-            {
-                let mut rest = (
-                    cores.as_mut_slice(),
-                    memories.as_mut_slice(),
-                    mem_models.as_mut_slice(),
-                    pending.as_mut_slice(),
-                    running.as_mut_slice(),
-                    last_stepped.as_mut_slice(),
-                );
-                let mut offset = 0;
-                for band in &bands {
-                    let take = band.end - offset;
-                    let (c, ct) = rest.0.split_at_mut(take);
-                    let (m, mt) = rest.1.split_at_mut(take);
-                    let (x, xt) = rest.2.split_at_mut(take);
-                    let (p, pt) = rest.3.split_at_mut(take);
-                    let (l, lt) = rest.4.split_at_mut(take);
-                    let (s, st) = rest.5.split_at_mut(take);
-                    rest = (ct, mt, xt, pt, lt, st);
-                    offset = band.end;
-                    shards.push(FabricShard {
-                        band: band.clone(),
-                        cores: c,
-                        memories: m,
-                        mem_models: x,
-                        pending: p,
-                        running: l,
-                        parked: &parked[band.clone()],
-                        last_stepped: s,
+        // Runnable-tile count, in both stepping modes: a pure function of
+        // the core masks.
+        self.runnable_tiles
+            .record(self.runnable_tile_count() as u64);
+        for tile_idx in 0..array.tile_count() {
+            let visit = match self.stepping {
+                Stepping::Wheel => self.running[tile_idx] & !self.parked[tile_idx],
+                Stepping::Dense => all_cores(n),
+            };
+            if visit == 0 {
+                continue;
+            }
+            let tile = array.coord_of(tile_idx);
+            // A faulty tile's memory model is never arbitrated: its cores
+            // never run and it owns no servable memory.
+            if self.faults.is_faulty(tile) {
+                continue;
+            }
+            for core_idx in core_bits(visit, rotate, n) {
+                let core = &mut self.cores[tile_idx][core_idx];
+                let last = &mut self.last_stepped[tile_idx][core_idx];
+                let slot = self.pending[tile_idx][core_idx];
+                self.network_stall_cycles += replay_parked(core, slot, last, cycles - 1);
+                *last = cycles;
+                // Stepping a non-running core is a no-op in `CoreSim::step`,
+                // so the dense sweep elides the call.
+                if core.state() != CoreState::Running {
+                    continue;
+                }
+                self.core_steps += 1;
+                let outcome = self.step_core_fabric(tile_idx, core_idx);
+                // A fault leaves the core `Faulted`: it stops running too.
+                if outcome != Ok(CoreState::Running) {
+                    self.running[tile_idx] &= !(1 << core_idx);
+                    self.running_cores -= 1;
+                }
+                if let Err(source) = outcome {
+                    self.settle_after_fault((tile_idx, (core_idx + n - rotate) % n), rotate);
+                    return Err(RunMachineError::CoreFault {
+                        tile,
+                        core: core_idx,
+                        source,
                     });
                 }
             }
-            let step_shard = |shard: FabricShard<'_>| {
-                let mut out = ShardOut::new(telemetry_on, profile_on);
-                let tiles_timer = out.profile.start();
-                step_fabric_band(
-                    array,
-                    faults,
-                    planner,
-                    shard,
-                    rotate,
-                    cores_per_tile,
-                    cycles,
-                    active_only,
-                    &mut out,
-                );
-                out.profile.stop("machine.tiles", tiles_timer);
-                out
-            };
-            if shards.len() == 1 {
-                let shard = shards.pop().expect("one band");
-                vec![step_shard(shard)]
-            } else {
-                exec.map(shards, |_, shard| step_shard(shard))
-            }
-        };
-        if outs.iter().any(|out| out.error.is_some()) {
-            self.settle_after_fault(&bands, &outs, rotate);
         }
-
-        // Sequential commit, in band order.
-        let commit_timer = self.profiler.start();
-        let mut first_error: Option<RunMachineError> = None;
-        for mut out in outs {
-            self.profiler.fold(&out.profile);
-            self.core_steps += out.core_steps;
-            self.local_accesses += out.local_accesses;
-            self.remote_accesses += out.remote_accesses;
-            self.network_stall_cycles += out.network_stall_cycles;
-            self.remote_latency_total += out.remote_latency_total;
-            self.bank_conflicts += out.bank_conflicts;
-            self.running_cores -= out.halted_cores as usize;
-            out.telemetry.replay(self.sink.as_mut());
-            for intent in out.intents {
-                let id = self.fabric.allocate_id();
-                let packet = FabricPacket::request(
-                    id,
-                    array.coord_of(intent.tile_idx),
-                    intent.owner,
-                    intent.choice,
-                    self.fabric.cycle(),
-                );
-                if self.fabric.inject(packet) {
-                    self.in_flight.insert(
-                        id,
-                        RemoteOp {
-                            tile_idx: intent.tile_idx,
-                            core_idx: intent.core_idx,
-                            access: intent.access,
-                            result: None,
-                        },
-                    );
-                    self.pending[intent.tile_idx][intent.core_idx] =
-                        Some(PendingAccess::InFlight {
-                            addr: intent.addr,
-                            issued_at: cycles,
-                        });
-                    self.parked[intent.tile_idx] |= 1 << intent.core_idx;
-                }
-                // On injection backpressure the id is burned (ids count
-                // attempts, as in the traffic layer) and the core
-                // retries next cycle.
-            }
-            if first_error.is_none() {
-                first_error = out.error;
-            }
-        }
-        self.profiler.stop("machine.commit", commit_timer);
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Settles every parked core's skipped stall steps after a core fault
-    /// aborted this cycle, so the run's counters read as the dense sweep
-    /// would leave them. Each band stepped this cycle up to its own first
-    /// fault: cores it had reached owe steps through this cycle, the rest
-    /// through the previous one.
-    fn settle_after_fault(&mut self, bands: &[Range<usize>], outs: &[ShardOut], rotate: usize) {
-        let n = self.config.cores_per_tile();
-        let array = self.faults.array();
-        let stops: Vec<(usize, usize)> = bands
-            .iter()
-            .zip(outs)
-            .map(|(band, out)| match out.error {
-                Some(RunMachineError::CoreFault { tile, core, .. }) => {
-                    (array.index_of(tile), (core + n - rotate) % n)
-                }
-                _ => (band.end, 0),
-            })
-            .collect();
+    /// at walk position `stop` — `(tile, place in the rotated core order)`
+    /// — aborted this cycle, so the run's counters read as the dense sweep
+    /// would leave them: cores the walk had reached owe steps through this
+    /// cycle, the rest through the previous one.
+    fn settle_after_fault(&mut self, stop: (usize, usize), rotate: usize) {
         let cycles = self.cycles;
         self.settle_parked(rotate, |t, position| {
-            let stop = stops[bands.partition_point(|band| band.end <= t)];
             if (t, position) < stop {
                 cycles
             } else {
@@ -1177,9 +1032,146 @@ impl MultiTileMachine {
         }
     }
 
+    /// Steps one fabric-model core. Local accesses arbitrate this tile's
+    /// memory model; a remote access consumes a delivered response, keeps
+    /// stalling on one in flight, or injects its request packet. Nothing
+    /// later in the tile walk reads the fabric, `in_flight` or another
+    /// core's pending slot, and only this tile's own earlier injections
+    /// can fill its local FIFO, so injecting here issues the same packets
+    /// with the same ids as injecting them all after the walk.
+    fn step_core_fabric(
+        &mut self,
+        tile_idx: usize,
+        core_idx: usize,
+    ) -> Result<CoreState, StepError> {
+        let array = self.faults.array();
+        let my_tile = array.coord_of(tile_idx);
+        let cycles = self.cycles;
+        let Self {
+            faults,
+            planner,
+            cores,
+            memories,
+            mem_models,
+            pending,
+            parked,
+            fabric,
+            in_flight,
+            local_accesses,
+            remote_accesses,
+            network_stall_cycles,
+            remote_latency_total,
+            bank_conflicts,
+            sink,
+            ..
+        } = self;
+        let telemetry_on = sink.enabled();
+        let pending_slot = &mut pending[tile_idx][core_idx];
+        let memory = &mut memories[tile_idx];
+        let model = mem_models[tile_idx].as_mut();
+        let mut stall = 0u64;
+        let core = &mut cores[tile_idx][core_idx];
+        let outcome = core.step(|access| {
+            let addr = match access {
+                BusAccess::Load { addr }
+                | BusAccess::Store { addr, .. }
+                | BusAccess::AmoAdd { addr, .. } => addr,
+            };
+            let (owner_idx, offset) = decode_global(array, faults, addr)?;
+
+            if owner_idx != tile_idx {
+                match *pending_slot {
+                    Some(PendingAccess::Ready {
+                        addr: a,
+                        issued_at,
+                        value,
+                    }) if a == addr => {
+                        *pending_slot = None;
+                        *remote_accesses += 1;
+                        let latency = cycles.saturating_sub(issued_at);
+                        *remote_latency_total += latency;
+                        if telemetry_on {
+                            sink.histogram_record("machine.remote_latency_cycles", latency);
+                        }
+                        return Ok(BusGrant::Granted(value));
+                    }
+                    Some(PendingAccess::InFlight { addr: a, .. }) if a == addr => {
+                        *network_stall_cycles += 1;
+                        return Ok(BusGrant::Stalled);
+                    }
+                    Some(PendingAccess::WaitUntil { .. }) => {
+                        unreachable!("analytic timers never arm under the fabric model")
+                    }
+                    _ => {
+                        let owner = array.coord_of(owner_idx);
+                        let choice = planner.choose(my_tile, owner);
+                        if choice == NetworkChoice::Disconnected {
+                            return Err(AccessMemoryError::OutOfRange { addr });
+                        }
+                        // Validate the owner-side access now so the fault
+                        // surfaces on the issuing core; the service path
+                        // can then assume success.
+                        bank_of_offset(offset)?;
+                        let id = fabric.allocate_id();
+                        let packet =
+                            FabricPacket::request(id, my_tile, owner, choice, fabric.cycle());
+                        if fabric.inject(packet) {
+                            in_flight.insert(
+                                id,
+                                RemoteOp {
+                                    tile_idx,
+                                    core_idx,
+                                    access,
+                                    result: None,
+                                },
+                            );
+                            *pending_slot = Some(PendingAccess::InFlight {
+                                addr,
+                                issued_at: cycles,
+                            });
+                            parked[tile_idx] |= 1 << core_idx;
+                        }
+                        // On injection backpressure the id is burned (ids
+                        // count attempts, as in the traffic layer) and the
+                        // core retries next cycle.
+                        *network_stall_cycles += 1;
+                        return Ok(BusGrant::Stalled);
+                    }
+                }
+            }
+
+            // Arbitrate this tile's own memory model for a local access.
+            memory.bank_of(offset)?;
+            match model.request(offset, cycles) {
+                MemTiming::Denied => {
+                    *bank_conflicts += 1;
+                    if telemetry_on {
+                        sink.counter_add("machine.bank_conflicts", 1);
+                    }
+                    return Ok(BusGrant::Stalled);
+                }
+                MemTiming::Granted { stall: extra } => stall = extra,
+            }
+            *local_accesses += 1;
+            match access {
+                BusAccess::Load { .. } => Ok(BusGrant::Granted(memory.read_word(offset)?)),
+                BusAccess::Store { value, .. } => {
+                    memory.write_word(offset, value)?;
+                    Ok(BusGrant::Granted(0))
+                }
+                BusAccess::AmoAdd { value, .. } => {
+                    let old = memory.read_word(offset)?;
+                    memory.write_word(offset, old.wrapping_add(value))?;
+                    Ok(BusGrant::Granted(old))
+                }
+            }
+        });
+        core.apply_stall_cycles(stall);
+        outcome
+    }
+
     /// Steps one core under the analytic latency model, servicing local
-    /// and remote shared accesses. (Fabric-model cores step through
-    /// [`step_fabric_band`], which never leaves its band.)
+    /// and remote shared accesses.
     fn step_core_analytic(&mut self, tile_idx: usize, core_idx: usize) -> Result<(), StepError> {
         let array = self.faults.array();
         let my_tile = array.coord_of(tile_idx);
@@ -1486,8 +1478,9 @@ impl MemoryProfile {
     }
 }
 
-/// Decodes a global address to `(tile index, bank offset)` using only
-/// shared (`Sync`) machine state, so fabric shards can call it.
+/// Decodes a global address to `(tile index, bank offset)` from the
+/// array and fault map alone, so the core-step closures can call it while
+/// the per-tile state is borrowed.
 fn decode_global(
     array: TileArray,
     faults: &FaultMap,
@@ -1502,175 +1495,6 @@ fn decode_global(
         return Err(AccessMemoryError::OutOfRange { addr });
     }
     Ok((t, off % GLOBAL_REGION_BYTES as u32))
-}
-
-/// The mutable band of machine state one fabric shard owns for a cycle:
-/// disjoint slices carved out of the per-tile vectors with
-/// `split_at_mut`, so shards can run on worker threads without locks.
-struct FabricShard<'a> {
-    /// Global tile indices `band.start..band.end`; slice index `i` within
-    /// this shard is tile `band.start + i`.
-    band: Range<usize>,
-    cores: &'a mut [Vec<CoreSim>],
-    memories: &'a mut [MemoryChiplet],
-    mem_models: &'a mut [Box<dyn MemoryModel>],
-    pending: &'a mut [Vec<Option<PendingAccess>>],
-    /// Per-tile running-core masks; the band clears a core's bit when it
-    /// halts or faults.
-    running: &'a mut [u16],
-    /// Per-tile parked-core masks, fixed for the tile phase (only the
-    /// commit and the fabric phase park or wake a core).
-    parked: &'a [u16],
-    /// Cycle each core was last visited, per tile: a core the wheel
-    /// skipped while parked on a remote op replays the gap when next
-    /// stepped.
-    last_stepped: &'a mut [Vec<u64>],
-}
-
-/// A remote access a fabric shard wants injected; the sequential commit
-/// phase performs the injection so packet ids and queue order stay
-/// canonical.
-struct InjectIntent {
-    tile_idx: usize,
-    core_idx: usize,
-    access: BusAccess,
-    owner: TileCoord,
-    choice: NetworkChoice,
-    addr: u32,
-}
-
-/// What one fabric shard produced in one cycle: counter deltas, buffered
-/// telemetry, deferred injections, and the band's first core fault.
-struct ShardOut {
-    /// Core steps executed (see [`MultiTileMachine::core_steps`]).
-    core_steps: u64,
-    local_accesses: u64,
-    remote_accesses: u64,
-    network_stall_cycles: u64,
-    remote_latency_total: u64,
-    bank_conflicts: u64,
-    /// Cores that left [`CoreState::Running`] this cycle; the commit
-    /// phase subtracts them from the machine's running-core count.
-    halted_cores: u64,
-    telemetry: BufferedSink,
-    intents: Vec<InjectIntent>,
-    /// Wall time this shard spent in its band's tile-step phase; folded
-    /// into the machine's profiler after the barrier (fold order does
-    /// not matter — phase sums are commutative).
-    profile: PhaseProfiler,
-    error: Option<RunMachineError>,
-}
-
-impl ShardOut {
-    fn new(telemetry_on: bool, profile_on: bool) -> Self {
-        ShardOut {
-            core_steps: 0,
-            local_accesses: 0,
-            remote_accesses: 0,
-            network_stall_cycles: 0,
-            remote_latency_total: 0,
-            bank_conflicts: 0,
-            halted_cores: 0,
-            telemetry: BufferedSink::new(telemetry_on),
-            intents: Vec::new(),
-            profile: PhaseProfiler::new(profile_on),
-            error: None,
-        }
-    }
-}
-
-/// Steps the running cores of every healthy tile in one band for one
-/// cycle under the fabric model. Stops at the band's first core fault
-/// (matching the sequential engine, which steps nothing after a fault).
-///
-/// With `active_only` set the band visits only the `running & !parked`
-/// cores of each tile, in the rotated core order, and skips tiles where
-/// no such core is left. Skipping is unobservable: a halted core's step
-/// is a no-op, and a parked core's dense step does exactly
-/// `cycles += 1`, `stall_cycles += 1`, `network_stall_cycles += 1` and
-/// touches nothing else. Each core replays that in bulk for the gap since
-/// its own `last_stepped` when it is next stepped, or when a fault or the
-/// cycle limit ends the run early. Without `active_only` (the dense
-/// sweep) every core slot is visited and the replay is a no-op; the masks
-/// are kept up to date either way.
-#[allow(clippy::too_many_arguments)]
-fn step_fabric_band(
-    array: TileArray,
-    faults: &FaultMap,
-    planner: &RoutePlanner,
-    shard: FabricShard<'_>,
-    rotate: usize,
-    cores_per_tile: usize,
-    cycles: u64,
-    active_only: bool,
-    out: &mut ShardOut,
-) {
-    let FabricShard {
-        band,
-        cores,
-        memories,
-        mem_models,
-        pending,
-        running,
-        parked,
-        last_stepped,
-    } = shard;
-    for local_t in 0..band.len() {
-        let tile_idx = band.start + local_t;
-        let visit = if active_only {
-            running[local_t] & !parked[local_t]
-        } else {
-            all_cores(cores_per_tile)
-        };
-        if visit == 0 {
-            continue;
-        }
-        let tile = array.coord_of(tile_idx);
-        // A faulty tile's memory model is never arbitrated: its cores
-        // never run and it owns no servable memory.
-        if faults.is_faulty(tile) {
-            continue;
-        }
-        for core_idx in core_bits(visit, rotate, cores_per_tile) {
-            let slot = pending[local_t][core_idx];
-            let core = &mut cores[local_t][core_idx];
-            let last = &mut last_stepped[local_t][core_idx];
-            out.network_stall_cycles += replay_parked(core, slot, last, cycles - 1);
-            *last = cycles;
-            // Stepping a non-running core is a no-op in `CoreSim::step`,
-            // so the dense sweep elides the call.
-            if core.state() != CoreState::Running {
-                continue;
-            }
-            out.core_steps += 1;
-            let outcome = step_one_core_fabric(
-                array,
-                faults,
-                planner,
-                tile_idx,
-                core_idx,
-                cycles,
-                core,
-                &mut memories[local_t],
-                mem_models[local_t].as_mut(),
-                &mut pending[local_t][core_idx],
-                out,
-            );
-            // A fault leaves the core `Faulted`: it stops running too.
-            if outcome != Ok(CoreState::Running) {
-                running[local_t] &= !(1 << core_idx);
-                out.halted_cores += 1;
-            }
-            if let Err(source) = outcome {
-                out.error = Some(RunMachineError::CoreFault {
-                    tile,
-                    core: core_idx,
-                    source,
-                });
-                return;
-            }
-        }
-    }
 }
 
 /// Every core of a tile of `n` cores, as a mask.
@@ -1729,109 +1553,6 @@ fn replay_parked(
     core.absorb_stall_cycles(gap);
     *last_stepped = through;
     gap
-}
-
-/// Steps one fabric-model core. Local accesses arbitrate this tile's
-/// memory model; remote accesses either consume a delivered response,
-/// keep stalling on one in flight, or record an [`InjectIntent`] for the
-/// commit phase — never touching state outside the shard.
-#[allow(clippy::too_many_arguments)]
-fn step_one_core_fabric(
-    array: TileArray,
-    faults: &FaultMap,
-    planner: &RoutePlanner,
-    tile_idx: usize,
-    core_idx: usize,
-    cycles: u64,
-    core: &mut CoreSim,
-    memory: &mut MemoryChiplet,
-    model: &mut dyn MemoryModel,
-    pending_slot: &mut Option<PendingAccess>,
-    out: &mut ShardOut,
-) -> Result<CoreState, StepError> {
-    let my_tile = array.coord_of(tile_idx);
-    let mut stall = 0u64;
-    let outcome = core.step(|access| {
-        let addr = match access {
-            BusAccess::Load { addr }
-            | BusAccess::Store { addr, .. }
-            | BusAccess::AmoAdd { addr, .. } => addr,
-        };
-        let (owner_idx, offset) = decode_global(array, faults, addr)?;
-
-        if owner_idx != tile_idx {
-            match *pending_slot {
-                Some(PendingAccess::Ready {
-                    addr: a,
-                    issued_at,
-                    value,
-                }) if a == addr => {
-                    *pending_slot = None;
-                    out.remote_accesses += 1;
-                    let latency = cycles.saturating_sub(issued_at);
-                    out.remote_latency_total += latency;
-                    out.telemetry
-                        .histogram_record("machine.remote_latency_cycles", latency);
-                    return Ok(BusGrant::Granted(value));
-                }
-                Some(PendingAccess::InFlight { addr: a, .. }) if a == addr => {
-                    out.network_stall_cycles += 1;
-                    return Ok(BusGrant::Stalled);
-                }
-                Some(PendingAccess::WaitUntil { .. }) => {
-                    unreachable!("analytic timers never arm under the fabric model")
-                }
-                _ => {
-                    let owner = array.coord_of(owner_idx);
-                    let choice = planner.choose(my_tile, owner);
-                    if choice == NetworkChoice::Disconnected {
-                        return Err(AccessMemoryError::OutOfRange { addr });
-                    }
-                    // Validate the owner-side access now so the fault
-                    // surfaces on the issuing core; the service path can
-                    // then assume success. `bank_of_offset` is pure
-                    // offset math — no cross-shard memory touch.
-                    bank_of_offset(offset)?;
-                    out.intents.push(InjectIntent {
-                        tile_idx,
-                        core_idx,
-                        access,
-                        owner,
-                        choice,
-                        addr,
-                    });
-                    out.network_stall_cycles += 1;
-                    return Ok(BusGrant::Stalled);
-                }
-            }
-        }
-
-        // Arbitrate this tile's own memory model for a local access.
-        memory.bank_of(offset)?;
-        match model.request(offset, cycles) {
-            MemTiming::Denied => {
-                out.bank_conflicts += 1;
-                out.telemetry.counter_add("machine.bank_conflicts", 1);
-                return Ok(BusGrant::Stalled);
-            }
-            MemTiming::Granted { stall: extra } => stall = extra,
-        }
-        out.local_accesses += 1;
-        match access {
-            BusAccess::Load { .. } => Ok(BusGrant::Granted(memory.read_word(offset)?)),
-            BusAccess::Store { value, .. } => {
-                memory.write_word(offset, value)?;
-                Ok(BusGrant::Granted(0))
-            }
-            BusAccess::AmoAdd { value, .. } => {
-                let old = memory.read_word(offset)?;
-                memory.write_word(offset, old.wrapping_add(value))?;
-                Ok(BusGrant::Granted(old))
-            }
-        }
-    });
-    core.apply_stall_cycles(stall);
-    outcome
 }
 
 impl fmt::Debug for MultiTileMachine {
@@ -2325,17 +2046,16 @@ mod tests {
     }
 
     #[test]
-    fn banked_memory_is_bit_identical_across_stepping_and_threads() {
+    fn banked_memory_is_bit_identical_across_stepping() {
         // The determinism claim must survive a stateful backend: busy
         // windows are stamped with absolute cycles, so the active-set
-        // walk and every shard count observe the same grant sequence.
+        // walk observes the same grant sequence as the dense sweep.
         let hot = TileCoord::new(0, 0);
-        let run = |stepping: Stepping, threads: usize| {
+        let run = |stepping: Stepping| {
             let cfg = SystemConfig::with_array(TileArray::new(4, 4))
                 .with_memory_model(MemoryModelKind::Banked);
             let mut m = MultiTileMachine::new(cfg, FaultMap::none(cfg.array()));
             m.set_stepping(stepping);
-            m.set_threads(threads);
             load_hotspot(&mut m, 4, hot);
             load_row_ping_pong(&mut m, hot);
             let stats = m.run_until_halt(1_000_000).expect("halts");
@@ -2347,15 +2067,7 @@ mod tests {
                 m.memory_profile(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
-        for threads in [1, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "wheel, threads = {threads}"
-            );
-        }
-        assert_eq!(run(Stepping::Dense, 8), baseline, "dense, threads = 8");
+        assert_eq!(run(Stepping::Wheel), run(Stepping::Dense));
     }
 
     #[test]
@@ -2414,28 +2126,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_model_is_bit_identical_across_thread_counts() {
-        // The tentpole determinism claim, at machine level: the hotspot
-        // workload (remote traffic, bank contention, backpressure) must
-        // produce the same stats, cycle count, and memory contents no
-        // matter how many shards step the tiles.
-        let hot = TileCoord::new(0, 0);
-        let run = |threads: usize| {
-            let mut m = machine(4);
-            m.set_threads(threads);
-            assert_eq!(m.threads(), threads.max(1));
-            load_hotspot(&mut m, 4, hot);
-            let stats = m.run_until_halt(1_000_000).expect("halts");
-            let probe = m.global_address(hot, 0).expect("ok");
-            (stats, m.read_word(probe).expect("ok"))
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn relay_forwards_are_counted_through_the_fabric() {
         // A same-row pair with the tile between them dead: both DoR
         // networks use the same row path, so the kernel must pick a
@@ -2472,12 +2162,11 @@ mod tests {
         // The active-set walk (plus the wheel's skips) must match the
         // dense sweep bit for bit — stats, memory, the per-core activity
         // counters (which the gap replay reconstructs), and the
-        // runnable-tiles sample — at every thread count.
+        // runnable-tiles sample.
         let hot = TileCoord::new(0, 0);
-        let run = |stepping: Stepping, threads: usize| {
+        let run = |stepping: Stepping| {
             let mut m = machine(4);
             m.set_stepping(stepping);
-            m.set_threads(threads);
             load_hotspot(&mut m, 4, hot);
             let stats = m.run_until_halt(1_000_000).expect("halts");
             let probe = m.global_address(hot, 0).expect("ok");
@@ -2488,15 +2177,7 @@ mod tests {
                 m.runnable_tiles().clone(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "wheel, threads = {threads}"
-            );
-        }
-        assert_eq!(run(Stepping::Dense, 8), baseline, "dense, threads = 8");
+        assert_eq!(run(Stepping::Wheel), run(Stepping::Dense));
     }
 
     /// Loads every core of every tile of a 4×4 machine with a loop that
@@ -2570,7 +2251,8 @@ mod tests {
     fn early_exits_settle_parked_cores_like_dense() {
         // A fault (or the cycle limit) can end a run while cores are
         // parked on in-flight loads; their skipped stall steps must be
-        // settled so the counters read as the dense sweep leaves them.
+        // settled so the counters read as the dense sweep leaves them,
+        // and the bookkeeping must still agree with a rescan.
         let dead = TileCoord::new(3, 3);
         let run = |stepping: Stepping, faulting: bool, max_cycles: u64| {
             let cfg = SystemConfig::with_array(TileArray::new(4, 4));
@@ -2609,6 +2291,11 @@ mod tests {
                     .expect("ok");
             }
             let err = m.run_until_halt(max_cycles).expect_err("stops early");
+            assert_eq!(
+                m.check_invariants(),
+                Ok(()),
+                "{stepping:?}, faulting = {faulting}"
+            );
             (err, m.stats(), m.per_tile_activity())
         };
         for (faulting, max_cycles) in [(true, 100_000), (false, 45)] {
@@ -2662,10 +2349,10 @@ mod tests {
     fn blocked_tiles_leave_the_runnable_set() {
         // One issuing tile on a 8x8 machine: while its single remote op
         // is in flight the whole machine has zero runnable tiles, so the
-        // sampled runnable peak stays at 1 and the executor reports the
-        // default wheel path.
+        // sampled runnable peak stays at 1 under the default wheel
+        // stepping.
         let mut m = machine(8);
-        assert_eq!(m.executor(), "wheel");
+        assert_eq!(m.stepping(), Stepping::Wheel);
         let target = m.global_address(TileCoord::new(7, 7), 0).expect("ok");
         let program = Program::builder()
             .ldi(Reg::R1, target)
@@ -2732,7 +2419,7 @@ mod tests {
 
     #[test]
     fn invariant_checker_sees_stale_core_masks() {
-        let mut m = crate::workload::build_halo_machine(4, 1);
+        let mut m = crate::workload::build_halo_machine(4);
         let mut parked_seen = false;
         while m.any_running() {
             m.step().expect("halo machine runs");

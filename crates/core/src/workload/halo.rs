@@ -23,23 +23,18 @@ pub const HALO_WORDS: u32 = 8;
 /// # Panics
 ///
 /// Panics if `n == 0` (an empty array has no tiles to load).
-pub fn build_halo_machine(n: u16, threads: usize) -> MultiTileMachine {
-    build_halo_machine_with_memory(n, threads, MemoryModelKind::Fixed)
+pub fn build_halo_machine(n: u16) -> MultiTileMachine {
+    build_halo_machine_with_memory(n, MemoryModelKind::Fixed)
 }
 
 /// [`build_halo_machine`] with an explicit memory backend — the
 /// machine-layer arm of the memory-fidelity sweep.
-pub fn build_halo_machine_with_memory(
-    n: u16,
-    threads: usize,
-    memory: MemoryModelKind,
-) -> MultiTileMachine {
+pub fn build_halo_machine_with_memory(n: u16, memory: MemoryModelKind) -> MultiTileMachine {
     let array = TileArray::new(n, n);
     let cfg = SystemConfig::with_array(array)
         .with_latency_model(LatencyModel::Fabric)
         .with_memory_model(memory);
     let mut m = MultiTileMachine::new(cfg, FaultMap::none(array));
-    m.set_threads(threads);
     for y in 0..n {
         for x in 0..n {
             let east = TileCoord::new((x + 1) % n, y);
@@ -73,7 +68,7 @@ mod tests {
 
     #[test]
     fn halo_machine_runs_and_sums_the_strip() {
-        let mut m = build_halo_machine(2, 1);
+        let mut m = build_halo_machine(2);
         let stats = m.run_until_halt(100_000).expect("halts");
         // 4 tiles × 2 cores × HALO_WORDS remote loads.
         assert_eq!(stats.remote_accesses, 4 * 2 * u64::from(HALO_WORDS));

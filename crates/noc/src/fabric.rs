@@ -17,47 +17,42 @@
 //! is empty. Per-link statistics (forwarded packets, stall cycles, peak
 //! queue occupancy) expose where contention concentrates.
 //!
-//! # Deterministic threading
+//! # Arbitration contract
 //!
-//! Each tick is split into a *plan* phase and an *apply* phase. Planning
-//! reads only the pre-cycle router state (queue heads, round-robin
-//! pointers, downstream occupancy), so every tile's arbitration decision
-//! is a pure function of the previous cycle and the tile rows can be
-//! partitioned into bands planned by independent worker threads
-//! ([`Fabric::set_threads`]). The apply phase then commits the planned
-//! moves sequentially in canonical `(network, tile, output port)` order.
-//! Because the plan does not depend on the order bands are computed in,
-//! the fabric is **bit-identical at any thread count** — the parallel
-//! backend is an implementation detail, not a different simulator.
+//! A tick behaves as if it had two phases. A *plan* reads only the
+//! pre-cycle router state (queue heads, round-robin pointers,
+//! downstream occupancy) and grants each output port of each tile to one
+//! input FIFO head, round-robin; an *apply* commits the grants in
+//! canonical `(network, tile, output port)` order, with link arrivals
+//! landing after the plan and relay re-injection after both networks.
+//! The naive test-only `SpecFabric` model (`tests/spec/mod.rs`) encodes
+//! exactly this, and the property tests hold every tick of both
+//! steppings to it.
 //!
-//! # Data layout and the fused fast path
+//! # Data layout and the fused pass
 //!
 //! In-flight packets live in one struct-of-arrays
 //! [`PacketArena`](crate::arena::PacketArena); router FIFOs are
-//! [`PacketRing`](crate::fifo::PacketRing)s of `u32` arena indices, so a
-//! hop moves 4 bytes instead of a ~48-byte packet, and all per-tick
-//! scratch (planned moves, staged arrivals, ejected indices) is owned by
-//! the fabric and cleared, not reallocated — the steady-state tick
-//! performs **zero heap allocations** (pinned by a counting-allocator
-//! regression test).
+//! [`PacketRing`](crate::fifo::PacketRing)s of packed ring entries, so a
+//! hop moves one entry instead of a ~48-byte packet, and all per-tick
+//! scratch (staged arrivals, ejected entries) is owned by the fabric and
+//! cleared, not reallocated — the steady-state tick performs **zero heap
+//! allocations** (pinned by a counting-allocator regression test).
 //!
-//! The two-pass plan/apply split exists only to keep plan shards
-//! race-free; whenever planning would run on a single shard anyway
-//! (`threads == 1`, or the active set is below the banding threshold),
-//! [`Fabric::tick_into`] takes a *fused* single pass that plans each tile
-//! and applies its grants immediately. Fusion is bit-identical to the
-//! split by construction:
+//! [`Fabric::tick_into`] runs the two phases *fused*: one pass per
+//! network plans each tile and applies its grants immediately. Because
+//! grants are committed while later tiles are still to be planned, the
+//! pass reconstructs the pre-cycle state those tiles must see:
 //!
 //! - grants read a pre-pop snapshot of the tile's own head routes and
 //!   round-robin pointers, so a tile's own pops cannot disturb its later
 //!   output ports;
 //! - pushes (link arrivals) are staged and committed only at the end of
-//!   each network's pass, exactly as the apply phase does;
+//!   each network's pass;
 //! - the downstream-occupancy backpressure check reconstructs the
 //!   pre-cycle queue length: each FIFO pops at most once per cycle, and
 //!   pops are stamped with the tick that performed them, so
-//!   `len + (popped this tick)` is the length the plan phase would have
-//!   read;
+//!   `len + (popped this tick)` is the length the plan would have read;
 //! - the two networks share no queue state, so walking net 0 fully
 //!   before net 1 matches the canonical commit order, and relay
 //!   re-injection/delivery is deferred until both passes complete.
@@ -73,12 +68,12 @@
 //! [`Stepping::Wheel`] mode a tick walks the set bits word by word with
 //! `trailing_zeros`, which yields the occupied tiles in ascending index
 //! order — the order the dense sweep commits in — with nothing to sort,
-//! dedup or prune; a banded tick clips each band's first and last words.
-//! [`Stepping::Dense`] is the reference: it scans the `occ` counts of
-//! every network holding packets and never reads the bitset, so every
-//! dense-vs-wheel byte-compare also checks the bitset's upkeep
-//! ([`Fabric::check_invariants`] checks it directly). When the fabric is empty, wheel drivers skip whole cycles
-//! instead ([`Fabric::skip_cycles`]).
+//! dedup or prune. [`Stepping::Dense`] is the reference: it scans the
+//! `occ` counts of every network holding packets and never reads the
+//! bitset, so every dense-vs-wheel byte-compare also checks the bitset's
+//! upkeep ([`Fabric::check_invariants`] checks it directly). When the
+//! fabric is empty, wheel drivers skip whole cycles instead
+//! ([`Fabric::skip_cycles`]).
 //!
 //! # Examples
 //!
@@ -103,10 +98,7 @@
 //! assert_eq!(delivered[0].kind, PacketKind::Request);
 //! ```
 
-use std::ops::Range;
-use std::sync::Arc;
-
-use wsp_common::parallel::{band_ranges_into, AdaptiveExecutor, Stepping, WorkerPool};
+use wsp_common::parallel::Stepping;
 use wsp_telemetry::{
     DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };
@@ -535,149 +527,11 @@ pub struct LinkStats {
     pub peak_occupancy: usize,
 }
 
-/// One move decided by the plan phase of a tick, to be committed in
-/// canonical order by the apply phase.
-enum PlannedMove {
-    /// The granted head of `(tile, in_port)` ejects at its endpoint.
-    Eject { tile_idx: usize, in_port: usize },
-    /// The granted head of `(tile, in_port)` traverses the `out_port` link
-    /// into `(nb_idx, in_side)`.
-    Forward {
-        tile_idx: usize,
-        in_port: usize,
-        out_port: usize,
-        nb_idx: usize,
-        in_side: usize,
-    },
-    /// An arbitration winner could not traverse `out_port`: the downstream
-    /// FIFO was full at the start of the cycle.
-    Stall { tile_idx: usize, out_port: usize },
-}
-
-/// The immutable pre-cycle state a plan worker reads. Deliberately *not*
-/// `&Fabric`: the telemetry sink is `Send` but not `Sync`, and planning
-/// must never touch it anyway.
-struct PlanCtx<'a> {
-    queue_capacity: usize,
-    /// Precomputed neighbour tile indices per `(tile, direction)`
-    /// ([`NO_NEIGHBOR`] off the edge) — no coordinate math in the loop.
-    neighbors: &'a [[u32; 4]],
-    networks: &'a [Network; 2],
-}
-
-impl PlanCtx<'_> {
-    /// Plans one tile on one network: for every output port, pick the
-    /// round-robin arbitration winner among the input FIFO heads routed
-    /// to it, against pre-cycle queue state only. A tile with all five
-    /// FIFOs empty plans nothing — the fact the active-set walk leans on.
-    fn plan_tile(&self, network: &Network, tile_idx: usize, moves: &mut Vec<PlannedMove>) {
-        // The cached routing decision per queue head; a head contends for
-        // exactly one output port, so grants never overlap. Fold the five
-        // heads into per-output-port contender bitmasks.
-        let router = &network.routers[tile_idx];
-        let mut want = [0u8; 5];
-        for (in_port, &out) in router.head_out.iter().enumerate() {
-            if out != EMPTY_HEAD {
-                want[out as usize] |= 1 << in_port;
-            }
-        }
-        // `out_port` indexes `rr`/`links` too, not just DIRECTIONS.
-        #[allow(clippy::needless_range_loop)]
-        for out_port in 0..5 {
-            let contenders = u32::from(want[out_port]);
-            if contenders == 0 {
-                continue;
-            }
-            // Branchless round-robin grant: rotate the 5-bit contender
-            // mask so the pointer sits at bit 0; the winner is then the
-            // lowest set bit — exactly the first hit of the old
-            // `(start + o) % 5` scan.
-            let start = usize::from(router.rr[out_port]);
-            let rotated = ((contenders >> start) | (contenders << (5 - start))) & 0x1f;
-            let in_port = (start + rotated.trailing_zeros() as usize) % 5;
-            if out_port == LOCAL {
-                moves.push(PlannedMove::Eject { tile_idx, in_port });
-                continue;
-            }
-            let nb_idx = self.neighbors[tile_idx][out_port];
-            debug_assert_ne!(nb_idx, NO_NEIGHBOR, "DoR never routes off the array");
-            let nb_idx = nb_idx as usize;
-            let in_side = OPPOSITE[out_port];
-            // Pre-cycle occupancy: each input FIFO is fed by one
-            // physical upstream link, so at most one push lands
-            // per cycle and the check cannot oversubscribe.
-            if usize::from(network.routers[nb_idx].link_len[in_side]) < self.queue_capacity {
-                moves.push(PlannedMove::Forward {
-                    tile_idx,
-                    in_port,
-                    out_port,
-                    nb_idx,
-                    in_side,
-                });
-            } else {
-                moves.push(PlannedMove::Stall { tile_idx, out_port });
-            }
-        }
-    }
-
-    /// Plans the occupied tiles of one band (a tile-index range) into the
-    /// caller's (pre-cleared) per-network move buffers, in ascending tile
-    /// order. Dense scans the `occ` counts; the wheel walks the bitset,
-    /// clipping the band's first and last words. Skipping an empty tile
-    /// (or an empty network) changes nothing, because a tile with all
-    /// five FIFOs empty plans nothing, so concatenating consecutive bands
-    /// replays the full sweep.
-    fn plan_band_into(
-        &self,
-        band: Range<usize>,
-        stepping: Stepping,
-        out: &mut [Vec<PlannedMove>; 2],
-    ) {
-        if band.is_empty() {
-            return;
-        }
-        for (network, moves) in self.networks.iter().zip(out.iter_mut()) {
-            match stepping {
-                _ if network.packets == 0 => {}
-                Stepping::Dense => {
-                    for tile_idx in band.clone() {
-                        if network.occ[tile_idx] > 0 {
-                            self.plan_tile(network, tile_idx, moves);
-                        }
-                    }
-                }
-                Stepping::Wheel => {
-                    let (first, last) = (band.start / 64, (band.end - 1) / 64);
-                    for word in first..=last {
-                        let mut bits = network.occupied[word];
-                        if word == first {
-                            bits &= !0u64 << (band.start % 64);
-                        }
-                        if word == last {
-                            bits &= !0u64 >> (63 - (band.end - 1) % 64);
-                        }
-                        for tile_idx in set_bits(word, bits) {
-                            self.plan_tile(network, tile_idx, moves);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Reusable per-tick scratch owned by [`Fabric`] — cleared every tick,
 /// reallocated never. Holding these across ticks is what makes the
 /// steady-state tick allocation-free.
 #[derive(Default)]
 struct TickScratch {
-    /// One `[moves; 2]` pair per plan shard. Never shrunk: wheel
-    /// stepping alternates between 1 and `threads()` shards as the
-    /// active set crosses the banding threshold, and shrinking would
-    /// free the idle shards' capacity.
-    shard_plans: Vec<[Vec<PlannedMove>; 2]>,
-    /// Shard band ranges over the tile indices.
-    bands: Vec<Range<usize>>,
     /// Staged link arrivals `(net, dest tile, in side, entry)` — the
     /// entry's hop count already bumped — committed in order after the
     /// moves that produced them.
@@ -685,21 +539,6 @@ struct TickScratch {
     /// Entries ejected at their endpoint this tick, in canonical
     /// `(network, tile, output port)` order.
     ejected: Vec<RingEntry>,
-}
-
-impl TickScratch {
-    /// Grows `shard_plans` to at least `shards` pairs and clears the
-    /// first `shards` of them for this tick's planning.
-    fn reset_shards(&mut self, shards: usize) {
-        if self.shard_plans.len() < shards {
-            self.shard_plans
-                .resize_with(shards, || [Vec::new(), Vec::new()]);
-        }
-        for pair in &mut self.shard_plans[..shards] {
-            pair[0].clear();
-            pair[1].clear();
-        }
-    }
 }
 
 /// The reusable dual-network fabric engine. See the module docs for the
@@ -734,12 +573,9 @@ pub struct Fabric {
     /// How ticks visit tiles: the wheel's active-set walk (default) or
     /// the dense reference sweep. Results are bit-identical either way.
     stepping: Stepping,
-    /// Adaptive executor for the plan phase: bands across a worker pool
-    /// when the active set is large enough, inline otherwise.
-    exec: AdaptiveExecutor,
     /// Per-tick active-set sizes (occupied tiles summed over both networks),
     /// sampled in *both* stepping modes so the exported telemetry is
-    /// independent of the mode and thread count.
+    /// independent of the mode.
     active_tiles: Histogram,
     /// Telemetry sink; [`NoopSink`] by default so the hot path pays one
     /// `enabled()` virtual call per tick when tracing is off.
@@ -749,14 +585,14 @@ pub struct Fabric {
     /// Per-tick gauge series `(name, series)`: active tiles, per-network
     /// queue occupancy, packets in flight. Sampled from pre-cycle queue
     /// state, so the series are pure functions of architectural state —
-    /// bit-identical across stepping modes and thread counts.
+    /// bit-identical across stepping modes.
     samples: [(&'static str, TimeSeries); 4],
     /// Determinism-digest journal; `None` when digests are off. Lanes are
     /// recorded from post-cycle router state every `journal.every()`
     /// cycles. The machine also records its per-tile lanes here (same
     /// cycle domain — it ticks this fabric once per machine step).
     journal: Option<DigestJournal>,
-    /// Wall-clock attribution of each tick's `plan` and `apply` phases.
+    /// Wall-clock attribution of each tick's `fused` pass.
     /// Disabled by default; never feeds deterministic output.
     profiler: PhaseProfiler,
 }
@@ -808,7 +644,6 @@ impl Fabric {
             relay_forwards: 0,
             link_traversals: 0,
             stepping: Stepping::default(),
-            exec: AdaptiveExecutor::default(),
             active_tiles: Histogram::new(),
             sink: Box::new(NoopSink),
             sample_every: 0,
@@ -828,23 +663,6 @@ impl Fabric {
         ]
     }
 
-    /// Plans ticks with `threads` worker shards (row bands). Results are
-    /// bit-identical at any thread count, including 1; `threads <= 1`
-    /// drops back to inline planning with no pool at all.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec = AdaptiveExecutor::new(threads);
-    }
-
-    /// Shares an existing worker pool (e.g. the machine's) for planning.
-    pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.exec = AdaptiveExecutor::from_pool(pool);
-    }
-
-    /// Shards used by the plan phase of each tick.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
     /// Selects how ticks visit tiles (default: [`Stepping::Wheel`]).
     pub fn set_stepping(&mut self, stepping: Stepping) {
         self.stepping = stepping;
@@ -853,16 +671,6 @@ impl Fabric {
     /// The current stepping mode.
     pub fn stepping(&self) -> Stepping {
         self.stepping
-    }
-
-    /// The execution path ticks currently take, for bench reporting:
-    /// `"wheel"`, `"banded"`, or `"sequential"`.
-    pub fn executor(&self) -> &'static str {
-        match (self.stepping, self.threads()) {
-            (Stepping::Wheel, _) => "wheel",
-            (Stepping::Dense, t) if t > 1 => "banded",
-            (Stepping::Dense, _) => "sequential",
-        }
     }
 
     /// Installs a telemetry sink. Each endpoint delivery then emits a
@@ -909,7 +717,7 @@ impl Fabric {
         self.journal.as_mut()
     }
 
-    /// Turns wall-clock phase profiling of `plan`/`apply` on or off.
+    /// Turns wall-clock profiling of each tick's `fused` phase on or off.
     pub fn set_profiling(&mut self, on: bool) {
         self.profiler.set_enabled(on);
     }
@@ -1051,9 +859,8 @@ impl Fabric {
     /// each input FIFO pops at most once per cycle — one read port per
     /// FIFO — and a full downstream FIFO stalls the link even if it also
     /// drains this cycle), then committed sequentially in `(network,
-    /// tile, output port)` order. Planning shards across the worker pool
-    /// when one is installed; see the module docs for why the result is
-    /// bit-identical at any thread count.
+    /// tile, output port)` order; see the module docs for how one fused
+    /// pass does both.
     pub fn tick(&mut self) -> Vec<FabricPacket> {
         let mut delivered = Vec::new();
         self.tick_into(&mut delivered);
@@ -1069,7 +876,7 @@ impl Fabric {
 
         // Sample the active set in both stepping modes: the sample is a
         // pure function of queue state, so the exported histogram is
-        // identical across modes and threads.
+        // identical across modes.
         let active = self.networks[0].live + self.networks[1].live;
         self.active_tiles.record(active as u64);
 
@@ -1086,28 +893,11 @@ impl Fabric {
             self.samples[3].1.record(cycle, (occ0 + occ1) as f64);
         }
 
-        // Whenever planning would run on a single shard anyway, the
-        // plan/apply split buys no parallelism — take the fused single
-        // pass instead (bit-identical; see the module docs).
-        let shards = match self.stepping {
-            Stepping::Dense => self.exec.threads(),
-            Stepping::Wheel => self.exec.shards_for(active),
-        };
-        if shards == 1 {
-            let fused_timer = self.profiler.start();
-            self.fused_walk(0);
-            self.fused_walk(1);
-            self.resolve_ejected(delivered);
-            self.profiler.stop("fused", fused_timer);
-        } else {
-            let plan_timer = self.profiler.start();
-            self.plan_into_scratch(shards);
-            self.profiler.stop("plan", plan_timer);
-            let apply_timer = self.profiler.start();
-            self.apply_scratch(shards);
-            self.resolve_ejected(delivered);
-            self.profiler.stop("apply", apply_timer);
-        }
+        let fused_timer = self.profiler.start();
+        self.fused_walk(0);
+        self.fused_walk(1);
+        self.resolve_ejected(delivered);
+        self.profiler.stop("fused", fused_timer);
 
         // Digest window boundary: fingerprint every router's post-cycle
         // state (queue contents and round-robin pointers) into per-lane
@@ -1130,82 +920,6 @@ impl Fabric {
         }
     }
 
-    /// The two-pass plan phase: bands the tile indices into `shards`
-    /// ranges and plans them across the executor into the reusable
-    /// scratch buffers. Concatenating shard outputs per network restores
-    /// the ascending tile order of the sequential walk.
-    fn plan_into_scratch(&mut self, shards: usize) {
-        let tiles = self.array.tile_count();
-        let Fabric {
-            queue_capacity,
-            neighbors,
-            networks,
-            stepping,
-            exec,
-            scratch,
-            ..
-        } = self;
-        let ctx = PlanCtx {
-            queue_capacity: *queue_capacity,
-            neighbors,
-            networks,
-        };
-        let stepping = *stepping;
-        scratch.reset_shards(shards);
-        band_ranges_into(tiles, shards, &mut scratch.bands);
-        let bands = &scratch.bands;
-        exec.run_mut(&mut scratch.shard_plans[..shards], |shard, out| {
-            ctx.plan_band_into(bands[shard].clone(), stepping, out)
-        });
-    }
-
-    /// The two-pass apply phase: commits the planned moves of the first
-    /// `shards` scratch buffers sequentially. Bands are concatenated in
-    /// tile order, so this replays the canonical sequential
-    /// `(network, tile, out_port)` walk.
-    fn apply_scratch(&mut self, shards: usize) {
-        let tick = self.ticks;
-        let shard_plans = std::mem::take(&mut self.scratch.shard_plans);
-        for net_idx in 0..2 {
-            for band_plan in &shard_plans[..shards] {
-                for mv in &band_plan[net_idx] {
-                    match *mv {
-                        PlannedMove::Eject { tile_idx, in_port } => {
-                            let network = &mut self.networks[net_idx];
-                            let entry = network.pop(tile_idx, in_port, tick);
-                            network.routers[tile_idx].rr[LOCAL] = ((in_port + 1) % 5) as u8;
-                            self.scratch.ejected.push(entry);
-                        }
-                        PlannedMove::Forward {
-                            tile_idx,
-                            in_port,
-                            out_port,
-                            nb_idx,
-                            in_side,
-                        } => {
-                            let network = &mut self.networks[net_idx];
-                            let entry = network.pop(tile_idx, in_port, tick);
-                            network.routers[tile_idx].rr[out_port] = ((in_port + 1) % 5) as u8;
-                            // Link stats land in `commit_arrivals`, which
-                            // touches the same cache lines anyway.
-                            self.scratch.arrivals.push((
-                                net_idx as u8,
-                                nb_idx as u32,
-                                in_side as u8,
-                                entry.bumped(),
-                            ));
-                        }
-                        PlannedMove::Stall { tile_idx, out_port } => {
-                            self.links[net_idx][tile_idx][out_port].stall_cycles += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch.shard_plans = shard_plans;
-        self.commit_arrivals();
-    }
-
     /// The fused single-pass walk of one network: plans each occupied
     /// tile against reconstructed pre-cycle state and applies its grants
     /// immediately, staging arrivals until the pass completes. See the
@@ -1213,7 +927,7 @@ impl Fabric {
     fn fused_walk(&mut self, net_idx: usize) {
         // Pops change only the occupancy of the tile being visited and
         // pushes are staged, so every tile still unvisited shows its
-        // pre-cycle occupancy — what the two-pass plan would read.
+        // pre-cycle occupancy — what the plan phase reads.
         match self.stepping {
             // An empty network plans nothing, which spares the scan on
             // the idle cycles that dominate bursty traffic.
@@ -1587,7 +1301,7 @@ impl Fabric {
         sink.gauge_set("fabric.cycles", self.cycle as f64);
         // Active-set occupancy: sampled per tick in both stepping modes
         // from queue state alone, so these values are identical across
-        // modes and thread counts (the CI smoke gate byte-compares them).
+        // modes (the CI smoke gate byte-compares them).
         sink.gauge_set("fabric.active_tiles_mean", self.active_tiles.mean());
         sink.gauge_set("fabric.active_tiles_peak", self.active_tiles.max() as f64);
         sink.histogram_merge("fabric.active_tiles", &self.active_tiles);
@@ -1779,56 +1493,13 @@ mod tests {
     }
 
     #[test]
-    fn ticks_are_bit_identical_across_thread_counts() {
-        // Flood an 8x8 fabric with a hotspot plus background flows, then
-        // compare every delivery, the cycle count, and the per-link
-        // counters against the single-threaded run.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_threads(threads);
-            assert_eq!(fabric.threads(), threads.max(1));
-            for _ in 0..3 {
-                for x in 0..8u16 {
-                    for y in 0..8u16 {
-                        if (x, y) == (4, 4) {
-                            continue;
-                        }
-                        let p = direct_req(&mut fabric, (x, y), (4, 4));
-                        fabric.inject(p);
-                        let q = direct_req(&mut fabric, (x, y), (y, x));
-                        fabric.inject(q);
-                    }
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn wheel_stepping_is_bit_identical_to_dense() {
-        // Same hotspot-plus-background flood as the thread-count test,
-        // compared across the dense/wheel × thread-count matrix. The
-        // active-set histogram must match too: it is sampled from queue
-        // state, not from the scheduler's own work list.
-        let run = |stepping: Stepping, threads: usize| {
+        // Flood an 8x8 fabric with a hotspot plus background flows, then
+        // compare every delivery, the cycle count, the per-link counters
+        // and the active-set histogram: it is sampled from queue state,
+        // not from the scheduler's own work list.
+        let run = |stepping: Stepping| {
             let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_threads(threads);
             fabric.set_stepping(stepping);
             for _ in 0..3 {
                 for x in 0..8u16 {
@@ -1858,90 +1529,9 @@ mod tests {
                 fabric.active_tiles().clone(),
             )
         };
-        let baseline = run(Stepping::Dense, 1);
+        let baseline = run(Stepping::Dense);
         assert!(baseline.6.count() > 0, "active-set samples recorded");
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run(Stepping::Wheel, threads),
-                baseline,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_dense_matches_the_pooled_two_pass_sweep() {
-        // threads == 1 takes the fused single pass; a pool forces the
-        // two-pass plan/apply split. Same flood, byte-identical results.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(8, 8), 2);
-            fabric.set_stepping(Stepping::Dense);
-            fabric.set_threads(threads);
-            for _ in 0..3 {
-                for x in 0..8u16 {
-                    for y in 0..8u16 {
-                        if (x, y) == (4, 4) {
-                            continue;
-                        }
-                        let p = direct_req(&mut fabric, (x, y), (4, 4));
-                        fabric.inject(p);
-                        let q = direct_req(&mut fabric, (x, y), (y, x));
-                        fabric.inject(q);
-                    }
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let fused = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), fused, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn fused_wheel_matches_the_banded_two_pass_walk() {
-        // A 32x32 all-tiles flood keeps the active set above the banding
-        // threshold (64 x threads), so the threaded run genuinely bands
-        // its occupancy bitsets while threads == 1 takes the fused pass.
-        let run = |threads: usize| {
-            let mut fabric = Fabric::new(TileArray::new(32, 32), 2);
-            fabric.set_threads(threads);
-            for x in 0..32u16 {
-                for y in 0..32u16 {
-                    let p = direct_req(&mut fabric, (x, y), (31 - x, 31 - y));
-                    fabric.inject(p);
-                    let q = direct_req(&mut fabric, (x, y), (y, x));
-                    fabric.inject(q);
-                }
-            }
-            let delivered: Vec<(u64, u32, u64)> = fabric
-                .drain()
-                .into_iter()
-                .map(|p| (p.id, p.hops, p.injected_at))
-                .collect();
-            (
-                delivered,
-                fabric.cycle(),
-                fabric.link_traversals(),
-                fabric.total_stall_cycles(),
-                fabric.peak_link_occupancy(),
-                fabric.utilization_heatmap(),
-            )
-        };
-        let fused = run(1);
-        assert_eq!(run(8), fused);
+        assert_eq!(run(Stepping::Wheel), baseline);
     }
 
     #[test]
@@ -1981,7 +1571,7 @@ mod tests {
         // One packet on a big array: only the tile holding it has its
         // occupancy bit set, so one tile per tick is visited.
         let mut fabric = Fabric::new(TileArray::new(16, 16), 4);
-        assert_eq!(fabric.executor(), "wheel");
+        assert_eq!(fabric.stepping(), Stepping::Wheel);
         let p = direct_req(&mut fabric, (0, 0), (3, 0));
         assert!(fabric.inject(p));
         let delivered = fabric.drain();

@@ -1,20 +1,24 @@
 //! Property tests for the [`wsp_noc::Fabric`] engine: packet
 //! conservation, destination correctness, exclusion of disconnected
-//! pairs, deterministic replay of the traffic simulator, and the
-//! arena/ring-buffer invariants of the data-oriented hot loop —
-//! wrap-around at tiny FIFO capacities, [`Fabric::check_invariants`]
-//! after every tick, arrays wider than one occupancy word, drain to
-//! empty, and slot recycling, swept across fault-map × stepping ×
-//! threads.
+//! pairs, deterministic replay of the traffic simulator, the arena and
+//! ring-buffer invariants of the hot loop (wrap-around at tiny FIFO
+//! capacities, [`Fabric::check_invariants`] after every tick, arrays
+//! wider than one occupancy word, drain to empty, slot recycling), and
+//! tick-by-tick agreement of both steppings with the naive
+//! [`SpecFabric`] model across fault maps and FIFO depths.
+
+mod spec;
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use spec::SpecFabric;
 use wsp_common::parallel::Stepping;
 use wsp_noc::{
-    Fabric, FabricPacket, NetworkChoice, NocSim, RoutePlanner, SimConfig, TrafficPattern,
+    Fabric, FabricPacket, NetworkChoice, NetworkKind, NocSim, PacketKind, RoutePlanner, SimConfig,
+    TrafficPattern,
 };
-use wsp_topo::{FaultMap, TileArray, TileCoord};
+use wsp_topo::{FaultMap, TileArray, TileCoord, DIRECTIONS};
 
 /// Injects one request per sampled healthy pair into `fabric`, skipping
 /// disconnected ones, and returns `(injected_count, id → dst)`.
@@ -50,68 +54,127 @@ fn inject_random_pairs(
     (injected, expected)
 }
 
-/// The observable identity of a delivered packet, for bit-identity
-/// comparisons across executor configurations.
-fn delivery_key(p: &FabricPacket) -> (u64, TileCoord, TileCoord, u64, u32) {
-    (p.id, p.src, p.dst, p.injected_at, p.hops)
+/// The observable identity of a delivered packet, for comparisons
+/// against the spec model.
+fn delivery_key(p: &FabricPacket) -> (u64, TileCoord, TileCoord, PacketKind, u64, u32) {
+    (p.id, p.src, p.dst, p.kind, p.injected_at, p.hops)
 }
 
 const STEPPINGS: [Stepping; 2] = [Stepping::Dense, Stepping::Wheel];
 
-/// Injects the same random pairs into a dense single-thread reference
-/// and a `{stepping, threads}` variant, then checks that the variant
-/// replays the reference bit for bit — same deliveries in the same
-/// order each cycle, same link traversals — with both fabrics passing
-/// [`Fabric::check_invariants`] after every tick, and that both drain
-/// to an empty arena.
-#[allow(clippy::too_many_arguments)]
-fn replay_against_dense(
+/// Requests `(cycle, src, dst, choice)` between sampled healthy pairs,
+/// skipping disconnected ones, in injection order: `attempts` at cycle 0,
+/// then `attempts` more spread over cycles 1..=64.
+fn schedule(
+    faults: &FaultMap,
+    attempts: usize,
+    seed: u64,
+) -> Vec<(u64, TileCoord, TileCoord, NetworkChoice)> {
+    use rand::RngExt as _;
+    let planner = RoutePlanner::new(faults.clone());
+    let healthy: Vec<TileCoord> = faults.healthy_tiles().collect();
+    let mut rng = wsp_common::seeded_rng(seed);
+    let mut requests = Vec::new();
+    for i in 0..2 * attempts {
+        let cycle = if i < attempts {
+            0
+        } else {
+            rng.random_range(1..=64)
+        };
+        let src = healthy[rng.random_range(0..healthy.len())];
+        let dst = healthy[rng.random_range(0..healthy.len())];
+        let choice = planner.choose(src, dst);
+        if src != dst && choice != NetworkChoice::Disconnected {
+            requests.push((cycle, src, dst, choice));
+        }
+    }
+    requests.sort_by_key(|&(cycle, ..)| cycle);
+    requests
+}
+
+/// Runs the same traffic through [`SpecFabric`] and an engine per
+/// stepping. Requests are injected at their scheduled cycle, and every
+/// delivered request is answered with an `inject_unbounded` response, as
+/// `NocSim` does. Each tick, every engine must deliver exactly what the
+/// model delivers, in order, and pass [`Fabric::check_invariants`]; at
+/// drain the cycle, the traversal, relay and stall totals and every
+/// link's counters must match, and the arenas must be empty.
+fn replay_against_spec(
     array: TileArray,
     fault_count: usize,
     queue_capacity: usize,
     attempts: usize,
     seed: u64,
-    stepping: Stepping,
-    threads: usize,
 ) -> TestCaseResult {
     let mut rng = wsp_common::seeded_rng(seed.wrapping_mul(17).wrapping_add(3));
     let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
     if faults.healthy_count() < 2 {
         return Ok(());
     }
+    let requests = schedule(&faults, attempts, seed);
 
-    let mut reference = Fabric::new(array, queue_capacity);
-    reference.set_stepping(Stepping::Dense);
-    let mut variant = Fabric::new(array, queue_capacity);
-    variant.set_stepping(stepping);
-    variant.set_threads(threads);
-
-    let (injected_ref, _) = inject_random_pairs(&mut reference, &faults, attempts, seed);
-    let (injected_var, _) = inject_random_pairs(&mut variant, &faults, attempts, seed);
-    prop_assert_eq!(injected_ref, injected_var);
-    prop_assert_eq!(variant.check_invariants(), Ok(()));
-
-    let mut batch_ref = Vec::new();
-    let mut batch_var = Vec::new();
+    let mut spec = SpecFabric::new(array, queue_capacity);
+    let mut engines = STEPPINGS.map(|stepping| {
+        let mut fabric = Fabric::new(array, queue_capacity);
+        fabric.set_stepping(stepping);
+        fabric
+    });
+    let mut batch = Vec::new();
+    let mut next = 0;
     let mut idle = 0;
-    while reference.in_flight() > 0 || variant.in_flight() > 0 {
-        reference.tick_into(&mut batch_ref);
-        variant.tick_into(&mut batch_var);
-        prop_assert_eq!(reference.check_invariants(), Ok(()));
-        prop_assert_eq!(variant.check_invariants(), Ok(()));
-        let keys_ref: Vec<_> = batch_ref.iter().map(delivery_key).collect();
-        let keys_var: Vec<_> = batch_var.iter().map(delivery_key).collect();
-        prop_assert_eq!(keys_ref, keys_var);
-        idle = if batch_ref.is_empty() { idle + 1 } else { 0 };
+    while next < requests.len() || spec.in_flight() > 0 {
+        while let Some(&(_, src, dst, choice)) = requests
+            .get(next)
+            .filter(|&&(cycle, ..)| cycle <= spec.cycle())
+        {
+            let packet = FabricPacket::request(next as u64, src, dst, choice, spec.cycle());
+            let accepted = spec.inject(packet);
+            for engine in &mut engines {
+                prop_assert_eq!(engine.inject(packet), accepted);
+            }
+            next += 1;
+        }
+        let expected = spec.tick();
+        let keys: Vec<_> = expected.iter().map(delivery_key).collect();
+        for (engine, stepping) in engines.iter_mut().zip(STEPPINGS) {
+            engine.tick_into(&mut batch);
+            prop_assert_eq!(engine.check_invariants(), Ok(()), "{:?}", stepping);
+            let got: Vec<_> = batch.iter().map(delivery_key).collect();
+            prop_assert_eq!(&got, &keys, "{:?} at cycle {}", stepping, spec.cycle());
+        }
+        for request in expected.iter().filter(|p| p.kind == PacketKind::Request) {
+            let response = FabricPacket::response(request);
+            spec.inject_unbounded(response);
+            for engine in &mut engines {
+                engine.inject_unbounded(response);
+            }
+        }
+        idle = if expected.is_empty() { idle + 1 } else { 0 };
         prop_assert!(idle < 10_000, "fabric failed to drain");
     }
-    prop_assert_eq!(reference.cycle(), variant.cycle());
-    prop_assert_eq!(reference.link_traversals(), variant.link_traversals());
-    prop_assert_eq!(reference.total_stall_cycles(), variant.total_stall_cycles());
-
-    // Drain-to-empty returns every arena slot on both fabrics.
-    prop_assert_eq!(reference.arena_live(), 0);
-    prop_assert_eq!(variant.arena_live(), 0);
+    for (engine, stepping) in engines.iter().zip(STEPPINGS) {
+        prop_assert_eq!(engine.in_flight(), 0, "{:?}", stepping);
+        prop_assert_eq!(engine.arena_live(), 0, "{:?}", stepping);
+        prop_assert_eq!(engine.cycle(), spec.cycle(), "{:?}", stepping);
+        prop_assert_eq!(engine.link_traversals(), spec.link_traversals());
+        prop_assert_eq!(engine.relay_forwards(), spec.relay_forwards());
+        prop_assert_eq!(engine.total_stall_cycles(), spec.total_stall_cycles());
+        for net in [NetworkKind::Xy, NetworkKind::Yx] {
+            for tile in array.tiles() {
+                for (d, dir) in DIRECTIONS.into_iter().enumerate() {
+                    prop_assert_eq!(
+                        engine.link_stats(net, tile, dir),
+                        spec.link_stats(net, tile, d),
+                        "{:?} {:?} link {:?} {:?}",
+                        stepping,
+                        net,
+                        tile,
+                        dir
+                    );
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -209,29 +272,25 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Every `{stepping, threads}` executor configuration replays the
-    /// dense single-thread reference bit for bit at any ring capacity
-    /// (capacity 1 forces wrap-around on every push/pop pair), under any
-    /// fault map; see [`replay_against_dense`].
+    /// Both steppings replay the spec model tick for tick at any FIFO
+    /// depth (depth 1 forces ring wrap-around on every push/pop pair),
+    /// under any fault map, with relays, spread-out requests and
+    /// responses; see [`replay_against_spec`].
     #[test]
-    fn executor_axes_replay_the_dense_reference(
+    fn steppings_replay_the_spec_model(
         cols in 2u16..7,
         rows in 2u16..7,
         fault_count in 0usize..4,
         queue_capacity in 1usize..5,
         attempts in 1usize..48,
         seed in 0u64..500,
-        stepping_idx in 0usize..STEPPINGS.len(),
-        threads in 1usize..5,
     ) {
-        replay_against_dense(
+        replay_against_spec(
             TileArray::new(cols, rows),
             fault_count,
             queue_capacity,
             attempts,
             seed,
-            STEPPINGS[stepping_idx],
-            threads,
         )?;
     }
 
@@ -274,13 +333,11 @@ proptest! {
         attempts in 1usize..32,
         seed in 0u64..500,
         stepping_idx in 0usize..STEPPINGS.len(),
-        threads in 1usize..3,
     ) {
         let array = TileArray::new(5, 5);
         let faults = FaultMap::none(array);
         let mut fabric = Fabric::new(array, queue_capacity);
         fabric.set_stepping(STEPPINGS[stepping_idx]);
-        fabric.set_threads(threads);
 
         let (injected, _) = inject_random_pairs(&mut fabric, &faults, attempts, seed);
         let delivered = fabric.drain().len() as u64;
@@ -302,34 +359,22 @@ proptest! {
 }
 
 /// The same replay on arrays wider than one 64-bit occupancy word, so
-/// words span rows and plan bands end inside a word: widths 63, 64, 65
-/// and 129 with 1–3 rows, both steppings, threads {1, 2, 8}. Traffic
-/// scales with the tile count, so the wheel's active set crosses the
-/// two-thread banding threshold on the larger arrays.
+/// words span rows: widths 63, 64, 65 and 129 with 1–3 rows. Traffic
+/// scales with the tile count.
 #[test]
-fn executor_axes_replay_the_dense_reference_on_wide_arrays() {
+fn steppings_replay_the_spec_model_on_wide_arrays() {
     let mut case = 0u64;
     for cols in [63u16, 64, 65, 129] {
         for rows in 1u16..=3 {
+            case += 1;
             let array = TileArray::new(cols, rows);
-            for stepping in STEPPINGS {
-                for threads in [1, 2, 8] {
-                    case += 1;
-                    let fault_count = (case % 3) as usize;
-                    let queue_capacity = 1 + (case % 4) as usize;
-                    let attempts = 2 * array.tile_count();
-                    if let Err(err) = replay_against_dense(
-                        array,
-                        fault_count,
-                        queue_capacity,
-                        attempts,
-                        case,
-                        stepping,
-                        threads,
-                    ) {
-                        panic!("{cols}x{rows} {stepping:?} threads {threads}: {err}");
-                    }
-                }
+            let fault_count = (case % 3) as usize;
+            let queue_capacity = 1 + (case % 4) as usize;
+            let attempts = 2 * array.tile_count();
+            if let Err(err) =
+                replay_against_spec(array, fault_count, queue_capacity, attempts, case)
+            {
+                panic!("{cols}x{rows}: {err}");
             }
         }
     }

@@ -10,9 +10,8 @@
 //! lowest-numbered free usable slice — so the whole campaign is a pure
 //! function of its [`ServeConfig`]. Jobs run *at dispatch* (simulated
 //! time is pure accounting): the machine layer guarantees bit-identical
-//! results across `{dense, wheel}` stepping and any thread
-//! count, so the campaign's digests, histograms, and final report are
-//! bit-identical too. Between jobs every slice machine is quiescent
+//! results across `{dense, wheel}` stepping, so the campaign's digests,
+//! histograms, and final report are bit-identical too. Between jobs every slice machine is quiescent
 //! (its cores halted, its fabric drained), which is what makes the
 //! snapshot in [`crate::snapshot`] small and exact.
 //!
@@ -57,9 +56,6 @@ pub struct ServeConfig {
     /// The admitted job stream (see [`crate::synthesize_jobs`]),
     /// ascending by arrival.
     pub jobs: Vec<JobSpec>,
-    /// Worker threads for the cycle-level machine jobs (results are
-    /// bit-identical at any value).
-    pub threads: usize,
     /// Tile-visit strategy for the cycle-level machine jobs
     /// (bit-identical across modes).
     pub stepping: Stepping,
@@ -74,8 +70,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config over a clean `wafer` with the library defaults:
-    /// sequential machine jobs, wheel stepping, fixed memory, no fault
-    /// injection.
+    /// wheel stepping, fixed memory, no fault injection.
     pub fn new(wafer: TileArray, slice_width: u16, slice_height: u16) -> Self {
         ServeConfig {
             wafer,
@@ -83,7 +78,6 @@ impl ServeConfig {
             slice_width,
             slice_height,
             jobs: Vec::new(),
-            threads: 1,
             stepping: Stepping::default(),
             memory: MemoryModelKind::default(),
             fail_slice_after: None,
@@ -456,12 +450,8 @@ impl ServeCampaign {
                 (report.cycles, result == grid.reference_jacobi(6))
             }
             JobKind::Halo => {
-                let mut machine = build_halo_slice_machine(
-                    &faults,
-                    self.config.threads,
-                    self.config.stepping,
-                    self.config.memory,
-                );
+                let mut machine =
+                    build_halo_slice_machine(&faults, self.config.stepping, self.config.memory);
                 let stats = machine.run_until_halt(2_000_000).expect("halo job halts");
                 hasher.write_u64(stats.cycles);
                 hasher.write_u64(stats.retired);
@@ -479,7 +469,7 @@ impl ServeCampaign {
     /// derives p50/p95/p99), slice utilisation, throughput at the
     /// nominal frequency, and the completion/drop/retire counters. All
     /// values are simulated-clock quantities — nothing wall-clock — so
-    /// reports are byte-stable across hosts, threads, and stepping.
+    /// reports are byte-stable across hosts and stepping modes.
     pub fn export_metrics(&self, sink: &mut dyn Sink) {
         sink.histogram_merge("serve.queue_wait_cycles", &self.queue_wait);
         sink.histogram_merge("serve.service_cycles", &self.service);
@@ -548,7 +538,6 @@ fn timed_graph<R: Rng + ?Sized>(
 /// able to serve halo jobs.
 pub fn build_halo_slice_machine(
     faults: &FaultMap,
-    threads: usize,
     stepping: Stepping,
     memory: MemoryModelKind,
 ) -> MultiTileMachine {
@@ -558,7 +547,6 @@ pub fn build_halo_slice_machine(
         .with_memory_model(memory);
     let planner = wsp_noc::RoutePlanner::new(faults.clone());
     let mut m = MultiTileMachine::new(cfg, faults.clone());
-    m.set_threads(threads);
     m.set_stepping(stepping);
     for t in faults.healthy_tiles().collect::<Vec<_>>() {
         let east = (1..=array.cols())
@@ -644,19 +632,15 @@ mod tests {
         assert_eq!(small_config(8, None).stepping, Stepping::Wheel, "default");
         let mut reference: Option<(u64, String)> = None;
         for stepping in [Stepping::Dense, Stepping::Wheel] {
-            for threads in [1usize, 4] {
-                let mut cfg = small_config(8, None);
-                cfg.stepping = stepping;
-                cfg.threads = threads;
-                let mut campaign = ServeCampaign::new(cfg).expect("valid");
-                campaign.run_to_completion();
-                let got = (campaign.clock(), campaign.journal().to_text());
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => assert_eq!(
-                        *want, got,
-                        "{stepping:?} x{threads} diverged from the reference run"
-                    ),
+            let mut cfg = small_config(8, None);
+            cfg.stepping = stepping;
+            let mut campaign = ServeCampaign::new(cfg).expect("valid");
+            campaign.run_to_completion();
+            let got = (campaign.clock(), campaign.journal().to_text());
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => {
+                    assert_eq!(*want, got, "{stepping:?} diverged from the reference run")
                 }
             }
         }
@@ -726,7 +710,7 @@ mod tests {
     fn halo_slice_machine_tolerates_faults() {
         let array = TileArray::new(4, 4);
         let faults = FaultMap::from_faulty(array, [TileCoord::new(1, 1), TileCoord::new(2, 2)]);
-        let mut m = build_halo_slice_machine(&faults, 1, Stepping::Wheel, MemoryModelKind::Fixed);
+        let mut m = build_halo_slice_machine(&faults, Stepping::Wheel, MemoryModelKind::Fixed);
         let stats = m.run_until_halt(1_000_000).expect("halts");
         // 14 healthy tiles x 2 cores x HALO_WORDS loads, local or remote.
         assert_eq!(

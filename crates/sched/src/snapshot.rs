@@ -15,17 +15,59 @@
 //! Restoring into the same [`ServeConfig`] and running to completion
 //! yields byte-identical reports and journals to the uninterrupted run
 //! — `scripts/check.sh` gates on exactly that.
+//!
+//! The last line seals the snapshot: `checksum <16 hex digits>`, the
+//! FNV-1a 64 of every byte before it. [`ServeCampaign::restore`] checks
+//! it before parsing any field, so a corrupted snapshot is rejected
+//! rather than believed.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use wsp_telemetry::{DigestJournal, Histogram, HISTOGRAM_BUCKETS};
+use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, HISTOGRAM_BUCKETS};
 use wsp_topo::FaultMap;
 
 use crate::serve::{PendingJob, ServeCampaign, ServeConfig};
 
 /// First line of every campaign snapshot; bump when the layout changes.
-pub const SNAPSHOT_MAGIC: &str = "wsp-serve-snapshot-v1";
+pub const SNAPSHOT_MAGIC: &str = "wsp-serve-snapshot-v2";
+
+/// FNV-1a 64 of a snapshot body.
+fn checksum(body: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_bytes(body.as_bytes());
+    h.finish()
+}
+
+/// Appends the `checksum` line that seals `body`, which must end in a
+/// newline.
+fn seal(mut body: String) -> String {
+    let _ = writeln!(body, "checksum {:016x}", checksum(&body));
+    body
+}
+
+/// The body of a sealed snapshot (everything before its checksum line),
+/// once the magic line and the checksum check out.
+fn unseal(text: &str) -> Result<&str, String> {
+    if text.lines().next() != Some(SNAPSHOT_MAGIC) {
+        return Err(format!("snapshot does not start with {SNAPSHOT_MAGIC:?}"));
+    }
+    let sealed = text.strip_suffix('\n').unwrap_or(text);
+    let (body, last) = match sealed.rsplit_once('\n') {
+        Some((before, last)) => (&text[..=before.len()], last),
+        None => ("", sealed),
+    };
+    let stored = last
+        .strip_prefix("checksum ")
+        .ok_or("snapshot does not end with a checksum line")?;
+    let computed = format!("{:016x}", checksum(body));
+    if stored != computed {
+        return Err(format!(
+            "snapshot checksum {stored:?} does not match its contents ({computed})"
+        ));
+    }
+    Ok(body)
+}
 
 fn push_ids(out: &mut String, key: &str, ids: impl IntoIterator<Item = u32>) {
     out.push_str(key);
@@ -107,7 +149,7 @@ impl ServeCampaign {
         if !journal.ends_with('\n') {
             out.push('\n');
         }
-        out
+        seal(out)
     }
 
     /// Rebuilds a campaign from `text`, validating it against `config`
@@ -124,14 +166,13 @@ impl ServeCampaign {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line, config
-    /// mismatch, or inconsistent job bookkeeping.
+    /// Returns a description of a wrong magic line or checksum (checked
+    /// first), or of the first malformed line, config mismatch, or
+    /// inconsistent job bookkeeping.
     pub fn restore(config: ServeConfig, text: &str) -> Result<ServeCampaign, String> {
+        // Skip the magic line, which `unseal` has checked.
+        let mut lines = unseal(text)?.lines().skip(1);
         let mut campaign = ServeCampaign::new(config).map_err(|e| e.to_string())?;
-        let mut lines = text.lines();
-        if lines.next() != Some(SNAPSHOT_MAGIC) {
-            return Err(format!("snapshot does not start with {SNAPSHOT_MAGIC:?}"));
-        }
         let wafer = parse_pair(lines.next(), "wafer")?;
         if wafer
             != (
@@ -410,6 +451,17 @@ mod tests {
             .contains(SNAPSHOT_MAGIC));
     }
 
+    /// Re-seals a hand-edited snapshot, so `restore` reaches the check
+    /// the edit targets instead of stopping at the checksum.
+    fn reseal(text: &str) -> String {
+        let body: String = text
+            .lines()
+            .filter(|l| !l.starts_with("checksum "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        seal(body)
+    }
+
     /// Restores `text` and, when it parses, runs the campaign to
     /// completion and exports its metrics; a panic anywhere fails `case`.
     fn restore_and_finish(text: &str, case: &str) {
@@ -453,10 +505,24 @@ mod tests {
             };
             let mut text = lines.clone();
             text[i] = &mutated;
-            let text = text.join("\n");
+            let text = reseal(&text.join("\n"));
             let err = ServeCampaign::restore(config(), &text)
                 .expect_err(&format!("job {bad_id} appended to {key:?} line {i}"));
             assert!(err.contains(&format!("job {bad_id}")), "{err}");
+        }
+        // Every single-bit flip that leaves valid UTF-8 is rejected.
+        let mut bytes = snap.clone().into_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    assert!(
+                        ServeCampaign::restore(config(), text).is_err(),
+                        "byte {i} bit {bit} flipped: restored"
+                    );
+                }
+                bytes[i] ^= 1 << bit;
+            }
         }
     }
 
@@ -498,7 +564,7 @@ mod tests {
             ),
         ];
         for (text, want) in cases {
-            let err = ServeCampaign::restore(config(), &text).expect_err(want);
+            let err = ServeCampaign::restore(config(), &reseal(&text)).expect_err(want);
             assert!(err.contains(want), "{err} (wanted {want:?})");
         }
     }

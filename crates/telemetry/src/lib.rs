@@ -56,7 +56,7 @@ pub use digest::{
 pub use profiler::{profile_rollup, PhaseProfiler, PhaseStat, ProfileRow, PROFILE_GAUGE_PREFIX};
 pub use registry::{Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use sampler::{TimeSeries, DEFAULT_SAMPLE_EVERY, DEFAULT_SERIES_CAPACITY};
-pub use sink::{BufferedSink, NoopSink, Recorder, SharedRecorder, Sink};
+pub use sink::{NoopSink, Recorder, SharedRecorder, Sink};
 pub use trace::{TraceEvent, Tracer};
 
 /// Identifier of the machine-readable report schema emitted by

@@ -1,9 +1,8 @@
 //! Scoped wall-clock phase profiling: attributes host time to named
-//! simulation phases (fabric plan/apply, tile step, packet commit,
-//! memory servicing, PDN sweeps) with an order-independent fold so
-//! per-shard timings can be merged after a parallel barrier.
+//! simulation phases (fabric tick, tile step, memory servicing, PDN
+//! sweeps).
 //!
-//! Phase names are dot-separated paths (`machine.fabric.plan`); a phase
+//! Phase names are dot-separated paths (`machine.fabric.fused`); a phase
 //! is the *parent* of another when its path plus one extra segment
 //! matches, which is how [`profile_rollup`] computes self time.
 //!
@@ -23,10 +22,9 @@ pub const PROFILE_GAUGE_PREFIX: &str = "wall.profile.";
 /// Accumulated time for one phase.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Number of scope entries folded in.
+    /// Number of scope entries recorded.
     pub calls: u64,
-    /// Total nanoseconds across all entries (CPU-side wall time; shard
-    /// folds sum across threads, so this can exceed elapsed run time).
+    /// Total nanoseconds across all entries.
     pub nanos: u128,
 }
 
@@ -41,9 +39,7 @@ impl PhaseStat {
 ///
 /// Disabled (the default) the profiler never reads the clock — `start`
 /// returns `None` and `stop` is a no-op — so instrumented hot loops pay
-/// one branch. Folding sums per-phase calls and nanos, which is
-/// commutative and associative: the result is independent of the order
-/// shards are folded in.
+/// one branch.
 ///
 /// # Examples
 ///
@@ -100,20 +96,11 @@ impl PhaseProfiler {
         }
     }
 
-    /// Adds raw time to a phase (the fold primitive).
+    /// Adds raw time to a phase.
     pub fn add(&mut self, phase: &'static str, nanos: u128, calls: u64) {
         let s = self.stats.entry(phase).or_default();
         s.calls += calls;
         s.nanos += nanos;
-    }
-
-    /// Folds another profiler's accumulated stats into this one.
-    /// Summation is order-independent, so shards may be folded in any
-    /// order after the barrier.
-    pub fn fold(&mut self, other: &PhaseProfiler) {
-        for (phase, s) in &other.stats {
-            self.add(phase, s.nanos, s.calls);
-        }
     }
 
     /// Accumulated stat for one phase.
@@ -218,34 +205,6 @@ mod tests {
         }
         let s = p.stat("machine.tiles").expect("recorded");
         assert_eq!(s.calls, 3);
-    }
-
-    #[test]
-    fn fold_is_order_independent() {
-        let mut a = PhaseProfiler::new(true);
-        a.add("x", 100, 2);
-        a.add("y", 50, 1);
-        let mut b = PhaseProfiler::new(true);
-        b.add("x", 7, 1);
-        b.add("z", 3, 4);
-
-        let mut ab = PhaseProfiler::new(true);
-        ab.fold(&a);
-        ab.fold(&b);
-        let mut ba = PhaseProfiler::new(true);
-        ba.fold(&b);
-        ba.fold(&a);
-        assert_eq!(
-            ab.phases().collect::<Vec<_>>(),
-            ba.phases().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            ab.stat("x"),
-            Some(PhaseStat {
-                calls: 3,
-                nanos: 107
-            })
-        );
     }
 
     #[test]

@@ -119,223 +119,6 @@ impl Sink for Recorder {
     }
 }
 
-/// One recorded telemetry event, held by a [`BufferedSink`] until replay.
-#[derive(Debug, Clone, PartialEq)]
-enum BufferedEvent {
-    Counter {
-        name: String,
-        delta: u64,
-    },
-    Gauge {
-        name: String,
-        value: f64,
-    },
-    Histogram {
-        name: String,
-        value: u64,
-    },
-    HistogramMerge {
-        name: String,
-        // Boxed: a Histogram's bucket array would otherwise dominate the
-        // size of every buffered event.
-        hist: Box<Histogram>,
-    },
-    Series {
-        name: String,
-        values: Vec<f64>,
-    },
-    TimeSeries {
-        name: String,
-        // Boxed like HistogramMerge: the point buffer would dominate
-        // every buffered event otherwise.
-        series: Box<TimeSeries>,
-    },
-    Span {
-        category: String,
-        name: String,
-        track: u64,
-        start: u64,
-        end: u64,
-    },
-    Instant {
-        category: String,
-        name: String,
-        track: u64,
-        at: u64,
-        args: Vec<(String, f64)>,
-    },
-}
-
-/// A sink that buffers events in order for later replay into another sink.
-///
-/// This is the contention-free aggregation primitive for sharded
-/// simulation: each worker shard records into its own private
-/// `BufferedSink` (no locks on the hot path), and the sequential commit
-/// phase replays the buffers into the real sink in canonical shard order —
-/// so the aggregated stream is deterministic at any thread count.
-///
-/// A buffer built with `enabled = false` drops everything, mirroring the
-/// cost model of [`NoopSink`].
-///
-/// # Examples
-///
-/// ```
-/// use wsp_telemetry::{BufferedSink, Recorder, Sink};
-///
-/// let mut shard = BufferedSink::new(true);
-/// shard.counter_add("hits", 2);
-/// shard.histogram_record("latency", 17);
-/// let mut recorder = Recorder::new();
-/// shard.replay(&mut recorder);
-/// assert_eq!(recorder.registry.counter("hits"), 2);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct BufferedSink {
-    enabled: bool,
-    events: Vec<BufferedEvent>,
-}
-
-impl BufferedSink {
-    /// An empty buffer; `enabled = false` makes every hook a no-op.
-    pub fn new(enabled: bool) -> Self {
-        BufferedSink {
-            enabled,
-            events: Vec::new(),
-        }
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replays every buffered event into `sink` in recording order,
-    /// draining the buffer.
-    pub fn replay(&mut self, sink: &mut dyn Sink) {
-        for event in self.events.drain(..) {
-            match event {
-                BufferedEvent::Counter { name, delta } => sink.counter_add(&name, delta),
-                BufferedEvent::Gauge { name, value } => sink.gauge_set(&name, value),
-                BufferedEvent::Histogram { name, value } => sink.histogram_record(&name, value),
-                BufferedEvent::HistogramMerge { name, hist } => {
-                    sink.histogram_merge(&name, &hist);
-                }
-                BufferedEvent::Series { name, values } => sink.series_set(&name, &values),
-                BufferedEvent::TimeSeries { name, series } => {
-                    sink.timeseries_merge(&name, &series);
-                }
-                BufferedEvent::Span {
-                    category,
-                    name,
-                    track,
-                    start,
-                    end,
-                } => sink.span(&category, &name, track, start, end),
-                BufferedEvent::Instant {
-                    category,
-                    name,
-                    track,
-                    at,
-                    args,
-                } => {
-                    let args: Vec<(&str, f64)> =
-                        args.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-                    sink.instant(&category, &name, track, at, &args);
-                }
-            }
-        }
-    }
-}
-
-impl Sink for BufferedSink {
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn counter_add(&mut self, name: &str, delta: u64) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Counter {
-                name: name.to_owned(),
-                delta,
-            });
-        }
-    }
-
-    fn gauge_set(&mut self, name: &str, value: f64) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Gauge {
-                name: name.to_owned(),
-                value,
-            });
-        }
-    }
-
-    fn histogram_record(&mut self, name: &str, value: u64) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Histogram {
-                name: name.to_owned(),
-                value,
-            });
-        }
-    }
-
-    fn histogram_merge(&mut self, name: &str, hist: &Histogram) {
-        if self.enabled {
-            self.events.push(BufferedEvent::HistogramMerge {
-                name: name.to_owned(),
-                hist: Box::new(hist.clone()),
-            });
-        }
-    }
-
-    fn series_set(&mut self, name: &str, values: &[f64]) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Series {
-                name: name.to_owned(),
-                values: values.to_vec(),
-            });
-        }
-    }
-
-    fn timeseries_merge(&mut self, name: &str, series: &TimeSeries) {
-        if self.enabled {
-            self.events.push(BufferedEvent::TimeSeries {
-                name: name.to_owned(),
-                series: Box::new(series.clone()),
-            });
-        }
-    }
-
-    fn span(&mut self, category: &str, name: &str, track: u64, start: u64, end: u64) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Span {
-                category: category.to_owned(),
-                name: name.to_owned(),
-                track,
-                start,
-                end,
-            });
-        }
-    }
-
-    fn instant(&mut self, category: &str, name: &str, track: u64, at: u64, args: &[(&str, f64)]) {
-        if self.enabled {
-            self.events.push(BufferedEvent::Instant {
-                category: category.to_owned(),
-                name: name.to_owned(),
-                track,
-                at,
-                args: args.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
-            });
-        }
-    }
-}
-
 /// A cheaply clonable, thread-safe handle to one shared [`Recorder`].
 ///
 /// Several subsystems (a machine, its fabric, a PDN solve) each hold a
@@ -474,38 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_sink_replays_in_recording_order() {
-        let mut shard = BufferedSink::new(true);
-        assert!(shard.enabled());
-        shard.counter_add("c", 1);
-        shard.counter_add("c", 2);
-        shard.histogram_record("h", 4);
-        shard.gauge_set("g", 2.5);
-        shard.series_set("s", &[1.0, 2.0]);
-        shard.span("m", "work", 3, 10, 20);
-        shard.instant("m", "tick", 3, 15, &[("v", 9.0)]);
-        assert_eq!(shard.len(), 7);
-
-        let mut recorder = Recorder::new();
-        shard.replay(&mut recorder);
-        assert!(shard.is_empty(), "replay drains the buffer");
-        assert_eq!(recorder.registry.counter("c"), 3);
-        assert_eq!(recorder.registry.histogram("h").unwrap().count(), 1);
-        assert_eq!(recorder.registry.gauge("g"), Some(2.5));
-        assert_eq!(recorder.registry.series("s").map(<[f64]>::len), Some(2));
-        assert_eq!(recorder.tracer.len(), 2);
-    }
-
-    #[test]
-    fn disabled_buffered_sink_records_nothing() {
-        let mut shard = BufferedSink::new(false);
-        assert!(!shard.enabled());
-        shard.counter_add("c", 1);
-        shard.span("m", "work", 0, 0, 1);
-        assert!(shard.is_empty());
-    }
-
-    #[test]
     fn histogram_merge_flows_through_every_sink() {
         let mut local = Histogram::new();
         local.record(3);
@@ -515,13 +266,6 @@ mod tests {
         recorder.histogram_merge("h", &local);
         assert_eq!(recorder.registry.histogram("h").unwrap().count(), 2);
         assert_eq!(recorder.registry.histogram("h").unwrap().max(), 1000);
-
-        let mut shard = BufferedSink::new(true);
-        shard.histogram_record("h", 7);
-        shard.histogram_merge("h", &local);
-        let mut replayed = Recorder::new();
-        shard.replay(&mut replayed);
-        assert_eq!(replayed.registry.histogram("h").unwrap().count(), 3);
 
         let shared = SharedRecorder::new();
         shared.boxed().histogram_merge("h", &local);

@@ -1,9 +1,9 @@
 //! Property tests for the telemetry core: histogram percentile ordering,
-//! bucket boundary identities, counter saturation, time-series
-//! decimation determinism, and phase-profiler fold commutativity.
+//! bucket boundary identities, counter saturation, and time-series
+//! decimation determinism.
 
 use proptest::prelude::*;
-use wsp_telemetry::{Histogram, PhaseProfiler, Recorder, Registry, TimeSeries};
+use wsp_telemetry::{Histogram, Registry, TimeSeries};
 
 proptest! {
     /// p50 ≤ p95 ≤ p99 ≤ max for any sample set, and every percentile
@@ -86,40 +86,5 @@ proptest! {
             prop_assert_eq!(cycle % a.cadence(), 0, "cycle {} off cadence {}", cycle, a.cadence());
             prop_assert_eq!(value, cycle as f64, "value survived decimation unchanged");
         }
-    }
-
-    /// Folding per-shard profilers is order-independent: any permutation
-    /// of the shards exports identical gauges. This is what makes the
-    /// banded executor's per-thread profile fold safe to run in whatever
-    /// order the commit loop visits shards.
-    #[test]
-    fn profiler_fold_is_order_independent(
-        entries in proptest::collection::vec(
-            (0usize..4, 0u64..1_000_000, 1u64..100),
-            1..24,
-        ),
-        rotate in 0usize..24,
-    ) {
-        const PHASES: [&str; 4] = ["tiles", "commit", "fabric", "fabric.memory"];
-        let shards: Vec<PhaseProfiler> = entries
-            .iter()
-            .map(|&(phase, nanos, calls)| {
-                let mut p = PhaseProfiler::new(true);
-                p.add(PHASES[phase], u128::from(nanos), calls);
-                p
-            })
-            .collect();
-        let export = |order: &[PhaseProfiler]| {
-            let mut folded = PhaseProfiler::new(true);
-            for shard in order {
-                folded.fold(shard);
-            }
-            let mut r = Recorder::new();
-            folded.export(&mut r, "machine.");
-            r.registry.to_json()
-        };
-        let mut rotated = shards.clone();
-        rotated.rotate_left(rotate % shards.len());
-        prop_assert_eq!(export(&shards), export(&rotated));
     }
 }

@@ -8,10 +8,10 @@
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
-# Set WSP_THREADS=<n> to pin the simulation backend's worker count
-# (forwarded as --threads to every binary); the default is the host's
-# available parallelism. Results are bit-identical either way — the
-# knob only affects wall-clock and the speedup gauges.
+# Set WSP_THREADS=<n> to pin the worker count of the red/black PDN
+# solve (forwarded as --threads to every binary; only fig2_droop reads
+# it); the default is the host's available parallelism. Results are
+# bit-identical either way — the knob only affects wall-clock.
 #
 # Full-run artefacts land in the repo root (smoke runs never touch the
 # committed ones):

@@ -16,37 +16,25 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> perf-shape gate (committed phase profile takes the fused fast path)"
+echo "==> perf-shape gate (committed phase profile records the fused tick)"
 # The committed full-run BENCH_noc.json pins the *shape* of the fabric
 # hot loop, not its wall-clock (ms gauges stay outside tolerances, as
-# wsp-diff does): the full-wafer section must have executed on the fused
-# single-pass plan+apply path. A `fused.calls` counter must be present,
-# and the split-path `plan.calls` / `apply.calls` counters must not be —
-# their reappearance means single-shard ticks silently fell back to the
-# two-pass split, the exact constant-factor regression the data-oriented
-# rewrite removed.
+# wsp-diff does): the full-wafer section must have profiled the fabric's
+# one fused plan+apply pass, so a `fused.calls` counter must be present.
 if ! grep -q '"wall.profile.fabric.full_wafer.fused.calls"' BENCH_noc.json; then
     echo "FAIL: BENCH_noc.json lacks wall.profile.fabric.full_wafer.fused.calls" >&2
-    echo "      (full-wafer fabric ticks no longer take the fused fast path)" >&2
+    echo "      (the full-wafer fabric profile no longer records the fused tick)" >&2
     exit 1
 fi
-for phase in plan apply; do
-    if grep -q "\"wall.profile.fabric.full_wafer.$phase.calls\"" BENCH_noc.json; then
-        echo "FAIL: BENCH_noc.json records wall.profile.fabric.full_wafer.$phase.calls" >&2
-        echo "      (single-shard full-wafer ticks regressed to the two-pass split)" >&2
-        exit 1
-    fi
-done
-echo "    committed full-wafer profile is fused-only"
+echo "    committed full-wafer profile records the fused tick"
 
 echo "==> bench smoke (BENCH_*.json present and well-formed)"
 ./scripts/bench.sh --smoke
 
-echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} x {1,8} threads)"
-# Two claims at once: (1) the parallel backend and the default wheel
-# stepping (active-set walk plus event-wheel skips) are bit-identical to
-# the sequential dense sweep, and (2) the
-# default fixed-latency memory backend is byte-identical to the
+echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} stepping)"
+# Two claims at once: (1) the default wheel stepping (active-set walk
+# plus event-wheel skips) is bit-identical to the dense sweep, and (2)
+# the default fixed-latency memory backend is byte-identical to the
 # pre-MemoryModel-refactor seed output committed under tests/golden/.
 # The smoke JSON carries only deterministic metrics (no wall-clock
 # gauges), so every run must match the golden file byte for byte.
@@ -55,37 +43,54 @@ echo "==> determinism gate (smoke JSON vs tests/golden, {dense,wheel} x {1,8} th
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "$DET_DIR"' EXIT
 if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
-    target/release/fig7_network --smoke --stepping dense --threads 1 \
+    target/release/fig7_network --smoke --stepping dense \
         --json tests/golden/fig7_network_smoke.json >/dev/null
-    target/release/workloads --smoke --stepping dense --threads 1 \
+    target/release/workloads --smoke --stepping dense \
         --json tests/golden/workloads_smoke.json >/dev/null
-    target/release/serve --smoke --stepping dense --threads 1 \
+    target/release/serve --smoke --stepping dense \
         --json tests/golden/serve_smoke.json >/dev/null
     echo "    refreshed tests/golden/*.json (+ .digest sidecars)"
 fi
 for bin in fig7_network workloads serve; do
     golden="tests/golden/${bin}_smoke.json"
     for stepping in dense wheel; do
-        for threads in 1 8; do
-            out="$DET_DIR/$bin-$stepping-t$threads.json"
-            target/release/"$bin" --smoke --stepping "$stepping" --threads "$threads" \
-                --json "$out" >/dev/null
-            if ! cmp -s "$golden" "$out"; then
-                echo "FAIL: $bin smoke JSON differs from $golden at $stepping/$threads" >&2
-                diff "$golden" "$out" >&2 || true
-                exit 1
-            fi
-            # The digest sidecar must match too; on divergence wsp-diff
-            # pinpoints the first bad cycle window and lane.
-            if ! cmp -s "$golden.digest" "$out.digest"; then
-                echo "FAIL: $bin digest journal diverged from $golden.digest at $stepping/$threads" >&2
-                target/release/wsp-diff digest "$golden.digest" "$out.digest" >&2 || true
-                exit 1
-            fi
-        done
+        out="$DET_DIR/$bin-$stepping.json"
+        target/release/"$bin" --smoke --stepping "$stepping" --json "$out" >/dev/null
+        if ! cmp -s "$golden" "$out"; then
+            echo "FAIL: $bin smoke JSON differs from $golden at $stepping" >&2
+            diff "$golden" "$out" >&2 || true
+            exit 1
+        fi
+        # The digest sidecar must match too; on divergence wsp-diff
+        # pinpoints the first bad cycle window and lane.
+        if ! cmp -s "$golden.digest" "$out.digest"; then
+            echo "FAIL: $bin digest journal diverged from $golden.digest at $stepping" >&2
+            target/release/wsp-diff digest "$golden.digest" "$out.digest" >&2 || true
+            exit 1
+        fi
     done
 done
-echo "    byte-identical to the goldens across stepping modes and thread counts"
+echo "    byte-identical to the goldens across stepping modes"
+
+echo "==> PDN golden (fig2_droop smoke JSON vs tests/golden, --threads {1,8})"
+# The red/black PDN solve is the one threaded simulation loop; its smoke
+# report must be byte-identical to the golden at any thread count. This
+# bin writes no digest sidecar.
+if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
+    target/release/fig2_droop --smoke --threads 1 \
+        --json tests/golden/fig2_droop_smoke.json >/dev/null
+    echo "    refreshed tests/golden/fig2_droop_smoke.json"
+fi
+for threads in 1 8; do
+    out="$DET_DIR/fig2_droop-t$threads.json"
+    target/release/fig2_droop --smoke --threads "$threads" --json "$out" >/dev/null
+    if ! cmp -s tests/golden/fig2_droop_smoke.json "$out"; then
+        echo "FAIL: fig2_droop smoke JSON differs from tests/golden/fig2_droop_smoke.json at $threads threads" >&2
+        diff tests/golden/fig2_droop_smoke.json "$out" >&2 || true
+        exit 1
+    fi
+done
+echo "    byte-identical to the golden at 1 and 8 threads"
 
 echo "==> Fig. 6 golden (fig6_disconnect smoke JSON vs tests/golden)"
 # The connectivity counts behind Fig. 6 and its odd-even table are exact
@@ -126,12 +131,12 @@ echo "==> wsp-diff regression gate (bench JSON vs committed baselines)"
 # The tolerance-gated diff must pass on the baselines themselves...
 for bin in fig7_network workloads serve; do
     target/release/wsp-diff bench --tolerances tests/golden/tolerances.txt \
-        "tests/golden/${bin}_smoke.json" "$DET_DIR/$bin-dense-t1.json" \
+        "tests/golden/${bin}_smoke.json" "$DET_DIR/$bin-dense.json" \
         | sed 's/^/    /'
 done
 # ...and must trip on a synthetic out-of-tolerance metric change.
 sed 's/"fabric.cycles":[0-9.]*/"fabric.cycles":1/' \
-    "$DET_DIR/fig7_network-dense-t1.json" > "$DET_DIR/mutated.json"
+    "$DET_DIR/fig7_network-dense.json" > "$DET_DIR/mutated.json"
 if target/release/wsp-diff bench --tolerances tests/golden/tolerances.txt \
     "tests/golden/fig7_network_smoke.json" "$DET_DIR/mutated.json" >/dev/null; then
     echo "FAIL: wsp-diff bench did not flag a mutated metric" >&2

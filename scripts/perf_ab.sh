@@ -1,26 +1,37 @@
 #!/usr/bin/env bash
-# Interleaved A/B of one benchmark workload: a base revision against the
-# working tree.
+# Interleaved A/B of one benchmark workload or one regenerator binary: a
+# base revision against the working tree.
 #
 #   ./scripts/perf_ab.sh <base-rev> <workload> [pairs]
+#   ./scripts/perf_ab.sh <base-rev> <bench-bin> [pairs]
 #
 # Exports <base-rev> (any commit-ish) into a temporary directory, removed
-# on exit, so `git status` stays clean. Then runs the unmodified
-# BENCHMARK.json command for <workload> `pairs` times per side (default
-# 10), on seeds 1..pairs, alternating base and head and flipping which
-# side runs first every pair. Each side appends its runs to its own
-# --out directory (base/ and head/ under the kept output directory the
-# script prints), so the benchmark's `compare` pairs them by position.
-# Prints `compare base/results.json head/results.json` and how many pairs
-# each side won on pass_s.
+# on exit, so `git status` stays clean. Both modes run `pairs` times per
+# side (default 10), alternating base and head and flipping which side
+# runs first every pair, and keep their outputs in a directory the
+# script prints.
 #
-# Each side builds the benchmark from its own sources before the first
-# timed run. The script needs git, tar, cargo and jq.
+# Benchmark mode (<workload> is a BENCHMARK.json workload): runs the
+# unmodified BENCHMARK.json command on seeds 1..pairs. Each side appends
+# its runs to its own --out directory (base/ and head/), so the
+# benchmark's `compare` pairs them by position. Prints
+# `compare base/results.json head/results.json` and how many pairs each
+# side won on pass_s.
+#
+# Bench-bin mode (<bench-bin> names a crates/bench/src/bin binary, e.g.
+# fig7_network): builds wsp-bench on both sides and runs
+# `target/release/<bench-bin> --json <out>` with its default options.
+# Prints one row per `wall.*` gauge present in every run of both sides:
+# the base median, the head median, head/base, and the pairs head won
+# (lower value wins; higher wins for `*.speedup` gauges).
+#
+# Each side builds from its own sources before the first timed run. The
+# script needs git, tar, cargo and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <base-rev> <workload> [pairs]" >&2
+    echo "usage: $0 <base-rev> <workload|bench-bin> [pairs]" >&2
     exit 2
 }
 [[ $# -ge 2 && $# -le 3 ]] || usage
@@ -36,20 +47,80 @@ command -v jq >/dev/null || {
     echo "error: jq is required to read BENCHMARK.json and the results" >&2
     exit 2
 }
-jq -e --arg w "$workload" '.workloads | any(.name == $w)' BENCHMARK.json >/dev/null || {
-    echo "error: $workload is not a BENCHMARK.json workload" >&2
+if [[ "$workload" =~ ^[a-z0-9_]+$ && -f "crates/bench/src/bin/$workload.rs" ]]; then
+    mode=bin
+elif jq -e --arg w "$workload" '.workloads | any(.name == $w)' BENCHMARK.json >/dev/null; then
+    mode=benchmark
+else
+    echo "error: $workload is neither a BENCHMARK.json workload nor a crates/bench/src/bin binary" >&2
     exit 2
-}
-
-# The benchmark command and run length, exactly as BENCHMARK.json states.
-mapfile -t command < <(jq -r '.command[]' BENCHMARK.json)
-seconds="$(jq -r '.run_seconds' BENCHMARK.json)"
+fi
 
 base_dir="$(mktemp -d)"
 trap 'rm -rf "$base_dir"' EXIT
 out="$(mktemp -d)"
 head_dir="$PWD"
 git archive "$base_rev" | tar -x -C "$base_dir"
+
+# Runs `run <side> <dir> <i>` for i in 1..pairs, base first on odd i.
+alternate() {
+    local run="$1" i
+    for i in $(seq 1 "$pairs"); do
+        if ((i % 2)); then
+            "$run" base "$base_dir" "$i"
+            "$run" head "$head_dir" "$i"
+        else
+            "$run" head "$head_dir" "$i"
+            "$run" base "$base_dir" "$i"
+        fi
+    done
+}
+
+if [[ "$mode" == bin ]]; then
+    [[ -f "$base_dir/crates/bench/src/bin/$workload.rs" ]] || {
+        echo "error: $workload is not a bench binary at $base_rev" >&2
+        exit 2
+    }
+    echo "==> building wsp-bench at base ($(git rev-parse --short "$base_rev")) and head"
+    for dir in "$base_dir" "$head_dir"; do
+        (cd "$dir" && cargo build --release --quiet --offline -p wsp-bench)
+    done
+    run_bin() {
+        local side="$1" dir="$2" i="$3"
+        (cd "$dir" && "target/release/$workload" --json "$out/$side-$i.json") >"$out/$side-$i.log"
+        echo "    $side run $i"
+    }
+    alternate run_bin
+    gauges() {
+        local files=() i
+        for i in $(seq 1 "$pairs"); do
+            files+=("$out/$1-$i.json")
+        done
+        jq -s '[.[].metrics.gauges]' "${files[@]}"
+    }
+    echo "==> wall.* gauges: median of $pairs runs per side"
+    jq -rn --argjson base "$(gauges base)" --argjson head "$(gauges head)" '
+        def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+            else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+        def r3: . * 1000 | round / 1000;
+        (["gauge", "base", "head", "head/base", "head won"] | @tsv),
+        ($base[0] | keys[] | select(startswith("wall."))) as $k
+        | select(all($base[], $head[]; has($k)))
+        | [$base[][$k]] as $b | [$head[][$k]] as $h
+        | ($b | median) as $bm | ($h | median) as $hm
+        | ([$b, $h] | transpose
+           | map(select(if ($k | endswith("speedup")) then .[1] > .[0] else .[1] < .[0] end))
+           | length) as $won
+        | [$k, ($bm | r3), ($hm | r3),
+           (if $bm == 0 then "-" else ($hm / $bm | r3) end), "\($won)/\($h | length)"]
+        | @tsv'
+    echo "results kept in $out"
+    exit 0
+fi
+
+# The benchmark command and run length, exactly as BENCHMARK.json states.
+mapfile -t command < <(jq -r '.command[]' BENCHMARK.json)
+seconds="$(jq -r '.run_seconds' BENCHMARK.json)"
 
 echo "==> building base ($(git rev-parse --short "$base_rev")) and head"
 for dir in "$base_dir" "$head_dir"; do
@@ -62,16 +133,7 @@ run() {
         --seconds "$seconds" --trace 0 --out "$out/$side") >"$out/$side-$seed.log"
     echo "    $side seed $seed: pass_s $(jq -r '.runs[-1].metrics.pass_s.value' "$out/$side/results.json")"
 }
-
-for seed in $(seq 1 "$pairs"); do
-    if ((seed % 2)); then
-        run base "$base_dir" "$seed"
-        run head "$head_dir" "$seed"
-    else
-        run head "$head_dir" "$seed"
-        run base "$base_dir" "$seed"
-    fi
-done
+alternate run
 
 echo "==> compare base/results.json head/results.json"
 # `compare` exits 1 when a row reads worse or unresolved; the table is

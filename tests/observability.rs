@@ -1,9 +1,8 @@
 //! Integration tests for the run-artifact observability pipeline: the
 //! determinism-digest journal must localise an injected single-tile
 //! divergence to the right lane and cycle window, and every artifact
-//! (time series, digests) must be identical across stepping modes and
-//! thread counts — the property that lets them live inside the
-//! byte-compared smoke goldens.
+//! (time series, digests) must be identical across stepping modes — the
+//! property that lets them live inside the byte-compared smoke goldens.
 
 use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
 use wsp_common::parallel::Stepping;
@@ -18,11 +17,10 @@ const EVERY: u64 = 16;
 /// Builds a 4×4 fabric-model machine where every tile atomically
 /// increments a counter on tile (0, 0) — remote traffic on every tile,
 /// so both networks and the machine lanes carry real state.
-fn build_machine(stepping: Stepping, threads: usize, digest_every: u64) -> MultiTileMachine {
+fn build_machine(stepping: Stepping, digest_every: u64) -> MultiTileMachine {
     let array = TileArray::new(4, 4);
     let cfg = SystemConfig::with_array(array).with_latency_model(LatencyModel::Fabric);
     let mut m = MultiTileMachine::new(cfg, FaultMap::none(array));
-    m.set_threads(threads);
     m.set_stepping(stepping);
     m.set_sampling(8);
     m.set_digests(digest_every);
@@ -51,8 +49,8 @@ fn build_machine(stepping: Stepping, threads: usize, digest_every: u64) -> Multi
 /// `wsp-diff digest` sells, reproduced end to end.
 #[test]
 fn injected_divergence_is_localized_to_tile_and_window() {
-    let mut clean = build_machine(Stepping::Dense, 1, EVERY);
-    let mut mutated = build_machine(Stepping::Dense, 1, EVERY);
+    let mut clean = build_machine(Stepping::Dense, EVERY);
+    let mut mutated = build_machine(Stepping::Dense, EVERY);
     let victim = TileCoord::new(2, 1);
     let victim_idx = TileArray::new(4, 4).index_of(victim) as u32;
     let mutate_at = 40u64;
@@ -89,7 +87,7 @@ fn injected_divergence_is_localized_to_tile_and_window() {
 #[test]
 fn identical_runs_have_identical_digests() {
     let run = || {
-        let mut m = build_machine(Stepping::Dense, 1, EVERY);
+        let mut m = build_machine(Stepping::Dense, EVERY);
         for _ in 0..200 {
             m.step().expect("steps");
         }
@@ -102,12 +100,12 @@ fn identical_runs_have_identical_digests() {
 }
 
 /// The digest journal and every sampled time series are pure functions
-/// of architectural state: wheel stepping at 8 threads must
-/// reproduce the dense single-threaded artifacts byte for byte.
+/// of architectural state: wheel stepping must reproduce the dense
+/// artifacts byte for byte.
 #[test]
-fn artifacts_are_identical_across_stepping_and_threads() {
-    let run = |stepping, threads| {
-        let mut m = build_machine(stepping, threads, EVERY);
+fn artifacts_are_identical_across_stepping() {
+    let run = |stepping| {
+        let mut m = build_machine(stepping, EVERY);
         let stats = m.run_until_halt(100_000).expect("halts");
         let journal = m.journal().expect("digests on").to_text();
         let machine_series: Vec<(String, Vec<(u64, f64)>)> = m
@@ -121,16 +119,5 @@ fn artifacts_are_identical_across_stepping_and_threads() {
             .collect();
         (stats, journal, machine_series, fabric_series)
     };
-    let baseline = run(Stepping::Dense, 1);
-    for (stepping, threads) in [
-        (Stepping::Dense, 8),
-        (Stepping::Wheel, 1),
-        (Stepping::Wheel, 8),
-    ] {
-        assert_eq!(
-            baseline,
-            run(stepping, threads),
-            "artifacts diverged at {stepping:?}/{threads} threads"
-        );
-    }
+    assert_eq!(run(Stepping::Dense), run(Stepping::Wheel));
 }

@@ -1,59 +1,11 @@
-//! Property tests for the deterministic multi-threaded backend: the
-//! parallel fabric, machine, and PDN paths must match their sequential
-//! counterparts — bit for bit for the discrete simulators, within a
-//! microvolt for the red/black SOR reordering.
+//! Property test for the deterministic multi-threaded backend: the PDN's
+//! red/black SOR solve must match the sequential lexicographic sweep
+//! within a microvolt, and be bit-identical at any thread count.
 
 use proptest::prelude::*;
-use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::seeded_rng;
 use wsp_common::units::{Amps, Ohms, Volts};
-use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_pdn::{LoadModel, PdnConfig};
-use wsp_tile::isa::{Program, Reg};
-use wsp_topo::{FaultMap, TileArray, TileCoord};
-
-/// Runs the NoC traffic simulator with the fabric sharded over
-/// `threads` workers and returns the full report.
-fn run_noc(seed: u64, fault_count: usize, requests: u64, threads: usize) -> wsp_noc::SimReport {
-    let array = TileArray::new(8, 8);
-    let mut rng = seeded_rng(seed);
-    let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
-    let mut sim = NocSim::new(faults, SimConfig::default());
-    sim.fabric_mut().set_threads(threads);
-    sim.run(TrafficPattern::UniformRandom, requests, &mut rng)
-}
-
-/// A small fabric-model machine where every tile's core 0 sums a halo of
-/// words from its east neighbour's memory — dense cross-tile traffic.
-fn run_machine(n: u16, threads: usize) -> waferscale::MachineStats {
-    let array = TileArray::new(n, n);
-    let cfg = SystemConfig::with_array(array).with_latency_model(LatencyModel::Fabric);
-    let mut m = MultiTileMachine::new(cfg, FaultMap::none(array));
-    m.set_threads(threads);
-    for y in 0..n {
-        for x in 0..n {
-            let east = TileCoord::new((x + 1) % n, y);
-            let base = m.global_address(east, 0).expect("mapped");
-            let program = Program::builder()
-                .ldi(Reg::R1, base)
-                .ldi(Reg::R5, 0)
-                .ldi(Reg::R3, 4)
-                .ldi(Reg::R0, 0)
-                .label("halo")
-                .ld(Reg::R2, Reg::R1, 0)
-                .add(Reg::R5, Reg::R5, Reg::R2)
-                .addi(Reg::R1, Reg::R1, 4)
-                .addi(Reg::R3, Reg::R3, -1)
-                .bne(Reg::R3, Reg::R0, "halo")
-                .halt()
-                .build()
-                .expect("builds");
-            m.load_program(TileCoord::new(x, y), 0, &program)
-                .expect("loads");
-        }
-    }
-    m.run_until_halt(100_000).expect("halts")
-}
+use wsp_topo::TileArray;
 
 /// A PDN instance over an `n×n` grid with a per-tile current ramp.
 fn pdn_config(n: u16, milliamps: f64) -> PdnConfig {
@@ -68,33 +20,6 @@ fn pdn_config(n: u16, milliamps: f64) -> PdnConfig {
 }
 
 proptest! {
-    /// The band-parallel fabric step replays the sequential run bit for
-    /// bit at every thread count: the full `SimReport` (latencies,
-    /// throughput, stall counters) is `Eq`-identical.
-    #[test]
-    fn parallel_fabric_is_bit_identical_to_sequential(
-        seed in any::<u64>(),
-        fault_count in 0usize..5,
-        requests in 20u64..120,
-        threads in 2usize..9,
-    ) {
-        let sequential = run_noc(seed, fault_count, requests, 1);
-        let parallel = run_noc(seed, fault_count, requests, threads);
-        prop_assert_eq!(sequential, parallel);
-    }
-
-    /// The parallel tile step + sequential fabric commit preserves every
-    /// machine statistic exactly, thread count notwithstanding.
-    #[test]
-    fn parallel_machine_is_bit_identical_to_sequential(
-        n in 2u16..5,
-        threads in 2usize..9,
-    ) {
-        let sequential = run_machine(n, 1);
-        let parallel = run_machine(n, threads);
-        prop_assert_eq!(sequential, parallel);
-    }
-
     /// Red/black SOR converges to the same solution as the sequential
     /// lexicographic sweep within a microvolt per tile, and its own
     /// output is bit-identical at any thread count.

@@ -82,7 +82,7 @@ proptest! {
             let local = restrict_faults(&map, slice.rect);
             let mut reference: Option<(waferscale::MachineStats, Vec<u64>)> = None;
             for stepping in STEPPINGS {
-                let mut m = build_halo_slice_machine(&local, 1, stepping, MemoryModelKind::Fixed);
+                let mut m = build_halo_slice_machine(&local, stepping, MemoryModelKind::Fixed);
                 let stats = m.run_until_halt(2_000_000).expect("halo job halts");
                 let array = local.array();
                 let mut heat = Vec::new();

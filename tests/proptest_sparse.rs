@@ -4,8 +4,8 @@
 //! report and every machine outcome — stats, architectural memory state, per-core
 //! activity counters, the runnable-tiles telemetry sample, the memory
 //! profile, the sampled time series, and the digest journal — has to
-//! match the dense reference sweep bit for bit, across random seeds,
-//! fault maps, and thread counts.
+//! match the dense reference sweep bit for bit, across random seeds and
+//! fault maps.
 
 use proptest::prelude::*;
 use rand::RngExt as _;
@@ -16,9 +16,6 @@ use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::{MemoryModelKind, CORES_PER_TILE};
 use wsp_topo::{FaultMap, TileArray};
-
-/// Thread counts exercised against the single-threaded dense baseline.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Fault counts for the 16×16 fabric runs (the fig7 scenario ladder).
 const FABRIC_FAULTS: [usize; 3] = [0, 5, 15];
@@ -43,22 +40,19 @@ fn run_fabric(
     requests: u64,
     pattern: TrafficPattern,
     stepping: Stepping,
-    threads: usize,
 ) -> wsp_noc::SimReport {
-    run_fabric_with_capacity(seed, fault_count, requests, pattern, stepping, threads, 4)
+    run_fabric_with_capacity(seed, fault_count, requests, pattern, stepping, 4)
 }
 
 /// [`run_fabric`] with an explicit ring-buffer FIFO depth, for the
 /// wrap-around and recycling properties (capacity 1 wraps the ring on
 /// every push/pop pair and maximises backpressure stalls).
-#[allow(clippy::too_many_arguments)]
 fn run_fabric_with_capacity(
     seed: u64,
     fault_count: usize,
     requests: u64,
     pattern: TrafficPattern,
     stepping: Stepping,
-    threads: usize,
     queue_capacity: usize,
 ) -> wsp_noc::SimReport {
     let array = TileArray::new(16, 16);
@@ -69,7 +63,6 @@ fn run_fabric_with_capacity(
         ..SimConfig::default()
     };
     let mut sim = NocSim::new(faults, config);
-    sim.fabric_mut().set_threads(threads);
     sim.fabric_mut().set_stepping(stepping);
     sim.run(pattern, requests, &mut rng)
 }
@@ -82,14 +75,12 @@ fn run_fabric_with_capacity(
 /// (which the gap replay must reconstruct exactly), and the
 /// runnable-tiles sample. Several cores per tile park and wake at
 /// different cycles, so a runnable tile holds parked cores.
-#[allow(clippy::too_many_arguments)]
 fn run_machine(
     seed: u64,
     fault_count: usize,
     reps: u32,
     cores: usize,
     stepping: Stepping,
-    threads: usize,
     memory: MemoryModelKind,
 ) -> impl PartialEq + std::fmt::Debug {
     let array = TileArray::new(4, 4);
@@ -99,7 +90,6 @@ fn run_machine(
         .with_latency_model(LatencyModel::Fabric)
         .with_memory_model(memory);
     let mut m = MultiTileMachine::new(cfg, faults.clone());
-    m.set_threads(threads);
     m.set_stepping(stepping);
     // The observability artifacts ride along in the identity tuple: the
     // wheel's bulk gap replay must reproduce the gauge samples and the
@@ -185,66 +175,59 @@ proptest! {
     /// cycle/stall counters the active-set gap replay reconstructs, the
     /// memory profile, time series, and digest journal — are
     /// bit-identical between wheel and dense stepping over random
-    /// schedules, fault maps, cores per tile, memory backends, and thread
-    /// counts: the active-set walk, the per-core skip of parked cores, and
-    /// the stalled-window jumps are unobservable.
+    /// schedules, fault maps, cores per tile, and memory backends: the
+    /// active-set walk, the per-core skip of parked cores, and the
+    /// stalled-window jumps are unobservable.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         reps in 1u32..6,
         cores in 1usize..=CORES_PER_TILE,
-        threads_idx in 0usize..3,
         mem_idx in 0usize..3,
     ) {
         let faults = MACHINE_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let memory = MEMORY[mem_idx];
-        let dense = run_machine(seed, faults, reps, cores, Stepping::Dense, 1, memory);
-        let wheel = run_machine(seed, faults, reps, cores, Stepping::Wheel, threads, memory);
+        let dense = run_machine(seed, faults, reps, cores, Stepping::Dense, memory);
+        let wheel = run_machine(seed, faults, reps, cores, Stepping::Wheel, memory);
         prop_assert_eq!(dense, wheel);
     }
 
     /// Fabric packet delivery is bit-identical between the dense sweep
-    /// and wheel stepping at every thread count, over clean and heavily
-    /// faulted wafers: with injections running the wheel is the pure
+    /// and wheel stepping, over clean and heavily faulted wafers: with injections running the wheel is the pure
     /// occupancy-bitset walk, and the drain phase jumps empty windows.
     #[test]
     fn wheel_fabric_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..150,
-        threads_idx in 0usize..3,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let pattern = TrafficPattern::UniformRandom;
-        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense, 1);
-        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel, threads);
+        let dense = run_fabric(seed, faults, requests, pattern, Stepping::Dense);
+        let wheel = run_fabric(seed, faults, requests, pattern, Stepping::Wheel);
         prop_assert_eq!(dense, wheel);
     }
 
     /// Ring-buffer wrap-around is unobservable: shrinking the FIFO depth
     /// to 1 (every push/pop pair wraps the ring, every contended link
     /// backpressures) still replays the dense reference bit for bit at
-    /// every stepping mode and thread count, over faulted wafers.
+    /// either stepping mode, over faulted wafers.
     #[test]
     fn tiny_ring_capacity_matches_dense(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..150,
-        threads_idx in 0usize..3,
         stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
         let faults = FABRIC_FAULTS[fault_idx];
-        let threads = THREADS[threads_idx];
         let stepping = [Stepping::Dense, Stepping::Wheel][stepping_idx];
         let pattern = TrafficPattern::UniformRandom;
         let dense = run_fabric_with_capacity(
-            seed, faults, requests, pattern, Stepping::Dense, 1, queue_capacity);
+            seed, faults, requests, pattern, Stepping::Dense, queue_capacity);
         let other = run_fabric_with_capacity(
-            seed, faults, requests, pattern, stepping, threads, queue_capacity);
+            seed, faults, requests, pattern, stepping, queue_capacity);
         prop_assert_eq!(dense, other);
     }
 
@@ -252,14 +235,13 @@ proptest! {
     /// campaigns: repeated traffic runs through one fabric leave no live
     /// arena slots behind, the second and later identical campaigns fit
     /// in recycled slots without growing the columns, and the emptied
-    /// bitsets never wedge a later run — at every stepping mode,
-    /// thread count, and ring capacity, over faulted wafers.
+    /// bitsets never wedge a later run — at every stepping mode and ring
+    /// capacity, over faulted wafers.
     #[test]
     fn drained_campaigns_recycle_arena_slots(
         seed in any::<u64>(),
         fault_idx in 0usize..3,
         requests in 20u64..100,
-        threads_idx in 0usize..3,
         stepping_idx in 0usize..2,
         queue_capacity in 1usize..4,
     ) {
@@ -268,7 +250,6 @@ proptest! {
         let faults = FaultMap::sample_uniform(array, FABRIC_FAULTS[fault_idx], &mut rng);
         let config = SimConfig { queue_capacity, ..SimConfig::default() };
         let mut sim = NocSim::new(faults, config);
-        sim.fabric_mut().set_threads(THREADS[threads_idx]);
         sim.fabric_mut()
             .set_stepping([Stepping::Dense, Stepping::Wheel][stepping_idx]);
         let mut footprints = Vec::new();
