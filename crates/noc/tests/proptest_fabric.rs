@@ -20,30 +20,20 @@ use wsp_noc::{
 };
 use wsp_topo::{FaultMap, TileArray, TileCoord, DIRECTIONS};
 
-/// Injects one request per sampled healthy pair into `fabric`, skipping
-/// disconnected ones, and returns `(injected_count, id → dst)`.
+/// Injects the cycle-0 requests of [`schedule`] into `fabric` and
+/// returns `(injected_count, id → dst)`.
 fn inject_random_pairs(
     fabric: &mut Fabric,
     faults: &FaultMap,
     attempts: usize,
     seed: u64,
 ) -> (u64, HashMap<u64, TileCoord>) {
-    let planner = RoutePlanner::new(faults.clone());
-    let healthy: Vec<TileCoord> = faults.healthy_tiles().collect();
-    let mut rng = wsp_common::seeded_rng(seed);
     let mut injected = 0u64;
     let mut expected = HashMap::new();
-    for _ in 0..attempts {
-        use rand::RngExt as _;
-        let src = healthy[rng.random_range(0..healthy.len())];
-        let dst = healthy[rng.random_range(0..healthy.len())];
-        if src == dst {
-            continue;
-        }
-        let choice = planner.choose(src, dst);
-        if choice == NetworkChoice::Disconnected {
-            continue;
-        }
+    for (_, src, dst, choice) in schedule(faults, attempts, seed)
+        .into_iter()
+        .filter(|&(cycle, ..)| cycle == 0)
+    {
         let id = fabric.allocate_id();
         let packet = FabricPacket::request(id, src, dst, choice, fabric.cycle());
         if fabric.inject(packet) {
@@ -63,8 +53,9 @@ fn delivery_key(p: &FabricPacket) -> (u64, TileCoord, TileCoord, PacketKind, u64
 const STEPPINGS: [Stepping; 2] = [Stepping::Dense, Stepping::Wheel];
 
 /// Requests `(cycle, src, dst, choice)` between sampled healthy pairs,
-/// skipping disconnected ones, in injection order: `attempts` at cycle 0,
-/// then `attempts` more spread over cycles 1..=64.
+/// skipping self-pairs and disconnected ones, in injection order:
+/// `attempts` samples at cycle 0, then `attempts` more spread over
+/// cycles 1..=64.
 fn schedule(
     faults: &FaultMap,
     attempts: usize,
