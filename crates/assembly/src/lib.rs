@@ -28,6 +28,8 @@
 //! assert!(dual.chiplet_yield() > 0.9999);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bonding;
 mod cost;
 mod io;

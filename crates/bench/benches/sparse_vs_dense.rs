@@ -7,8 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
+use waferscale::{MultiTileMachine, SystemConfig};
 use wsp_common::seeded_rng;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_telemetry::{NoopSink, SharedRecorder};
@@ -18,11 +18,10 @@ use wsp_topo::{FaultMap, TileArray, TileCoord};
 const N: u16 = 4;
 const HALO_WORDS: u32 = 8;
 
-/// Same machine as `latency_model.rs`: every tile's first two cores sum
-/// a strip of the east neighbour's memory over the shared NoC fabric.
+/// Every tile's first two cores sum a strip of the east neighbour's
+/// memory over the shared NoC fabric.
 fn stencil_machine() -> MultiTileMachine {
-    let cfg =
-        SystemConfig::with_array(TileArray::new(N, N)).with_latency_model(LatencyModel::Fabric);
+    let cfg = SystemConfig::with_array(TileArray::new(N, N));
     let mut m = MultiTileMachine::new(cfg, FaultMap::none(cfg.array()));
     for y in 0..N {
         for x in 0..N {

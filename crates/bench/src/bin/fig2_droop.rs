@@ -2,9 +2,10 @@
 //! voltage droop) plus the Sec. III delivery-strategy comparison.
 //!
 //! Run with `cargo run -p wsp-bench --bin fig2_droop`.
-//! Accepts `--json <path>` (metrics report), `--trace <path>` (the
-//! SOR solver's per-iteration residual convergence as a Chrome trace),
-//! and `--threads <n>` (red/black parallel solver comparison).
+//! Accepts `--json <path>` (metrics report) and `--trace <path>` (the
+//! SOR solver's per-iteration residual convergence as a Chrome trace).
+//! Its last table compares the lexicographic and red/black sweep
+//! orderings of the same solve.
 
 use std::time::Instant;
 
@@ -194,31 +195,28 @@ fn main() {
     );
 
     header(
-        "Parallel backend",
+        "Sweep ordering",
         "red/black SOR vs lexicographic sweep (paper 32x32 PDN)",
     );
-    let threads = opts.threads_or_available();
     let time_solve = |f: &dyn Fn() -> wsp_pdn::PdnSolution| {
         let start = Instant::now();
         let sol = f();
         (sol, start.elapsed())
     };
     let (lex, lex_wall) = time_solve(&|| cfg.solve().expect("lexicographic converges"));
-    let (rb, rb_wall) = time_solve(&|| cfg.solve_parallel(threads).expect("red/black converges"));
+    let (rb, rb_wall) = time_solve(&|| cfg.solve_red_black().expect("red/black converges"));
     let max_dev_uv = lex
         .voltages()
         .map(|(t, v)| (v - rb.voltage_at(t)).value().abs() * 1e6)
         .fold(0.0f64, f64::max);
-    row(&["ordering", "threads", "iterations", "wall ms"]);
+    row(&["ordering", "iterations", "wall ms"]);
     row(&[
         "lexicographic".to_string(),
-        "1".to_string(),
         format!("{}", lex.iterations()),
         format!("{:.1}", lex_wall.as_secs_f64() * 1e3),
     ]);
     row(&[
         "red/black".to_string(),
-        format!("{threads}"),
         format!("{}", rb.iterations()),
         format!("{:.1}", rb_wall.as_secs_f64() * 1e3),
     ]);
@@ -230,7 +228,6 @@ fn main() {
     sink.gauge_set("pdn.parallel.max_deviation_uv", max_dev_uv);
     sink.gauge_set("pdn.parallel.iterations", rb.iterations() as f64);
     if !opts.smoke {
-        sink.gauge_set("wall.pdn.parallel.threads", threads as f64);
         sink.gauge_set(
             "wall.pdn.parallel.ms_lexicographic",
             lex_wall.as_secs_f64() * 1e3,

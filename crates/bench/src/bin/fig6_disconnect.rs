@@ -1,8 +1,7 @@
 //! Regenerates **Fig. 6**: average percentage of disconnected
 //! source-destination pairs versus the number of faulty chiplets, for a
 //! single dimension-ordered network versus the paper's two independent
-//! networks. Trials run in parallel across worker threads (one per fault
-//! count) via std scoped threads.
+//! networks.
 //!
 //! Run with `cargo run --release -p wsp-bench --bin fig6_disconnect`.
 
@@ -16,7 +15,6 @@ fn main() {
     let mut sink = recorder.clone();
     let trials = if opts.smoke { 20 } else { 200 };
     let sweep = ConnectivitySweep::paper_sweep(trials);
-    let fault_counts: Vec<usize> = (0..=10).collect();
 
     header(
         "Fig. 6",
@@ -30,22 +28,9 @@ fn main() {
         "improvement",
     ]);
 
-    // One worker per fault count; run_point is deterministic per
-    // (seed, point) so the parallel sweep reproduces a serial one.
-    let mut points = vec![None; fault_counts.len()];
     let seed = opts.seed_or(42);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &count in &fault_counts {
-            let sweep = &sweep;
-            handles.push(scope.spawn(move || sweep.run_point(count, seed)));
-        }
-        for (i, handle) in handles.into_iter().enumerate() {
-            points[i] = Some(handle.join().expect("worker completes"));
-        }
-    });
-
-    for point in points.into_iter().flatten() {
+    for count in 0..=10 {
+        let point = sweep.run_point(count, seed);
         let improvement = if point.dual_network > 0.0 {
             format!("{:.1}x", point.single_network / point.dual_network)
         } else {

@@ -12,8 +12,8 @@
 use std::time::Instant;
 
 use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
-use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{NocSim, RoutePlanner, SimConfig, TrafficPattern};
 use wsp_telemetry::{SharedRecorder, Sink};
 use wsp_topo::{FaultMap, TileArray, TileCoord};

@@ -21,9 +21,9 @@ use waferscale::workload::{
 use waferscale::{SystemConfig, WaferscaleSystem};
 use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
 use wsp_clock::ClockSelector;
-use wsp_common::parallel::Stepping;
 use wsp_common::rng::stream_seed;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_common::units::Amps;
 use wsp_dft::TestSchedule;
 use wsp_noc::sample_connected_fault_map;

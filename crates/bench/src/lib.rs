@@ -5,10 +5,12 @@
 //! library holds the tiny formatting helpers they share so every
 //! regenerator prints comparable, grep-friendly output.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{DigestJournal, SharedRecorder, DEFAULT_DIGEST_EVERY, DEFAULT_SAMPLE_EVERY};
 use wsp_tile::MemoryModelKind;
 
@@ -24,9 +26,6 @@ pub mod diff;
 ///   (binaries without event sources write an empty trace);
 /// - `--seed <u64>` — override the deterministic RNG seed (binaries
 ///   without randomness ignore it);
-/// - `--threads <n>` — worker threads for the red/black PDN solve
-///   (`fig2_droop`; default: the machine's available parallelism;
-///   results are bit-identical at any value); other binaries ignore it;
 /// - `--stepping <dense|wheel>` — tile-visit strategy for the
 ///   cycle-level engines (default: `wheel`, the active-set walk with
 ///   event-driven jumps over idle/stalled windows; `dense` is the
@@ -64,8 +63,6 @@ pub struct BenchOpts {
     pub trace: Option<PathBuf>,
     /// Seed override for the binary's deterministic RNG streams.
     pub seed: Option<u64>,
-    /// Worker-thread override for the red/black PDN solve.
-    pub threads: Option<usize>,
     /// Tile-visit strategy for the cycle-level engines.
     pub stepping: Stepping,
     /// Memory-timing backend for the machine and workload layers.
@@ -84,7 +81,6 @@ impl Default for BenchOpts {
             json: None,
             trace: None,
             seed: None,
-            threads: None,
             stepping: Stepping::default(),
             memory: MemoryModelKind::default(),
             sample_every: DEFAULT_SAMPLE_EVERY,
@@ -102,7 +98,7 @@ impl BenchOpts {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: [--json <path>] [--trace <path>] [--seed <u64>] [--threads <n>] \
+                    "usage: [--json <path>] [--trace <path>] [--seed <u64>] \
                      [--stepping <dense|wheel>] [--memory <fixed|banked|banked+tlb>] \
                      [--sample-every <n>] [--digest-every <n>] [--smoke]"
                 );
@@ -137,15 +133,6 @@ impl BenchOpts {
                         .map_err(|_| format!("invalid seed {raw:?}"))?;
                     opts.seed = Some(seed);
                 }
-                "--threads" => {
-                    let raw = args.next().ok_or("--threads requires a value")?;
-                    let threads = raw
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&t| t > 0)
-                        .ok_or_else(|| format!("invalid thread count {raw:?}"))?;
-                    opts.threads = Some(threads);
-                }
                 "--stepping" => {
                     let raw = args.next().ok_or("--stepping requires a value")?;
                     opts.stepping = Stepping::parse(&raw)
@@ -179,13 +166,6 @@ impl BenchOpts {
     /// The seed to use: the `--seed` override, else `default`.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
-    }
-
-    /// The worker-thread count to use: the `--threads` override, else the
-    /// machine's available parallelism.
-    pub fn threads_or_available(&self) -> usize {
-        self.threads
-            .unwrap_or_else(wsp_common::parallel::available_threads)
     }
 
     /// Writes the requested outputs from `recorder`: the metrics report
@@ -244,7 +224,8 @@ fn write_file(path: &Path, contents: &str) {
 ///   so the drain/re-place path stays exercised);
 /// - `--snapshot <path>` — write a campaign snapshot to `path`;
 /// - `--snapshot-after <k>` — pause for the snapshot after k job
-///   completions instead of at the end of the campaign;
+///   completions instead of at the end of the campaign (requires
+///   `--snapshot`);
 /// - `--restore <path>` — resume from a snapshot written by
 ///   `--snapshot` instead of starting at cycle 0 (the remaining flags
 ///   must match the snapshotting run).
@@ -305,7 +286,9 @@ impl ServeOpts {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unknown flag or bad value.
+    /// Returns a description of the first unknown flag or bad value, or
+    /// of a `--snapshot-after` given without the `--snapshot` it pauses
+    /// for.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = ServeOpts::default();
         let mut rest = Vec::new();
@@ -356,6 +339,9 @@ impl ServeOpts {
             }
         }
         opts.bench = BenchOpts::parse(rest.into_iter())?;
+        if opts.snapshot_after.is_some() && opts.snapshot.is_none() {
+            return Err("--snapshot-after requires --snapshot".into());
+        }
         Ok(opts)
     }
 }
@@ -427,8 +413,6 @@ mod tests {
             "t.json",
             "--seed",
             "9",
-            "--threads",
-            "4",
             "--stepping",
             "dense",
             "--memory",
@@ -443,8 +427,6 @@ mod tests {
         assert_eq!(opts.json.as_deref(), Some(Path::new("a.json")));
         assert_eq!(opts.trace.as_deref(), Some(Path::new("t.json")));
         assert_eq!(opts.seed, Some(9));
-        assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.threads_or_available(), 4);
         assert_eq!(opts.stepping, Stepping::Dense);
         assert_eq!(opts.memory, MemoryModelKind::Banked);
         assert_eq!(opts.sample_every, 8);
@@ -469,22 +451,17 @@ mod tests {
     }
 
     #[test]
-    fn threads_default_to_available_parallelism() {
-        let opts = parse(&[]).expect("empty ok");
-        assert_eq!(opts.threads, None);
-        assert!(opts.threads_or_available() >= 1);
-    }
-
-    #[test]
     fn opts_reject_bad_input() {
         assert!(parse(&["--json"]).is_err());
         assert!(parse(&["--seed", "x"]).is_err());
-        assert!(parse(&["--threads"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "nope"]).is_err());
         assert!(parse(&["--stepping"]).is_err());
         assert!(parse(&["--stepping", "eager"]).is_err());
+        // Removed flags and modes are unknown, not silently accepted.
         assert!(parse(&["--stepping", "sparse"]).is_err());
+        assert_eq!(
+            parse(&["--threads", "1"]).unwrap_err(),
+            "unknown argument \"--threads\""
+        );
         assert_eq!(
             parse(&["--stepping", "wheel"]).expect("valid").stepping,
             Stepping::Wheel
@@ -550,6 +527,13 @@ mod tests {
         assert!(parse_serve(&["--fail-after", "soon"]).is_err());
         assert!(parse_serve(&["--snapshot"]).is_err());
         assert!(parse_serve(&["--snapshot-after", "x"]).is_err());
+        // A pause point with nowhere to write the snapshot is an error,
+        // not a silently uninterrupted run.
+        assert_eq!(
+            parse_serve(&["--smoke", "--snapshot-after", "3"]).unwrap_err(),
+            "--snapshot-after requires --snapshot"
+        );
+        assert!(parse_serve(&["--snapshot-after", "3", "--snapshot", "s.txt"]).is_ok());
         assert!(parse_serve(&["--restore"]).is_err());
         // Unknown flags still fail through the BenchOpts delegate.
         assert!(parse_serve(&["--frobnicate"]).is_err());

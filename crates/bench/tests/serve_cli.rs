@@ -94,3 +94,38 @@ fn snapshot_listing_a_job_outside_the_stream_is_rejected() {
     assert!(line.contains("bad snapshot"), "{line}");
     assert!(line.contains("job 99999"), "{line}");
 }
+
+#[test]
+fn snapshot_after_without_a_snapshot_path_is_rejected() {
+    // Without `--snapshot` there is nowhere to write the pause point, so
+    // the flag is a usage error rather than a silently uninterrupted run.
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--smoke", "--snapshot-after", "3"])
+        .output()
+        .expect("serve binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: "))
+        .collect();
+    assert_eq!(
+        errors,
+        ["error: --snapshot-after requires --snapshot"],
+        "{stderr}"
+    );
+}
+
+#[test]
+fn snapshot_restored_under_another_config_is_rejected() {
+    let path = scratch_path("other-config.snap");
+    let path_str = path.to_str().expect("utf-8 path");
+    let written = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--smoke", "--snapshot", path_str, "--snapshot-after", "9"])
+        .output()
+        .expect("serve binary runs");
+    assert!(written.status.success(), "snapshot run failed");
+    let line = assert_rejected(&["--smoke", "--restore", path_str, "--fail-after", "3"]);
+    std::fs::remove_file(&path).expect("remove the temp file");
+    assert!(line.contains("different config"), "{line}");
+}

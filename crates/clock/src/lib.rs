@@ -35,6 +35,8 @@
 //! # Ok::<(), wsp_clock::ClockSetupError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod duty;
 pub mod forwarding;
 mod jitter;

@@ -16,8 +16,10 @@
 //! assert_eq!(droop, Volts(0.87));
 //! ```
 
-pub mod parallel;
+#![forbid(unsafe_code)]
+
 pub mod rng;
+pub mod stepping;
 pub mod units;
 
 pub use rng::seeded_rng;

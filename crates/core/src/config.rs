@@ -16,20 +16,17 @@ use wsp_topo::TileArray;
 
 /// How the machine prices remote shared-memory accesses.
 ///
-/// The cycle-level [`wsp_noc::Fabric`] is the reference model: every
-/// remote load/store/AMO rides the dual-DoR mesh as a real packet and
-/// the core stalls until the response is delivered, so congestion,
-/// hot-spot queueing, and relay forwarding cost what they cost. The
-/// analytic model survives as a fast closed-form estimate for runs
-/// where contention is known to be negligible.
+/// There is one model: every remote load/store/AMO rides the cycle-level
+/// [`wsp_noc::Fabric`]'s dual-DoR mesh as a real packet and the core
+/// stalls until the response is delivered, so congestion, hot-spot
+/// queueing, and relay forwarding cost what they cost. The type remains
+/// so callers that name the model explicitly keep compiling; nothing
+/// branches on it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LatencyModel {
-    /// Cycle-level simulation on the shared NoC fabric (the default).
+    /// Cycle-level simulation on the shared NoC fabric.
     #[default]
     Fabric,
-    /// Closed-form `2 · hops · CYCLES_PER_HOP + REMOTE_OVERHEAD`,
-    /// independent of network load.
-    Analytic,
 }
 
 /// Full-system configuration.
@@ -335,11 +332,7 @@ mod tests {
     fn latency_model_defaults_to_fabric() {
         let cfg = SystemConfig::paper_prototype();
         assert_eq!(cfg.latency_model(), LatencyModel::Fabric);
-        let analytic = cfg.with_latency_model(LatencyModel::Analytic);
-        assert_eq!(analytic.latency_model(), LatencyModel::Analytic);
-        // Only the latency model changes.
-        assert_eq!(analytic.total_cores(), cfg.total_cores());
-        assert_eq!(analytic.array(), cfg.array());
+        assert_eq!(cfg.with_latency_model(LatencyModel::Fabric), cfg);
     }
 
     #[test]

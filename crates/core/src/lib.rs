@@ -17,8 +17,7 @@
 //!   space, routing every remote load/store/AMO as a request packet
 //!   through the shared [`wsp_noc::Fabric`] — the same cycle-level
 //!   engine behind the Fig. 7 traffic studies — so congestion, hot-spot
-//!   queueing, and relay forwarding are visible in run time (switch to
-//!   [`LatencyModel::Analytic`] for the closed-form estimate);
+//!   queueing, and relay forwarding are visible in run time;
 //! * [`workload`] runs level-synchronous BFS and SSSP over the unified
 //!   shared memory, with remote accesses priced by the network model —
 //!   the reduced-size system validation the paper performed on FPGA.
@@ -34,6 +33,8 @@
 //! // Table I: 4.3 TOPS, 6.144 TB/s shared-memory bandwidth.
 //! assert!((cfg.compute_throughput_tops() - 4.3).abs() < 0.1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod config;
 mod machine;

@@ -8,7 +8,7 @@ use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
-use crate::config::{LatencyModel, SystemConfig};
+use crate::config::SystemConfig;
 use crate::machine::MultiTileMachine;
 
 /// Words each core reads from its east neighbour.
@@ -31,9 +31,7 @@ pub fn build_halo_machine(n: u16) -> MultiTileMachine {
 /// machine-layer arm of the memory-fidelity sweep.
 pub fn build_halo_machine_with_memory(n: u16, memory: MemoryModelKind) -> MultiTileMachine {
     let array = TileArray::new(n, n);
-    let cfg = SystemConfig::with_array(array)
-        .with_latency_model(LatencyModel::Fabric)
-        .with_memory_model(memory);
+    let cfg = SystemConfig::with_array(array).with_memory_model(memory);
     let mut m = MultiTileMachine::new(cfg, FaultMap::none(array));
     for y in 0..n {
         for x in 0..n {

@@ -29,6 +29,8 @@
 //! assert!(multi.memory_load_time(bytes).as_minutes() < 5.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dap;
 pub mod schedule;
 pub mod tap;

@@ -392,8 +392,7 @@ impl ConnectivitySweep {
     }
 
     /// Like [`ConnectivitySweep::run`] but deterministic per `(seed, point)`
-    /// so points can be computed independently (e.g. from parallel
-    /// workers) and still reproduce the single-threaded sweep.
+    /// so points can be computed independently, in any order.
     pub fn run_point(&self, fault_count: usize, seed: u64) -> ConnectivityPoint {
         let mut single = 0.0;
         let mut dual = 0.0;

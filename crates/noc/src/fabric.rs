@@ -98,7 +98,7 @@
 //! assert_eq!(delivered[0].kind, PacketKind::Request);
 //! ```
 
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{
     DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };

@@ -40,6 +40,8 @@
 //! assert!(dual <= single);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod connectivity;
 pub mod fabric;

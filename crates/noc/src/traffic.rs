@@ -16,7 +16,7 @@ use std::fmt;
 
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 use crate::fabric::{Fabric, FabricPacket, PacketKind};

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use spec::SpecFabric;
-use wsp_common::parallel::Stepping;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{
     Fabric, FabricPacket, NetworkChoice, NetworkKind, NocSim, PacketKind, RoutePlanner, SimConfig,
     TrafficPattern,

@@ -10,19 +10,17 @@
 //! receives — the droop map of Fig. 2.
 //!
 //! Two sweep orderings are provided. [`PdnConfig::solve`] relaxes nodes in
-//! lexicographic order (classic Gauss–Seidel SOR). [`PdnConfig::solve_parallel`]
+//! lexicographic order (classic Gauss–Seidel SOR). [`PdnConfig::solve_red_black`]
 //! uses red/black ordering: the grid is bipartite under 4-neighbour
 //! adjacency, so every red node ((x+y) even) depends only on black nodes
-//! and vice versa — each half-sweep is embarrassingly parallel and its
-//! result is independent of traversal order, making the parallel solver
-//! bit-identical at any thread count. The two orderings converge to the
+//! and vice versa, and each colour is relaxed in place over a packed,
+//! cache-linear layout of its nodes. The two orderings converge to the
 //! same operating point within the residual tolerance.
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use wsp_common::parallel::{band_ranges, WorkerPool};
 use wsp_common::units::{Amps, Ohms, Volts, Watts};
 use wsp_telemetry::{NoopSink, Sink};
 use wsp_topo::{TileArray, TileCoord, DIRECTIONS};
@@ -235,44 +233,21 @@ impl PdnConfig {
         )
     }
 
-    /// [`PdnConfig::solve`] with red/black sweep ordering, sharded over
-    /// `threads` worker threads.
+    /// [`PdnConfig::solve`] with red/black sweep ordering.
     ///
     /// Red/black SOR updates all even-parity nodes, then all odd-parity
     /// nodes; within a half-sweep every update reads only the opposite
-    /// colour, so the shards race on nothing and the result is
-    /// **bit-identical for every thread count** (including `threads == 1`,
-    /// which runs the same code inline with no worker threads). The
-    /// converged solution differs from [`PdnConfig::solve`] only by the
-    /// sweep ordering, which the residual tolerance bounds to well under
-    /// 1 µV per node.
+    /// colour, so each colour is relaxed in place. The converged solution
+    /// differs from [`PdnConfig::solve`] only by the sweep ordering, which
+    /// the residual tolerance bounds to well under 1 µV per node.
     ///
     /// # Errors
     ///
     /// Same contract as [`PdnConfig::solve`].
-    pub fn solve_parallel(&self, threads: usize) -> Result<PdnSolution, SolvePdnError> {
-        self.solve_parallel_traced(threads, &mut NoopSink)
-    }
-
-    /// [`PdnConfig::solve_parallel`] with the convergence telemetry of
-    /// [`PdnConfig::solve_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PdnConfig::solve`].
-    pub fn solve_parallel_traced(
-        &self,
-        threads: usize,
-        sink: &mut dyn Sink,
-    ) -> Result<PdnSolution, SolvePdnError> {
+    pub fn solve_red_black(&self) -> Result<PdnSolution, SolvePdnError> {
         let n = self.array.tile_count();
         let i_load = vec![self.load.current_at(self.supply).value(); n];
-        self.solve_rb_inner(
-            i_load,
-            matches!(self.load, LoadModel::ConstantPower(_)),
-            threads,
-            sink,
-        )
+        self.solve_rb_inner(i_load, matches!(self.load, LoadModel::ConstantPower(_)))
     }
 
     /// Solves the grid with an explicit per-tile current map — e.g. a
@@ -333,7 +308,7 @@ impl PdnConfig {
     /// SOR's true error tracks the per-iteration delta by roughly
     /// `ρ/(1-ρ) ≈ 10×` at ω = 1.9, so a 10 nV delta bound keeps the
     /// lexicographic and red/black orderings within well under 1 µV of
-    /// each other — the agreement [`PdnConfig::solve_parallel`] promises.
+    /// each other — the agreement [`PdnConfig::solve_red_black`] promises.
     const TOL: f64 = 1e-8;
     /// SOR relaxation factor for Laplace-like grids.
     const OMEGA: f64 = 1.9;
@@ -483,8 +458,6 @@ impl PdnConfig {
         &self,
         mut i_load: Vec<f64>,
         constant_power: bool,
-        threads: usize,
-        sink: &mut dyn Sink,
     ) -> Result<PdnSolution, SolvePdnError> {
         let array = self.array;
         let n = array.tile_count();
@@ -492,52 +465,33 @@ impl PdnConfig {
         let vs = self.supply.value();
 
         let (colours, packed_of_global) = self.build_rb();
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
-        let shards = pool.as_ref().map_or(1, WorkerPool::threads);
-        let bands = [
-            band_ranges(colours[0].len(), shards),
-            band_ranges(colours[1].len(), shards),
-        ];
-
         let mut v = [vec![vs; colours[0].len()], vec![vs; colours[1].len()]];
         let mut iterations = 0usize;
         loop {
             let mut max_delta: f64 = 0.0;
-            for colour in 0..2 {
+            for (colour, nodes) in colours.iter().enumerate() {
                 // Half-sweep: every node of `colour` reads only the opposite
-                // colour (frozen this half-sweep) plus its own old value, so
-                // the band results are a pure function of the pre-sweep state.
-                let plans: Vec<(Vec<f64>, f64)> = {
-                    let nodes = &colours[colour];
-                    let mine = &v[colour];
-                    let opp = &v[1 - colour];
-                    match &pool {
-                        None => vec![sweep_rb_band(nodes, mine, opp, &i_load, g_link)],
-                        Some(pool) => pool.map(bands[colour].clone(), |_, band| {
-                            sweep_rb_band(&nodes[band.clone()], &mine[band], opp, &i_load, g_link)
-                        }),
-                    }
+                // colour plus its own old value, so updating in place gives
+                // the same bits as computing the whole colour first.
+                let [red, black] = &mut v;
+                let (mine, opp) = if colour == 0 {
+                    (red, &*black)
+                } else {
+                    (black, &*red)
                 };
-                for (band, (vals, delta)) in bands[colour].iter().zip(&plans) {
-                    v[colour][band.clone()].copy_from_slice(vals);
-                    // max is associative and order-independent, so merging
-                    // per-band maxima in band order is thread-count-invariant.
-                    max_delta = max_delta.max(*delta);
+                for (node, v_mine) in nodes.iter().zip(mine.iter_mut()) {
+                    let mut inflow = node.edge_inflow;
+                    for &nb in &node.neighbors[..node.neighbor_count] {
+                        inflow += g_link * opp[nb];
+                    }
+                    let v_new = (inflow - i_load[node.global_idx]) / node.g_sum;
+                    let old = *v_mine;
+                    let relaxed = old + Self::OMEGA * (v_new - old);
+                    max_delta = max_delta.max((relaxed - old).abs());
+                    *v_mine = relaxed;
                 }
             }
             iterations += 1;
-            if sink.enabled()
-                && (iterations.is_multiple_of(Self::RESIDUAL_SAMPLE_STRIDE)
-                    || max_delta < Self::TOL)
-            {
-                sink.instant(
-                    "pdn",
-                    "residual",
-                    0,
-                    iterations as u64,
-                    &[("residual_v", max_delta)],
-                );
-            }
 
             if constant_power {
                 let LoadModel::ConstantPower(p) = self.load else {
@@ -571,12 +525,6 @@ impl PdnConfig {
             }
         }
 
-        if sink.enabled() {
-            sink.span("pdn", "sor_solve", 0, 0, iterations as u64);
-            sink.gauge_set("pdn.solve.iterations", iterations as f64);
-            let min_v = v.iter().flatten().copied().fold(f64::INFINITY, f64::min);
-            sink.gauge_set("pdn.min_voltage_v", min_v);
-        }
         let voltages = packed_of_global
             .iter()
             .map(|&(colour, packed)| Volts(v[colour][packed]))
@@ -601,30 +549,6 @@ struct RbNode {
     edge_inflow: f64,
     neighbors: [usize; 4],
     neighbor_count: usize,
-}
-
-/// Relaxes one band of same-colour nodes against the frozen opposite
-/// colour, returning the new band voltages and the band's max delta.
-fn sweep_rb_band(
-    nodes: &[RbNode],
-    v_mine: &[f64],
-    v_opp: &[f64],
-    i_load: &[f64],
-    g_link: f64,
-) -> (Vec<f64>, f64) {
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut max_delta = 0.0f64;
-    for (node, &old) in nodes.iter().zip(v_mine) {
-        let mut inflow = node.edge_inflow;
-        for &nb in &node.neighbors[..node.neighbor_count] {
-            inflow += g_link * v_opp[nb];
-        }
-        let v_new = (inflow - i_load[node.global_idx]) / node.g_sum;
-        let relaxed = old + PdnConfig::OMEGA * (v_new - old);
-        max_delta = max_delta.max((relaxed - old).abs());
-        out.push(relaxed);
-    }
-    (out, max_delta)
 }
 
 impl fmt::Display for PdnConfig {
@@ -981,7 +905,7 @@ mod tests {
     fn red_black_matches_lexicographic_within_a_microvolt() {
         let cfg = PdnConfig::paper_prototype();
         let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_parallel(4).expect("red/black converges");
+        let rb = cfg.solve_red_black().expect("red/black converges");
         for (t, v) in lex.voltages() {
             let d = (v - rb.voltage_at(t)).value().abs();
             assert!(d < 1e-6, "{t}: orderings differ by {d:.2e} V");
@@ -989,14 +913,36 @@ mod tests {
         assert!((lex.total_current() - rb.total_current()).value().abs() < 1e-6);
     }
 
-    #[test]
-    fn red_black_is_bit_identical_across_thread_counts() {
-        let cfg = PdnConfig::paper_prototype();
-        let reference = cfg.solve_parallel(1).expect("converges");
-        for threads in [2usize, 3, 5, 8] {
-            let sol = cfg.solve_parallel(threads).expect("converges");
-            assert_eq!(sol, reference, "diverged at {threads} threads");
+    /// FNV-1a 64 over the bits of every node voltage (row-major), then
+    /// the iteration count.
+    fn solution_digest(sol: &PdnSolution) -> u64 {
+        let mut h = wsp_telemetry::Fnv1a::new();
+        for (_, v) in sol.voltages() {
+            h.write_u64(v.value().to_bits());
         }
+        h.write_u64(sol.iterations() as u64);
+        h.finish()
+    }
+
+    #[test]
+    fn red_black_solution_is_pinned_bit_for_bit() {
+        // Any change to the update order or arithmetic moves these
+        // literals; the fig2 golden pins only the deviation from the
+        // lexicographic solve to 10 digits, and the proptest a 1 µV bound.
+        let prototype = PdnConfig::paper_prototype()
+            .solve_red_black()
+            .expect("converges");
+        assert_eq!(prototype.iterations(), 160);
+        assert_eq!(solution_digest(&prototype), 0x5b84_20aa_df56_7f1f);
+
+        let p = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.25);
+        let east_west = PdnConfig::paper_prototype()
+            .with_load(LoadModel::ConstantPower(p))
+            .with_supply_sides([false, false, true, true])
+            .solve_red_black()
+            .expect("converges");
+        assert_eq!(east_west.iterations(), 138);
+        assert_eq!(solution_digest(&east_west), 0xa645_4d3e_5934_0a07);
     }
 
     #[test]
@@ -1004,34 +950,16 @@ mod tests {
         let p = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.5);
         let cfg = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(p));
         let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_parallel(3).expect("red/black converges");
+        let rb = cfg.solve_red_black().expect("red/black converges");
         for (t, v) in lex.voltages() {
             assert!((v - rb.voltage_at(t)).value().abs() < 1e-6, "{t}");
         }
 
         let absurd = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(Watts(50.0)));
-        match absurd.solve_parallel(2) {
+        match absurd.solve_red_black() {
             Err(SolvePdnError::Collapse { .. }) => {}
             other => panic!("expected collapse, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn red_black_traced_matches_untraced() {
-        use wsp_telemetry::Recorder;
-
-        let cfg = PdnConfig::paper_prototype();
-        let mut recorder = Recorder::new();
-        let traced = cfg
-            .solve_parallel_traced(2, &mut recorder)
-            .expect("converges");
-        let plain = cfg.solve_parallel(2).expect("converges");
-        assert_eq!(traced, plain, "telemetry must not perturb the solve");
-        assert_eq!(recorder.tracer.span_count("pdn"), 1);
-        assert_eq!(
-            recorder.registry.gauge("pdn.solve.iterations"),
-            Some(traced.iterations() as f64)
-        );
     }
 
     #[test]

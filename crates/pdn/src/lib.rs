@@ -32,6 +32,8 @@
 //! # Ok::<(), wsp_pdn::SolvePdnError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod decap;
 mod grid;
 mod ldo;

@@ -31,6 +31,8 @@
 //! # Ok::<(), wsp_route::RouteError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod drc;
 mod export;
 mod geometry;

@@ -44,6 +44,8 @@
 //! assert!(recorder.metrics_json("doc").contains("serve.jobs_completed"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod jobs;
 pub mod serve;
 pub mod slice;

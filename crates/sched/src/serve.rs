@@ -31,9 +31,9 @@ use waferscale::workload::{
     reference_pagerank, run_bfs, run_pagerank, run_sssp, run_stencil, Graph, GraphKind,
     StencilGrid, HALO_WORDS,
 };
-use waferscale::{LatencyModel, MultiTileMachine, SystemConfig, WaferscaleSystem};
-use wsp_common::parallel::Stepping;
+use waferscale::{MultiTileMachine, SystemConfig, WaferscaleSystem};
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, LaneId, PhaseProfiler, Sink};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
@@ -542,9 +542,7 @@ pub fn build_halo_slice_machine(
     memory: MemoryModelKind,
 ) -> MultiTileMachine {
     let array = faults.array();
-    let cfg = SystemConfig::with_array(array)
-        .with_latency_model(LatencyModel::Fabric)
-        .with_memory_model(memory);
+    let cfg = SystemConfig::with_array(array).with_memory_model(memory);
     let planner = wsp_noc::RoutePlanner::new(faults.clone());
     let mut m = MultiTileMachine::new(cfg, faults.clone());
     m.set_stepping(stepping);

@@ -16,6 +16,12 @@
 //! yields byte-identical reports and journals to the uninterrupted run
 //! — `scripts/check.sh` gates on exactly that.
 //!
+//! The snapshot does not embed the config, but it pins it: after the
+//! wafer, slice and job-count lines comes `config <16 hex digits>`, a
+//! digest of everything else in the [`ServeConfig`] the outcome depends
+//! on, and [`ServeCampaign::restore`] rejects a config that does not
+//! reproduce it.
+//!
 //! The last line seals the snapshot: `checksum <16 hex digits>`, the
 //! FNV-1a 64 of every byte before it. [`ServeCampaign::restore`] checks
 //! it before parsing any field, so a corrupted snapshot is rejected
@@ -30,7 +36,38 @@ use wsp_topo::FaultMap;
 use crate::serve::{PendingJob, ServeCampaign, ServeConfig};
 
 /// First line of every campaign snapshot; bump when the layout changes.
-pub const SNAPSHOT_MAGIC: &str = "wsp-serve-snapshot-v2";
+pub const SNAPSHOT_MAGIC: &str = "wsp-serve-snapshot-v3";
+
+/// FNV-1a 64 of the parts of `config` a campaign's outcome depends on
+/// beyond the dimensions and job count a snapshot states outright: the
+/// starting wafer faults, every job (id, kind, arrival, seed), the memory
+/// backend and the failure cadence. `stepping` stays out: every mode is
+/// bit-identical by contract, so a snapshot may resume under either.
+fn config_digest(config: &ServeConfig) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(config.wafer_faults.faulty_tiles().count() as u64);
+    for tile in config.wafer_faults.faulty_tiles() {
+        h.write_u32(config.wafer.index_of(tile) as u32);
+    }
+    h.write_u64(config.jobs.len() as u64);
+    for job in &config.jobs {
+        h.write_u32(job.id);
+        h.write_bytes(job.kind.as_str().as_bytes());
+        h.write_u8(0);
+        h.write_u64(job.arrival);
+        h.write_u64(job.seed);
+    }
+    h.write_bytes(config.memory.as_str().as_bytes());
+    h.write_u8(0);
+    match config.fail_slice_after {
+        None => h.write_u8(0),
+        Some(n) => {
+            h.write_u8(1);
+            h.write_u32(n);
+        }
+    }
+    h.finish()
+}
 
 /// FNV-1a 64 of a snapshot body.
 fn checksum(body: &str) -> u64 {
@@ -105,6 +142,7 @@ impl ServeCampaign {
             self.config.slice_width, self.config.slice_height
         );
         let _ = writeln!(out, "jobs {}", self.config.jobs.len());
+        let _ = writeln!(out, "config {:016x}", config_digest(&self.config));
         let _ = writeln!(out, "clock {}", self.clock);
         let _ = writeln!(out, "next_arrival {}", self.next_arrival);
         push_ids(&mut out, "queue", self.queue.iter().copied());
@@ -155,7 +193,8 @@ impl ServeCampaign {
     /// Rebuilds a campaign from `text`, validating it against `config`
     /// (the snapshot does not embed the job stream or machine options —
     /// the caller must supply the same config the snapshot was taken
-    /// under; dimensions and job count are cross-checked).
+    /// under; dimensions and job count are cross-checked, and the rest
+    /// through the `config` digest, before any campaign state is read).
     ///
     /// Job ids are checked against the config's stream: every job that
     /// has arrived (`0..next_arrival`) must sit exactly once in the
@@ -194,6 +233,14 @@ impl ServeCampaign {
         let jobs = parse_one(lines.next(), "jobs")?;
         if jobs != campaign.config.jobs.len() as u64 {
             return Err("snapshot job count does not match the config".into());
+        }
+        let digest = keyed(lines.next(), "config")?
+            .next()
+            .ok_or("missing config digest")?;
+        if digest != format!("{:016x}", config_digest(&campaign.config)) {
+            return Err("snapshot was taken under a different config \
+                 (wafer faults, job stream, memory model or failure cadence)"
+                .into());
         }
         campaign.clock = parse_one(lines.next(), "clock")?;
         campaign.next_arrival = parse_one(lines.next(), "next_arrival")? as usize;
@@ -427,6 +474,46 @@ mod tests {
             resumed.journal().to_text(),
             uninterrupted.journal().to_text()
         );
+        assert_eq!(resumed.snapshot(), uninterrupted.snapshot());
+    }
+
+    #[test]
+    fn snapshot_rejects_configs_that_change_the_outcome() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        campaign.run_until_completed(5);
+        let snap = campaign.snapshot();
+        let mut reseeded = config();
+        reseeded.jobs[3].seed ^= 1;
+        let mut banked = config();
+        banked.memory = wsp_tile::MemoryModelKind::Banked;
+        let mut never_fails = config();
+        never_fails.fail_slice_after = None;
+        let mut faulty = config();
+        faulty
+            .wafer_faults
+            .mark_faulty(wsp_topo::TileCoord::new(7, 7));
+        for (case, other) in [
+            ("one job's seed", reseeded),
+            ("memory model", banked),
+            ("failure cadence", never_fails),
+            ("one wafer fault", faulty),
+        ] {
+            let err = ServeCampaign::restore(other, &snap).expect_err(case);
+            assert!(err.contains("different config"), "{case}: {err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_resumes_under_either_stepping() {
+        let mut uninterrupted = ServeCampaign::new(config()).expect("valid");
+        uninterrupted.run_to_completion();
+        let mut first_half = ServeCampaign::new(config()).expect("valid");
+        first_half.run_until_completed(7);
+        let snap = first_half.snapshot();
+        let mut dense = config();
+        dense.stepping = wsp_common::stepping::Stepping::Dense;
+        let mut resumed = ServeCampaign::restore(dense, &snap).expect("stepping is not pinned");
+        resumed.run_to_completion();
         assert_eq!(resumed.snapshot(), uninterrupted.snapshot());
     }
 

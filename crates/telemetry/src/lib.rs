@@ -42,6 +42,8 @@
 //! assert!(trace.contains("\"traceEvents\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod digest;
 mod profiler;
 mod registry;

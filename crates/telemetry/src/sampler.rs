@@ -22,8 +22,8 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 /// whose cycle is not a multiple of the new cadence is dropped. Both the
 /// acceptance rule and the decimation rule depend only on the cycle
 /// numbers, so two runs that sample the same values at the same cycles
-/// keep byte-identical series — regardless of thread count, stepping
-/// mode, or how often the buffer wrapped.
+/// keep byte-identical series — regardless of stepping mode or how
+/// often the buffer wrapped.
 ///
 /// # Examples
 ///

@@ -64,16 +64,6 @@ pub enum PendingAccess {
         /// accounting.
         issued_at: u64,
     },
-    /// Analytic-model timer: the access completes once the machine clock
-    /// reaches `ready_at`, independent of network load.
-    WaitUntil {
-        /// Byte address of the stalled access.
-        addr: u32,
-        /// Cycle the access first issued.
-        issued_at: u64,
-        /// Cycle the modelled round trip completes.
-        ready_at: u64,
-    },
     /// The response has arrived carrying the access result; the core is
     /// granted on its next bus attempt.
     Ready {
@@ -90,18 +80,16 @@ impl PendingAccess {
     /// The byte address the access targets.
     pub fn addr(&self) -> u32 {
         match *self {
-            PendingAccess::InFlight { addr, .. }
-            | PendingAccess::WaitUntil { addr, .. }
-            | PendingAccess::Ready { addr, .. } => addr,
+            PendingAccess::InFlight { addr, .. } | PendingAccess::Ready { addr, .. } => addr,
         }
     }
 
     /// The cycle the access first issued.
     pub fn issued_at(&self) -> u64 {
         match *self {
-            PendingAccess::InFlight { issued_at, .. }
-            | PendingAccess::WaitUntil { issued_at, .. }
-            | PendingAccess::Ready { issued_at, .. } => issued_at,
+            PendingAccess::InFlight { issued_at, .. } | PendingAccess::Ready { issued_at, .. } => {
+                issued_at
+            }
         }
     }
 }

@@ -37,6 +37,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod core;
 pub mod crossbar;
 pub mod isa;

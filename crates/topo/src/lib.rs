@@ -32,6 +32,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod array;
 mod fault;
 mod reticle;

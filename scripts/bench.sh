@@ -8,11 +8,6 @@
 #   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
 #                                  # micro-bench (criterion, ~1 min)
 #
-# Set WSP_THREADS=<n> to pin the worker count of the red/black PDN
-# solve (forwarded as --threads to every binary; only fig2_droop reads
-# it); the default is the host's available parallelism. Results are
-# bit-identical either way — the knob only affects wall-clock.
-#
 # Full-run artefacts land in the repo root (smoke runs never touch the
 # committed ones):
 #   BENCH_noc.json       fig7_network  (NoC request/response metrics)
@@ -48,11 +43,6 @@ if [[ ${#SMOKE[@]} -gt 0 ]]; then
     trap 'rm -rf "$OUT"' EXIT
 fi
 
-THREADS=()
-if [[ -n "${WSP_THREADS:-}" ]]; then
-    THREADS=(--threads "$WSP_THREADS")
-fi
-
 echo "==> cargo build --release -p wsp-bench"
 cargo build --release -p wsp-bench
 
@@ -63,11 +53,11 @@ run() {
     "target/release/$bin" "$@" >/dev/null
 }
 
-run fig7_network "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_noc.json"
-run workloads "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_machine.json" \
+run fig7_network "${SMOKE[@]}" --json "$OUT/BENCH_noc.json"
+run workloads "${SMOKE[@]}" --json "$OUT/BENCH_machine.json" \
     --trace "$OUT/TRACE_machine.json"
-run fig2_droop "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_pdn.json"
-run serve "${SMOKE[@]}" "${THREADS[@]}" --json "$OUT/BENCH_serve.json"
+run fig2_droop "${SMOKE[@]}" --json "$OUT/BENCH_pdn.json"
+run serve "${SMOKE[@]}" --json "$OUT/BENCH_serve.json"
 
 echo "==> validate_json"
 target/release/validate_json \

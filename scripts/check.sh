@@ -72,25 +72,21 @@ for bin in fig7_network workloads serve; do
 done
 echo "    byte-identical to the goldens across stepping modes"
 
-echo "==> PDN golden (fig2_droop smoke JSON vs tests/golden, --threads {1,8})"
-# The red/black PDN solve is the one threaded simulation loop; its smoke
-# report must be byte-identical to the golden at any thread count. This
-# bin writes no digest sidecar.
+echo "==> PDN golden (fig2_droop smoke JSON vs tests/golden)"
+# The PDN report (lexicographic and red/black solves, and the deviation
+# between them) must be byte-identical to the golden. This bin writes no
+# digest sidecar.
 if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
-    target/release/fig2_droop --smoke --threads 1 \
-        --json tests/golden/fig2_droop_smoke.json >/dev/null
+    target/release/fig2_droop --smoke --json tests/golden/fig2_droop_smoke.json >/dev/null
     echo "    refreshed tests/golden/fig2_droop_smoke.json"
 fi
-for threads in 1 8; do
-    out="$DET_DIR/fig2_droop-t$threads.json"
-    target/release/fig2_droop --smoke --threads "$threads" --json "$out" >/dev/null
-    if ! cmp -s tests/golden/fig2_droop_smoke.json "$out"; then
-        echo "FAIL: fig2_droop smoke JSON differs from tests/golden/fig2_droop_smoke.json at $threads threads" >&2
-        diff tests/golden/fig2_droop_smoke.json "$out" >&2 || true
-        exit 1
-    fi
-done
-echo "    byte-identical to the golden at 1 and 8 threads"
+target/release/fig2_droop --smoke --json "$DET_DIR/fig2_droop.json" >/dev/null
+if ! cmp -s tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json"; then
+    echo "FAIL: fig2_droop smoke JSON differs from tests/golden/fig2_droop_smoke.json" >&2
+    diff tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json" >&2 || true
+    exit 1
+fi
+echo "    byte-identical to the golden"
 
 echo "==> Fig. 6 golden (fig6_disconnect smoke JSON vs tests/golden)"
 # The connectivity counts behind Fig. 6 and its odd-even table are exact
@@ -145,12 +141,13 @@ fi
 echo "    gate passes on baselines and catches a synthetic regression"
 
 
-echo "==> flag-doc drift gate (every BenchOpts flag is documented in README.md)"
-# The README's "Performance knobs" table must mention every flag string
-# the bench option parser accepts — a new flag without documentation (or
-# a renamed flag leaving its old name behind in the README) fails here.
-# Only the code above the #[cfg(test)] module counts: tests exercise fake
-# flags (e.g. --frobnicate) to probe the unknown-flag error path.
+echo "==> flag-doc drift gate (README.md's knob tables match the bench flags)"
+# Both directions: every flag string the bench option parsers accept
+# must appear in README.md (a new flag without documentation fails), and
+# every flag that starts a row of the "Performance knobs" tables must be
+# one the parsers accept (a removed or renamed flag left in a table
+# fails). Only the code above the #[cfg(test)] module counts: tests
+# exercise fake and removed flags to probe the unknown-flag error path.
 flags=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/bench/src/lib.rs \
     | grep -o '"--[a-z-]*"' | tr -d '"' | sort -u)
 for flag in $flags; do
@@ -159,7 +156,18 @@ for flag in $flags; do
         exit 1
     fi
 done
-echo "    all $(echo "$flags" | wc -w) bench flags documented"
+# A row's flags are those in its first cell, the text between the
+# leading "| " and the next " |".
+documented=$(awk '/^## Performance knobs/ { on = 1; next } /^## / { on = 0 } on' README.md \
+    | grep '^| `--' | sed 's/^| \(.*\) |.*/\1/; s/ | .*//' \
+    | grep -o -- '--[a-z-]*' | sort -u)
+for flag in $documented; do
+    if ! grep -qx -- "$flag" <<< "$flags"; then
+        echo "FAIL: README.md's knob tables list $flag, which crates/bench/src/lib.rs does not accept" >&2
+        exit 1
+    fi
+done
+echo "    all $(echo "$flags" | wc -w) bench flags documented, every documented flag accepted"
 
 echo "==> banked memory smoke (--memory banked answers stay correct)"
 target/release/workloads --smoke --memory banked > "$DET_DIR/banked.txt"

@@ -15,6 +15,8 @@
 //! assert_eq!(cfg.total_cores(), 14_336);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use waferscale;
 pub use wsp_assembly;
 pub use wsp_clock;

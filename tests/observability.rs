@@ -4,8 +4,8 @@
 //! (time series, digests) must be identical across stepping modes — the
 //! property that lets them live inside the byte-compared smoke goldens.
 
-use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
+use waferscale::{MultiTileMachine, SystemConfig};
+use wsp_common::stepping::Stepping;
 use wsp_telemetry::{first_divergence, DigestJournal, LaneId};
 use wsp_tile::isa::{Program, Reg};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
@@ -19,7 +19,7 @@ const EVERY: u64 = 16;
 /// so both networks and the machine lanes carry real state.
 fn build_machine(stepping: Stepping, digest_every: u64) -> MultiTileMachine {
     let array = TileArray::new(4, 4);
-    let cfg = SystemConfig::with_array(array).with_latency_model(LatencyModel::Fabric);
+    let cfg = SystemConfig::with_array(array);
     let mut m = MultiTileMachine::new(cfg, FaultMap::none(array));
     m.set_stepping(stepping);
     m.set_sampling(8);

@@ -1,6 +1,5 @@
-//! Property test for the deterministic multi-threaded backend: the PDN's
-//! red/black SOR solve must match the sequential lexicographic sweep
-//! within a microvolt, and be bit-identical at any thread count.
+//! Property test for the PDN's red/black SOR ordering: it must converge
+//! to the sequential lexicographic sweep's solution within a microvolt.
 
 use proptest::prelude::*;
 use wsp_common::units::{Amps, Ohms, Volts};
@@ -21,20 +20,17 @@ fn pdn_config(n: u16, milliamps: f64) -> PdnConfig {
 
 proptest! {
     /// Red/black SOR converges to the same solution as the sequential
-    /// lexicographic sweep within a microvolt per tile, and its own
-    /// output is bit-identical at any thread count.
+    /// lexicographic sweep within a microvolt per tile.
     #[test]
     fn red_black_pdn_matches_lexicographic_within_a_microvolt(
         n in 2u16..12,
         milliamps in 10.0f64..200.0,
-        threads in 2usize..9,
     ) {
         let cfg = pdn_config(n, milliamps);
         let lex = cfg.solve().expect("lexicographic converges");
-        let rb1 = cfg.solve_parallel(1).expect("red/black converges");
-        let rbn = cfg.solve_parallel(threads).expect("red/black converges");
+        let rb = cfg.solve_red_black().expect("red/black converges");
 
-        for ((tile, a), (_, b)) in lex.voltages().zip(rb1.voltages()) {
+        for ((tile, a), (_, b)) in lex.voltages().zip(rb.voltages()) {
             prop_assert!(
                 (a.value() - b.value()).abs() < 1e-6,
                 "tile {tile}: lexicographic {} vs red/black {}",
@@ -42,8 +38,5 @@ proptest! {
                 b.value()
             );
         }
-        let v1: Vec<f64> = rb1.voltages().map(|(_, v)| v.value()).collect();
-        let vn: Vec<f64> = rbn.voltages().map(|(_, v)| v.value()).collect();
-        prop_assert_eq!(v1, vn);
     }
 }

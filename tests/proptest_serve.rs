@@ -12,8 +12,8 @@
 //! bit-identical across stepping modes.
 
 use proptest::prelude::*;
-use wsp_common::parallel::Stepping;
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_noc::NetworkKind;
 use wsp_sched::{build_halo_slice_machine, partition, restrict_faults, slice_usable};
 use wsp_tile::MemoryModelKind;

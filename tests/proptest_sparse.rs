@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 use rand::RngExt as _;
-use waferscale::{LatencyModel, MultiTileMachine, SystemConfig};
-use wsp_common::parallel::Stepping;
+use waferscale::{MultiTileMachine, SystemConfig};
 use wsp_common::seeded_rng;
+use wsp_common::stepping::Stepping;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_tile::isa::{Program, Reg};
 use wsp_tile::{MemoryModelKind, CORES_PER_TILE};
@@ -86,9 +86,7 @@ fn run_machine(
     let array = TileArray::new(4, 4);
     let mut rng = seeded_rng(seed);
     let faults = FaultMap::sample_uniform(array, fault_count, &mut rng);
-    let cfg = SystemConfig::with_array(array)
-        .with_latency_model(LatencyModel::Fabric)
-        .with_memory_model(memory);
+    let cfg = SystemConfig::with_array(array).with_memory_model(memory);
     let mut m = MultiTileMachine::new(cfg, faults.clone());
     m.set_stepping(stepping);
     // The observability artifacts ride along in the identity tuple: the
