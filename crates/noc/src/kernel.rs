@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
-use wsp_topo::{FaultMap, TileCoord};
+use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 use crate::connectivity::SegmentOracle;
 use crate::routing::NetworkKind;
@@ -98,11 +98,18 @@ impl fmt::Display for NetworkChoice {
 
 /// Plans per-pair network assignments over a known fault map.
 ///
-/// Relay decisions are memoised per ordered pair on first query: they are
-/// a pure function of the fault map, and the relay search scans every
-/// healthy tile, so a pair that needs a relay pays for it once. Pairs with
-/// a direct path never touch the memo. The memo sits behind a lock so one
-/// planner can be shared across worker threads.
+/// A pair with no healthy direct path is relayed through the tile that
+/// adds the fewest hops, ties broken by the lowest row-major index. The
+/// search walks rings of tiles outward from the pair's bounding box,
+/// nearest first, so its cost grows with the detour, not with the wafer.
+///
+/// Relay decisions are also memoised per ordered pair on first query:
+/// they are a pure function of the fault map, and a machine asks the
+/// same few relayed pairs on every remote access between them (a
+/// full-wafer machine run asks tens of thousands of relay queries of a
+/// few hundred pairs), while a pair with no relay at all still probes
+/// every tile. Pairs with a direct path never touch the memo. The memo
+/// sits behind a lock so one planner can be shared across threads.
 ///
 /// # Examples
 ///
@@ -215,38 +222,50 @@ impl RoutePlanner {
         }
     }
 
-    /// Searches for a relay tile with healthy legs to both endpoints,
-    /// preferring the one adding the fewest extra hops.
+    /// Searches for a relay tile with healthy legs to both endpoints: the
+    /// one adding the fewest extra hops, ties broken by the lowest
+    /// row-major index. Each leg rides X-Y when that path is healthy,
+    /// else Y-X. Candidates are probed ring by ring outward from the
+    /// pair's bounding box ([`ring_order`]), so the search stops in the
+    /// first ring that holds a relay instead of scanning the wafer.
     fn find_relay(&self, src: TileCoord, dst: TileCoord) -> NetworkChoice {
-        let mut best: Option<(u32, NetworkChoice)> = None;
-        for via in self.faults.healthy_tiles() {
-            if via == src || via == dst {
+        self.relay_search(src, dst).0
+    }
+
+    /// [`RoutePlanner::find_relay`]'s answer and the number of tiles
+    /// probed to find it.
+    ///
+    /// Probes follow [`ring_order`], so the first tile that is neither
+    /// endpoint, is healthy and has a healthy leg each way is the
+    /// fewest-hop relay with the lowest row-major index. The cost grows
+    /// with the detour: a pair relayed one row over probes its bounding
+    /// box and the ring around it, and only a pair with no relay at all
+    /// probes the whole array.
+    fn relay_search(&self, src: TileCoord, dst: TileCoord) -> (NetworkChoice, usize) {
+        let mut probes = 0;
+        for via in ring_order(self.faults.array(), src, dst) {
+            probes += 1;
+            if via == src || via == dst || self.faults.is_faulty(via) {
                 continue;
             }
-            let first = if self.oracle.xy_connected(src, via) {
-                Some(NetworkKind::Xy)
-            } else if self.oracle.yx_connected(src, via) {
-                Some(NetworkKind::Yx)
-            } else {
-                None
-            };
-            let second = if self.oracle.xy_connected(via, dst) {
-                Some(NetworkKind::Xy)
-            } else if self.oracle.yx_connected(via, dst) {
-                Some(NetworkKind::Yx)
-            } else {
-                None
-            };
-            if let (Some(first), Some(second)) = (first, second) {
-                let hops = src.manhattan_distance(via) + via.manhattan_distance(dst);
-                let candidate = (hops, NetworkChoice::Relay { via, first, second });
-                match &best {
-                    Some((best_hops, _)) if *best_hops <= hops => {}
-                    _ => best = Some(candidate),
+            if let Some(first) = self.leg(src, via) {
+                if let Some(second) = self.leg(via, dst) {
+                    return (NetworkChoice::Relay { via, first, second }, probes);
                 }
             }
         }
-        best.map(|(_, c)| c).unwrap_or(NetworkChoice::Disconnected)
+        (NetworkChoice::Disconnected, probes)
+    }
+
+    /// The network of a healthy direct path `from → to`, X-Y first.
+    fn leg(&self, from: TileCoord, to: TileCoord) -> Option<NetworkKind> {
+        if self.oracle.xy_connected(from, to) {
+            Some(NetworkKind::Xy)
+        } else if self.oracle.yx_connected(from, to) {
+            Some(NetworkKind::Yx)
+        } else {
+            None
+        }
     }
 
     /// Builds the full routing table for every ordered healthy pair.
@@ -262,6 +281,35 @@ impl RoutePlanner {
         }
         RoutingTable { entries }
     }
+}
+
+/// Every tile of `array` in order of the hops a relay through it costs
+/// the pair `(src, dst)`, ties in row-major order.
+///
+/// A relay at L1 distance `k` from the pair's bounding box costs
+/// `manhattan(src, dst) + 2k` hops, so ring `k` holds the tiles of one
+/// cost. Rings run from 0 (the box itself) out to the array edge, each
+/// in row-major order, and every tile sits in exactly one of them. In a
+/// row at distance `dy` from the box, ring `k` holds the box's columns
+/// when `dy == k`, else the columns `k - dy` west and east of the box
+/// that lie inside the array.
+fn ring_order(array: TileArray, src: TileCoord, dst: TileCoord) -> impl Iterator<Item = TileCoord> {
+    let (cols, rows) = (i64::from(array.cols()), i64::from(array.rows()));
+    let (x0, x1) = (i64::from(src.x.min(dst.x)), i64::from(src.x.max(dst.x)));
+    let (y0, y1) = (i64::from(src.y.min(dst.y)), i64::from(src.y.max(dst.y)));
+    let last_ring = x0.max(cols - 1 - x1) + y0.max(rows - 1 - y1);
+    (0..=last_ring).flat_map(move |k| {
+        ((y0 - k).max(0)..=(y1 + k).min(rows - 1)).flat_map(move |y| {
+            let dx = k - (y0 - y).max(y - y1).max(0);
+            let (west, east) = (x0 - dx, x1 + dx);
+            // The whole span when dx == 0, else only its two ends.
+            let step = if dx == 0 { 1 } else { east - west };
+            (west..=east)
+                .step_by(step as usize)
+                .filter(move |x| (0..cols).contains(x))
+                .map(move |x| TileCoord::new(x as u16, y as u16))
+        })
+    })
 }
 
 /// The kernel's materialised per-pair routing table.
@@ -309,7 +357,6 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use wsp_common::seeded_rng;
-    use wsp_topo::TileArray;
 
     #[test]
     fn clean_wafer_all_direct_and_balanced() {
@@ -373,13 +420,200 @@ mod tests {
         let planner = RoutePlanner::new(FaultMap::from_faulty(array, [TileCoord::new(4, 3)]));
         let s = TileCoord::new(0, 3);
         let d = TileCoord::new(7, 3);
-        if let NetworkChoice::Relay { via, .. } = planner.choose(s, d) {
-            // Minimal detour for a blocked row is one row over: 2 extra hops.
-            let hops = s.manhattan_distance(via) + via.manhattan_distance(d);
-            assert_eq!(hops, s.manhattan_distance(d) + 2);
-        } else {
-            panic!("expected relay");
+        // Every tile one row over adds the minimal 2 hops; the lowest
+        // row-major index among them is the row above's first tile, and
+        // both its legs are healthy on X-Y.
+        assert_eq!(
+            planner.choose(s, d),
+            NetworkChoice::Relay {
+                via: TileCoord::new(0, 2),
+                first: NetworkKind::Xy,
+                second: NetworkKind::Xy,
+            }
+        );
+    }
+
+    /// The relay search as a scan of every healthy tile that keeps the
+    /// first fewest-hop relay in row-major order: the oracle for
+    /// [`RoutePlanner::relay_search`]. Every ordered tile pair's leg is
+    /// tabulated up front, so a debug build scans all the row and column
+    /// pairs of a 32×32 wafer in seconds.
+    struct RelayScan {
+        array: TileArray,
+        /// Row-major index and coordinate of every healthy tile.
+        healthy: Vec<(usize, TileCoord)>,
+        /// `from[a * tiles + b]`: the network of a healthy direct path
+        /// from tile `a` to tile `b`, X-Y first.
+        from: Vec<Option<NetworkKind>>,
+        /// `into[b * tiles + a]`: the same leg, indexed by its end.
+        into: Vec<Option<NetworkKind>>,
+    }
+
+    impl RelayScan {
+        fn new(planner: &RoutePlanner) -> Self {
+            let (array, oracle) = (planner.faults.array(), &planner.oracle);
+            let tiles = array.tile_count();
+            let from: Vec<Option<NetworkKind>> = array
+                .tiles()
+                .flat_map(|a| array.tiles().map(move |b| (a, b)))
+                .map(|(a, b)| {
+                    if oracle.xy_connected(a, b) {
+                        Some(NetworkKind::Xy)
+                    } else if oracle.yx_connected(a, b) {
+                        Some(NetworkKind::Yx)
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            let into = (0..tiles * tiles)
+                .map(|i| from[(i % tiles) * tiles + i / tiles])
+                .collect();
+            let healthy = planner
+                .faults
+                .healthy_tiles()
+                .map(|t| (array.index_of(t), t))
+                .collect();
+            RelayScan {
+                array,
+                healthy,
+                from,
+                into,
+            }
         }
+
+        /// The scan's relay for `(src, dst)` and the number of tiles it
+        /// scanned.
+        fn relay(&self, src: TileCoord, dst: TileCoord) -> (NetworkChoice, usize) {
+            let tiles = self.array.tile_count();
+            let (s, d) = (self.array.index_of(src), self.array.index_of(dst));
+            let (from, into) = (
+                &self.from[s * tiles..][..tiles],
+                &self.into[d * tiles..][..tiles],
+            );
+            let mut best: Option<(u32, NetworkChoice)> = None;
+            for &(v, via) in &self.healthy {
+                if v == s || v == d {
+                    continue;
+                }
+                if let (Some(first), Some(second)) = (from[v], into[v]) {
+                    let hops = src.manhattan_distance(via) + via.manhattan_distance(dst);
+                    match &best {
+                        Some((best_hops, _)) if *best_hops <= hops => {}
+                        _ => best = Some((hops, NetworkChoice::Relay { via, first, second })),
+                    }
+                }
+            }
+            let choice = best.map_or(NetworkChoice::Disconnected, |(_, c)| c);
+            (choice, self.healthy.len())
+        }
+    }
+
+    /// Asserts the ring search and the scan agree on every pair, and
+    /// returns how many of their answers were relays and how many
+    /// disconnected.
+    fn assert_search_matches_scan(
+        planner: &RoutePlanner,
+        pairs: impl IntoIterator<Item = (TileCoord, TileCoord)>,
+    ) -> (usize, usize) {
+        let scan = RelayScan::new(planner);
+        let tiles = planner.faults.array().tile_count();
+        let (mut relayed, mut dead) = (0, 0);
+        for (s, d) in pairs {
+            let (got, probes) = planner.relay_search(s, d);
+            assert_eq!(got, scan.relay(s, d).0, "{s}->{d} on {}", scan.array);
+            match got {
+                NetworkChoice::Relay { .. } => relayed += 1,
+                _ => {
+                    assert_eq!(probes, tiles, "{s}->{d}: a failed search probes every tile");
+                    dead += 1;
+                }
+            }
+        }
+        (relayed, dead)
+    }
+
+    #[test]
+    fn ring_search_matches_the_scan() {
+        let (mut relayed, mut dead) = (0, 0);
+        for (seed, (cols, rows)) in (1u64..).zip([(1, 9), (9, 1), (2, 2), (5, 7), (12, 12)]) {
+            let array = TileArray::new(cols, rows);
+            let n = array.tile_count();
+            for count in [0, 1, 3, n / 4, n / 2, n - 2] {
+                let mut rng = seeded_rng(seed * 1000 + count as u64);
+                let planner = RoutePlanner::new(FaultMap::sample_uniform(array, count, &mut rng));
+                let healthy: Vec<TileCoord> = planner.faults.healthy_tiles().collect();
+                let pairs = healthy
+                    .iter()
+                    .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
+                    .filter(|(s, d)| s != d);
+                let (r, d) = assert_search_matches_scan(&planner, pairs);
+                relayed += r;
+                dead += d;
+            }
+        }
+        // Every same-row and same-column pair of a benchmark-sized wafer,
+        // the pairs a relay serves when a fault sits between them.
+        let array = TileArray::new(32, 32);
+        let planner = RoutePlanner::new(FaultMap::sample_uniform(array, 20, &mut seeded_rng(9)));
+        let healthy: Vec<TileCoord> = planner.faults.healthy_tiles().collect();
+        let pairs = healthy
+            .iter()
+            .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
+            .filter(|(s, d)| s != d && (s.x == d.x || s.y == d.y));
+        let (r, d) = assert_search_matches_scan(&planner, pairs);
+        assert!(r > 1000, "only {r} relayed pairs on the 32x32 wafer");
+        relayed += r;
+        dead += d;
+        assert!(
+            relayed > 0 && dead > 0,
+            "{relayed} relayed, {dead} disconnected"
+        );
+    }
+
+    #[test]
+    fn ring_order_lists_tiles_by_relay_hops_then_row_major() {
+        for (cols, rows) in [(1, 1), (1, 9), (9, 1), (5, 7), (32, 32)] {
+            let array = TileArray::new(cols, rows);
+            let tiles: Vec<TileCoord> = array.tiles().collect();
+            let last = tiles[tiles.len() - 1];
+            let mid = array.coord_of(tiles.len() / 2);
+            for (s, d) in [
+                (tiles[0], last),
+                (last, tiles[0]),
+                (mid, mid),
+                (mid, last),
+                (tiles[1 % tiles.len()], mid),
+            ] {
+                let mut want = tiles.clone();
+                // A stable sort keeps row-major order among equal hops.
+                want.sort_by_key(|&v| s.manhattan_distance(v) + v.manhattan_distance(d));
+                let got: Vec<TileCoord> = ring_order(array, s, d).collect();
+                assert_eq!(got, want, "{s}->{d} on {array}");
+            }
+        }
+    }
+
+    #[test]
+    fn relay_search_cost_grows_with_the_detour() {
+        let array = TileArray::new(32, 32);
+        let planner = RoutePlanner::new(FaultMap::from_faulty(array, [TileCoord::new(16, 5)]));
+        let (s, d) = (TileCoord::new(10, 5), TileCoord::new(20, 5));
+        let (choice, probes) = planner.relay_search(s, d);
+        let (want, scanned) = RelayScan::new(&planner).relay(s, d);
+        assert_eq!(choice, want);
+        assert!(matches!(choice, NetworkChoice::Relay { .. }), "{choice:?}");
+        // Ring 0 is the pair's 11 tiles of row 5; ring 1 adds the 11
+        // above, the 11 below and one at each end of row 5.
+        assert!(probes <= 11 + 24, "{probes} probes");
+        assert_eq!(scanned, 1023);
+
+        // A walled-off destination has no relay: every tile is probed.
+        let dst = TileCoord::new(20, 20);
+        let planner = RoutePlanner::new(FaultMap::from_faulty(array, array.neighbors(dst)));
+        let (choice, probes) = planner.relay_search(TileCoord::new(3, 4), dst);
+        assert_eq!(choice, NetworkChoice::Disconnected);
+        assert_eq!(probes, array.tile_count());
     }
 
     #[test]

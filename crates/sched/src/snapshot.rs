@@ -234,9 +234,9 @@ impl ServeCampaign {
         if jobs != campaign.config.jobs.len() as u64 {
             return Err("snapshot job count does not match the config".into());
         }
-        let digest = keyed(lines.next(), "config")?
-            .next()
-            .ok_or("missing config digest")?;
+        let mut config_line = keyed(lines.next(), "config")?;
+        let digest = config_line.next().ok_or("missing config digest")?;
+        no_trailing(config_line, "config")?;
         if digest != format!("{:016x}", config_digest(&campaign.config)) {
             return Err("snapshot was taken under a different config \
                  (wafer faults, job stream, memory model or failure cadence)"
@@ -398,14 +398,26 @@ fn keyed<'a>(line: Option<&'a str>, key: &str) -> Result<std::str::SplitWhitespa
     Ok(f)
 }
 
+/// Rejects a field left on a `key` line after its values.
+fn no_trailing(mut rest: std::str::SplitWhitespace<'_>, key: &str) -> Result<(), String> {
+    match rest.next() {
+        Some(extra) => Err(format!("{key} line has a trailing field {extra:?}")),
+        None => Ok(()),
+    }
+}
+
 fn parse_one(line: Option<&str>, key: &str) -> Result<u64, String> {
     let mut f = keyed(line, key)?;
-    field(f.next(), key)
+    let value = field(f.next(), key)?;
+    no_trailing(f, key)?;
+    Ok(value)
 }
 
 fn parse_pair(line: Option<&str>, key: &str) -> Result<(u64, u64), String> {
     let mut f = keyed(line, key)?;
-    Ok((field(f.next(), key)?, field(f.next(), key)?))
+    let pair = (field(f.next(), key)?, field(f.next(), key)?);
+    no_trailing(f, key)?;
+    Ok(pair)
 }
 
 fn parse_ids(line: Option<&str>, key: &str) -> Result<Vec<u32>, String> {
@@ -610,6 +622,42 @@ mod tests {
                 }
                 bytes[i] ^= 1 << bit;
             }
+        }
+    }
+
+    #[test]
+    fn keyed_lines_reject_a_trailing_field() {
+        let mut campaign = ServeCampaign::new(config()).expect("valid");
+        campaign.run_until_completed(5);
+        let snap = campaign.snapshot();
+        let keys = [
+            "wafer",
+            "slice",
+            "jobs",
+            "config",
+            "clock",
+            "next_arrival",
+            "incorrect",
+            "slices",
+            "journal",
+        ];
+        for key in keys {
+            let mut edited = 0;
+            let text: Vec<String> = snap
+                .lines()
+                .map(|l| {
+                    if l.split_whitespace().next() == Some(key) {
+                        edited += 1;
+                        format!("{l} 7")
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect();
+            assert_eq!(edited, 1, "one {key} line");
+            let err = ServeCampaign::restore(config(), &reseal(&text.join("\n")))
+                .expect_err(&format!("{key} line with a trailing field"));
+            assert!(err.contains(&format!("{key} line")), "{key}: {err}");
         }
     }
 

@@ -14,9 +14,10 @@
 # Benchmark mode (<workload> is a BENCHMARK.json workload): runs the
 # unmodified BENCHMARK.json command on seeds 1..pairs. Each side appends
 # its runs to its own --out directory (base/ and head/), so the
-# benchmark's `compare` pairs them by position. Prints
-# `compare base/results.json head/results.json` and how many pairs each
-# side won on pass_s.
+# benchmark's `compare` pairs them by position. Prints each run's
+# pass_s and setup_s, then `compare base/results.json head/results.json`
+# and, for every `end_to_end` metric in BENCHMARK.json, how many pairs
+# each side won (in the direction its `better` field gives).
 #
 # Bench-bin mode (<bench-bin> names a crates/bench/src/bin binary, e.g.
 # fig7_network): builds wsp-bench on both sides and runs
@@ -131,7 +132,8 @@ run() {
     local side="$1" dir="$2" seed="$3"
     (cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 --out "$out/$side") >"$out/$side-$seed.log"
-    echo "    $side seed $seed: pass_s $(jq -r '.runs[-1].metrics.pass_s.value' "$out/$side/results.json")"
+    echo "    $side seed $seed: $(jq -r '.runs[-1].metrics
+        | "pass_s \(.pass_s.value) setup_s \(.setup_s.value)"' "$out/$side/results.json")"
 }
 alternate run
 
@@ -139,10 +141,12 @@ echo "==> compare base/results.json head/results.json"
 # `compare` exits 1 when a row reads worse or unresolved; the table is
 # the report either way.
 "${command[@]}" compare "$out/base/results.json" "$out/head/results.json" || true
-wins() {
-    jq -n --slurpfile a "$out/$1/results.json" --slurpfile b "$out/$2/results.json" \
-        '[$a[0].runs, $b[0].runs] | transpose
-         | map(select(.[0].metrics.pass_s.value < .[1].metrics.pass_s.value)) | length'
-}
-echo "pass_s pairs won: head $(wins head base), base $(wins base head) of $pairs"
+# A pair is won by the side whose value is strictly better.
+jq -rn --slurpfile spec BENCHMARK.json \
+    --slurpfile base "$out/base/results.json" --slurpfile head "$out/head/results.json" '
+    $spec[0].end_to_end[] as $m
+    | [$base[0].runs, $head[0].runs] | transpose
+    | map(map(.metrics[$m.name].value) | if $m.better == "higher" then map(-.) else . end) as $p
+    | "\($m.name) pairs won: head \($p | map(select(.[1] < .[0])) | length),"
+      + " base \($p | map(select(.[0] < .[1])) | length) of \($p | length)"'
 echo "results kept in $out"
