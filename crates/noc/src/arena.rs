@@ -4,11 +4,14 @@
 //! packets in `VecDeque`s, so every hop copied the full struct and every
 //! queue was its own heap allocation. [`PacketArena`] instead keeps each
 //! field in its own parallel column (`id`, `src`, `dst`, `choice`, packed
-//! kind/leg metadata, `injected_at`, `hops`) and hands out `u32` slot
-//! indices. Router FIFOs then queue 4-byte indices
-//! ([`PacketRing`](crate::fifo::PacketRing)), a forward is one index copy
-//! plus a column increment, and the per-field columns stay cache-linear
-//! for the digest and telemetry walks that scan whole queues.
+//! kind/leg metadata, `injected_at`, and the current-leg route with the
+//! hop count) and hands out `u32` slot indices. The fabric's router FIFOs
+//! queue 16-byte entries that carry the slot together with everything a
+//! hop needs (the cached output port, the current-leg target and the hop
+//! count), so a forward moves one entry and never touches the arena: the
+//! fabric reads it only at injection, relay re-injection and delivery,
+//! and the per-field columns stay cache-linear for the digest walk that
+//! scans whole queues.
 //!
 //! Freed slots go on a free list and are recycled by later allocations,
 //! so a steady-state traffic mix reaches a fixed arena footprint and
@@ -31,18 +34,19 @@ const META_RESPONSE: u8 = 1;
 /// Bit 1 of `meta`: the relay leg (0 or 1).
 const META_LEG: u8 = 2;
 
-/// The per-hop hot fields of a packet, packed into one column element so
-/// a FIFO head refresh (`target` + `net`) and the hop-count bump of a
-/// forward touch a single cache line instead of three columns.
+/// The current-leg route of a packet, packed into one column element:
+/// what the fabric reads to build a FIFO entry when the packet is
+/// injected or starts its relay leg.
 #[derive(Debug, Clone, Copy)]
 struct HotRoute {
     /// The tile the packet is heading for on its *current* leg —
-    /// `choice.leg_target(leg, dst)` materialised, so the per-hop head
-    /// refresh is a column load instead of an enum match.
+    /// `choice.leg_target(leg, dst)` materialised, so building an entry
+    /// is a column load instead of an enum match.
     target: TileCoord,
     /// The network carrying the current leg, materialised likewise.
     net: NetworkKind,
-    /// Link traversals so far.
+    /// Link traversals as of injection: the fabric counts later hops in
+    /// its FIFO entries and reports the total at delivery.
     hops: u32,
 }
 
@@ -63,11 +67,11 @@ struct HotRoute {
 ///     0,
 /// );
 /// let slot = arena.alloc(&packet);
-/// arena.bump_hops(slot);
 /// assert_eq!(arena.id(slot), 7);
-/// assert_eq!(arena.hops(slot), 1);
+/// assert_eq!(arena.leg_target(slot), TileCoord::new(3, 1));
+/// assert_eq!(arena.network_of(slot), NetworkKind::Xy);
 /// let out = arena.take(slot);
-/// assert_eq!(out.hops, 1);
+/// assert_eq!(out.dst, TileCoord::new(3, 1));
 /// assert_eq!(arena.live(), 0);
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -179,7 +183,8 @@ impl PacketArena {
         (self.meta[slot as usize] & META_LEG) >> 1
     }
 
-    /// Link traversals of `slot` so far.
+    /// Link traversals of `slot` as stored at allocation (the fabric
+    /// counts hops in its FIFO entries, not here).
     #[inline]
     pub fn hops(&self, slot: u32) -> u32 {
         self.route[slot as usize].hops
@@ -189,12 +194,6 @@ impl PacketArena {
     #[inline]
     pub fn choice(&self, slot: u32) -> NetworkChoice {
         self.choice[slot as usize]
-    }
-
-    /// Records one link traversal for `slot`.
-    #[inline]
-    pub fn bump_hops(&mut self, slot: u32) {
-        self.route[slot as usize].hops += 1;
     }
 
     /// Moves `slot` onto relay leg `leg` (its route stays fixed),

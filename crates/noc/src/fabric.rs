@@ -29,15 +29,48 @@
 //! exactly this, and the property tests hold every tick of both
 //! steppings to it.
 //!
-//! # Data layout and the fused pass
+//! # Data layout
 //!
-//! In-flight packets live in one struct-of-arrays
-//! [`PacketArena`](crate::arena::PacketArena); router FIFOs are
-//! [`PacketRing`](crate::fifo::PacketRing)s of packed ring entries, so a
-//! hop moves one entry instead of a ~48-byte packet, and all per-tick
-//! scratch (staged arrivals, ejected entries) is owned by the fabric and
-//! cleared, not reallocated — the steady-state tick performs **zero heap
-//! allocations** (pinned by a counting-allocator regression test).
+//! In-flight packets live in one struct-of-arrays [`PacketArena`]. A
+//! router FIFO holds packed 16-byte entries — arena slot, the output port
+//! the packet takes *at this tile*, its current-leg target and its hop
+//! count — so a hop moves one entry and never touches the arena, which is
+//! read only at injection, relay re-injection and delivery. Per network:
+//!
+//! - the four link FIFOs of every tile live inline in one flat slice,
+//!   `4 × queue_capacity` entries per tile, FIFO `(t, p)` starting at
+//!   entry `(4t + p) × queue_capacity`;
+//! - each tile's 64-byte `Router` line holds the head index and length of
+//!   its four link FIFOs, the cached output port at each of its five FIFO
+//!   heads, its round-robin pointers and its link pop stamps, so a link
+//!   pop or push touches that line and the entry, and a backpressure
+//!   probe reads one neighbour line;
+//! - only the local injection FIFO is a growable [`PacketRing`]:
+//!   [`Fabric::inject_unbounded`] buffers responses there without a cap.
+//!
+//! All per-tick scratch (staged arrivals, ejected entries) is owned by
+//! the fabric and cleared, not reallocated — the steady-state tick
+//! performs **zero heap allocations** (pinned by a counting-allocator
+//! regression test).
+//!
+//! # Branch-free bookkeeping
+//!
+//! A hop costs a fixed handful of loads and stores:
+//!
+//! - the output port at a tile comes from a 9-entry table per network,
+//!   indexed by the sign of `target − tile` on each axis (ejection at the
+//!   target, otherwise the dimension-ordered direction); it is looked up
+//!   once when an entry lands in a FIFO and cached in the entry;
+//! - a link pop or push wraps its head index with a select, and refreshes
+//!   the cached head port with a select on the new length;
+//! - a push sets the tile's occupancy bit unconditionally; a pop clears
+//!   it with a mask computed from `occ == 0`;
+//! - arbitration builds the 5×5 want matrix in one `u32` (5 bits per
+//!   output) and walks only the wanted outputs with `trailing_zeros`; a
+//!   neighbour's index is the tile's plus one of four per-direction
+//!   deltas `(−cols, +cols, +1, −1)`.
+//!
+//! # The fused pass
 //!
 //! [`Fabric::tick_into`] runs the two phases *fused*: one pass per
 //! network plans each tile and applies its grants immediately. Because
@@ -61,7 +94,7 @@
 //!
 //! A tile whose five input FIFOs are all empty on a network cannot plan a
 //! move, a stall, or a round-robin update on that network, so visiting it
-//! is pure overhead. Each [`Network`] therefore keeps a per-tile occupancy
+//! is pure overhead. Each network therefore keeps a per-tile occupancy
 //! count `occ` and one *occupancy bitset* over row-major tile indices
 //! (bit `t` set iff `occ[t] > 0`, any array width), both maintained at
 //! the single push/pop choke points. Under the default
@@ -70,9 +103,10 @@
 //! order — the order the dense sweep commits in — with nothing to sort,
 //! dedup or prune. [`Stepping::Dense`] is the reference: it scans the
 //! `occ` counts of every network holding packets and never reads the
-//! bitset, so every dense-vs-wheel byte-compare also checks the bitset's
-//! upkeep ([`Fabric::check_invariants`] checks it directly). When the
-//! fabric is empty, wheel drivers skip whole cycles instead
+//! bitset for its walk, so every dense-vs-wheel byte-compare also checks
+//! the bitset's upkeep ([`Fabric::check_invariants`] checks it directly).
+//! The per-tick active-set sample is the bitset's popcount in both modes.
+//! When the fabric is empty, wheel drivers skip whole cycles instead
 //! ([`Fabric::skip_cycles`]).
 //!
 //! # Examples
@@ -107,45 +141,64 @@ use wsp_topo::{Direction, TileArray, TileCoord, DIRECTIONS};
 use crate::arena::PacketArena;
 use crate::fifo::PacketRing;
 use crate::kernel::NetworkChoice;
-use crate::routing::{next_hop, NetworkKind};
+use crate::routing::NetworkKind;
 
 /// Index of the local injection/ejection port in each router's queue array.
 const LOCAL: usize = 4;
 
-/// Sentinel in [`Network::head_out`] for an empty input FIFO.
-const EMPTY_HEAD: u8 = u8::MAX;
+/// [`Router::head_out`] of an empty input FIFO. It is one past the last
+/// port, so arbitration can shift by it without a test: its want bits
+/// land above the 5×5 matrix and are masked off.
+const EMPTY_HEAD: u8 = 5;
 
 /// `DIRECTIONS[i].opposite().index()` as a table: N↔S, E↔W.
 const OPPOSITE: [usize; 4] = [1, 0, 3, 2];
-
-/// Sentinel in the precomputed neighbour-index table for "off the array".
-const NO_NEIGHBOR: u32 = u32::MAX;
 
 /// The local injection FIFO is deeper than a link FIFO by this factor —
 /// it models the tile's outbound staging buffer in local SRAM.
 const LOCAL_QUEUE_FACTOR: usize = 4;
 
-/// One router-FIFO entry: the arena slot plus everything the steady-state
-/// loop needs about the packet's current leg — the cached output port *at
-/// this tile*, the current-leg target and network, and the hop count —
-/// packed into one `u128`. A forward therefore moves a packet hop-to-hop
-/// without ever touching the (randomly-indexed) arena: the arena is read
-/// only at injection, relay re-injection, and delivery.
+/// Output port by network and by the sign of `target − tile` on each
+/// axis, at index `3·sx + sy` with sign code 0 (equal), 1 (target
+/// greater) or 2 (target smaller); ports are [`DIRECTIONS`] indices
+/// (N, S, E, W) and `LOCAL`. X-Y leaves on the x axis while `x` differs,
+/// Y-X on the y axis while `y` differs; equal coordinates eject.
+/// `routing::next_hop` is the reference a test holds this table to.
+const OUT_PORT: [[u8; 9]; 2] = [
+    // X-Y: sx = 0 → by sy (local, S, N); sx = 1 → E; sx = 2 → W.
+    [4, 1, 0, 2, 2, 2, 3, 3, 3],
+    // Y-X: sy = 1 → S; sy = 2 → N; sy = 0 → by sx (local, E, W).
+    [4, 1, 0, 2, 1, 0, 3, 1, 0],
+];
+
+/// The output port a packet heading for `target` on network `net` takes
+/// at `tile`: the local ejection port at its target, otherwise the
+/// dimension-ordered next-hop direction.
+#[inline]
+fn out_port_for(tile: TileCoord, target: TileCoord, net: usize) -> u8 {
+    let sign = |to: u16, at: u16| usize::from(to > at) | usize::from(to < at) << 1;
+    OUT_PORT[net][3 * sign(target.x, tile.x) + sign(target.y, tile.y)]
+}
+
+/// One router-FIFO entry: the arena slot plus everything a hop needs
+/// about the packet's current leg — the cached output port *at this
+/// tile*, the current-leg target, and the hop count — packed into one
+/// `u128`. The network is implicit: an entry only ever moves within the
+/// network whose FIFO holds it.
 ///
 /// Layout: bits 0–31 slot, 32–39 output port, 40–55 target x, 56–71
-/// target y, 72–79 network, 80–111 hops.
+/// target y, 72–103 hops.
 #[derive(Clone, Copy, Default)]
 struct RingEntry(u128);
 
 impl RingEntry {
-    fn new(slot: u32, out: u8, target: TileCoord, net: NetworkKind, hops: u32) -> Self {
+    fn new(slot: u32, out: u8, target: TileCoord, hops: u32) -> Self {
         RingEntry(
             u128::from(slot)
                 | u128::from(out) << 32
                 | u128::from(target.x) << 40
                 | u128::from(target.y) << 56
-                | u128::from(net as u8) << 72
-                | u128::from(hops) << 80,
+                | u128::from(hops) << 72,
         )
     }
 
@@ -158,36 +211,22 @@ impl RingEntry {
         (self.0 >> 32) as u8
     }
 
+    /// The same entry with its cached output port replaced by `out`.
+    fn with_out(self, out: u8) -> Self {
+        RingEntry(self.0 & !(0xff << 32) | u128::from(out) << 32)
+    }
+
     fn target(self) -> TileCoord {
         TileCoord::new((self.0 >> 40) as u16, (self.0 >> 56) as u16)
     }
 
-    fn net(self) -> NetworkKind {
-        if (self.0 >> 72) as u8 == 0 {
-            NetworkKind::Xy
-        } else {
-            NetworkKind::Yx
-        }
-    }
-
     fn hops(self) -> u32 {
-        (self.0 >> 80) as u32
+        (self.0 >> 72) as u32
     }
 
     /// The same entry with one more link traversal recorded.
     fn bumped(self) -> Self {
-        RingEntry(self.0 + (1u128 << 80))
-    }
-}
-
-/// The output port a packet heading for `target` on `net` takes at
-/// `tile`: the local ejection port at its endpoint, otherwise the
-/// dimension-ordered next-hop direction.
-#[inline]
-fn out_port_for(tile: TileCoord, target: TileCoord, net: NetworkKind) -> u8 {
-    match next_hop(tile, target, net) {
-        None => LOCAL as u8,
-        Some(nb) => direction_between(tile, nb) as u8,
+        RingEntry(self.0 + (1u128 << 72))
     }
 }
 
@@ -283,37 +322,40 @@ impl FabricPacket {
     }
 }
 
-/// Per-tile router hot state, packed into exactly one cache line so a
-/// plan or fused visit touches one line for its own arbitration state and
-/// one line per downstream backpressure probe. The tick loop is
-/// memory-bound on random tile access; this layout is the perf lever.
+/// Per-tile router hot state, packed into exactly one cache line: a
+/// fused visit reads its own line for arbitration and one neighbour line
+/// per backpressure probe, and a link pop or push touches this line plus
+/// the entry it moves. The tick loop is memory-bound on random tile
+/// access; this layout is the perf lever.
 #[repr(C, align(64))]
 #[derive(Clone, Copy)]
 struct Router {
-    /// Mirror of each *link-side* input FIFO's length (ports 0..4; the
-    /// local FIFO is never a forward destination). Exact, because
-    /// [`Fabric::new`] bounds `queue_capacity` to `u16::MAX`; co-located
-    /// with `popped_at` so the backpressure probe is one line.
+    /// Head index of each link-side input FIFO (ports 0..4) within its
+    /// `queue_capacity` entries of [`Network::links`].
+    link_head: [u16; 4],
+    /// Length of each link-side input FIFO. Exact as `u16`, because
+    /// [`Fabric::new`] bounds `queue_capacity` to `u16::MAX`.
     link_len: [u16; 4],
-    /// Routing decision at each FIFO head (`EMPTY_HEAD` when empty), so
-    /// the plan reads a flat `[u8; 5]` instead of chasing five queue
-    /// heads through the routing kernel. Valid because a queued packet's
-    /// route is fixed while it waits: the only `leg` mutation happens
-    /// between an eject pop and a fresh relay [`push`](Network::push).
+    /// Output port of each input FIFO's head entry (`EMPTY_HEAD` when
+    /// empty), so arbitration reads a flat `[u8; 5]` instead of five
+    /// queue heads.
     head_out: [u8; 5],
     /// Round-robin pointers, one per output port; values 0..5.
     rr: [u8; 5],
     /// Tick stamp of the most recent pop from each link-side FIFO. The
-    /// fused fast path reconstructs a downstream FIFO's pre-cycle length
-    /// as `len + (popped_at == current tick)` — valid because each FIFO
+    /// fused pass reconstructs a downstream FIFO's pre-cycle length as
+    /// `len + (popped_at == current tick)` — valid because each FIFO
     /// pops at most once per cycle and pushes are deferred to the end of
     /// the network pass.
     popped_at: [u64; 4],
 }
 
+const _: () = assert!(std::mem::size_of::<Router>() == 64);
+
 impl Router {
     fn new() -> Self {
         Router {
+            link_head: [0; 4],
             link_len: [0; 4],
             head_out: [EMPTY_HEAD; 5],
             rr: [0; 5],
@@ -325,15 +367,17 @@ impl Router {
 /// One mesh network's router state: five input FIFOs per tile
 /// (N, S, E, W, local injection), plus the active-set tracker.
 ///
-/// FIFOs hold [`PacketArena`] indices; packet fields live in the shared
-/// arena owned by [`Fabric`].
+/// FIFO entries name [`PacketArena`] slots; packet fields live in the
+/// shared arena owned by [`Fabric`].
 struct Network {
-    /// Entries carry the packet's whole per-hop hot state (see
-    /// [`RingEntry`]), so the head-route refresh after a pop reads the
-    /// next entry off the ring line just touched instead of chasing the
-    /// next packet's (cold) arena line — and a forward re-derives the
-    /// downstream output port from the entry alone.
-    queues: Vec<[PacketRing<RingEntry>; 5]>,
+    /// Depth of every link FIFO.
+    cap: usize,
+    /// The link FIFOs of every tile, inline: FIFO `(t, p)` is the ring
+    /// `links[(4t + p) * cap..][..cap]`, whose head index and length sit
+    /// in `routers[t]`.
+    links: Vec<RingEntry>,
+    /// Each tile's local injection FIFO, the only one without a bound.
+    local: Vec<PacketRing<RingEntry>>,
     /// One-cache-line hot state per tile; see [`Router`].
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
@@ -345,10 +389,8 @@ struct Network {
     packets: usize,
     /// Occupancy bitset over row-major tile indices: bit `t % 64` of
     /// word `t / 64` is set iff `occ[t] > 0`. The wheel walks its set
-    /// bits; the dense sweep never reads it.
+    /// bits and the active-set sample is its popcount.
     occupied: Vec<u64>,
-    /// Tiles with `occ > 0` (the popcount of `occupied`), kept in O(1).
-    live: usize,
 }
 
 /// Tile indices of the set bits of occupancy word `word`, ascending.
@@ -364,113 +406,228 @@ fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
 }
 
 impl Network {
-    fn new(array: TileArray, queue_capacity: usize) -> Self {
-        let tiles = array.tile_count();
-        // Link FIFOs never outgrow the plan phase's backpressure cap; the
-        // local injection FIFO starts at its bounded-inject depth and
-        // grows only under `inject_unbounded` response buffering.
-        let fresh_queues = || {
-            [
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity),
-                PacketRing::with_capacity(queue_capacity * LOCAL_QUEUE_FACTOR),
-            ]
-        };
+    fn new(tiles: usize, cap: usize) -> Self {
         Network {
-            queues: (0..tiles).map(|_| fresh_queues()).collect(),
+            cap,
+            links: vec![RingEntry::default(); tiles * 4 * cap],
+            // The local FIFO starts at its bounded-inject depth and grows
+            // only under `inject_unbounded` response buffering.
+            local: (0..tiles)
+                .map(|_| PacketRing::with_capacity(cap * LOCAL_QUEUE_FACTOR))
+                .collect(),
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
             packets: 0,
             occupied: vec![0; tiles.div_ceil(64)],
-            live: 0,
         }
     }
 
-    /// Enqueues arena slot `slot` (heading for `target` on `net`, with
-    /// `hops` traversals so far) into FIFO `port` of `tile_idx`,
-    /// maintaining the occupancy count and bitset and the cached head
-    /// routing decision. All fabric pushes go through here. The slot's
-    /// output port *at this tile* is computed once here and packed into
-    /// the ring entry, so later head refreshes and forwards never go back
-    /// to the arena.
+    /// Index in `links` of the first entry of link FIFO `port` of `tile`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        tile: TileCoord,
-        tile_idx: usize,
-        port: usize,
-        slot: u32,
-        target: TileCoord,
-        net: NetworkKind,
-        hops: u32,
-    ) {
-        let out = out_port_for(tile, target, net);
-        let queue = &mut self.queues[tile_idx][port];
-        queue.push(RingEntry::new(slot, out, target, net, hops));
-        let router = &mut self.routers[tile_idx];
-        if queue.len() == 1 {
-            router.head_out[port] = out;
-        }
-        if port < LOCAL {
-            router.link_len[port] += 1;
-        }
-        self.note_push(tile_idx);
+    fn base(&self, tile: usize, port: usize) -> usize {
+        (4 * tile + port) * self.cap
     }
 
-    /// Dequeues the head of FIFO `port` at `tile_idx`, refreshing the
-    /// cached routing decision for the new head (off the ring entry, not
-    /// the arena) and stamping the pop with `tick` (the fused path's
-    /// pre-cycle-length witness). All fabric pops go through here.
+    /// Appends `entry` to link FIFO `port` of `tile` and returns the
+    /// FIFO's new length. The caller has checked that it has room.
     #[inline]
-    fn pop(&mut self, tile_idx: usize, port: usize, tick: u64) -> RingEntry {
-        let queue = &mut self.queues[tile_idx][port];
-        let entry = queue.pop().expect("planned head");
-        let head_out = match queue.front() {
-            Some(next) => next.out(),
-            None => EMPTY_HEAD,
+    fn push_link(&mut self, tile: usize, port: usize, entry: RingEntry) -> u16 {
+        let base = self.base(tile, port);
+        let router = &mut self.routers[tile];
+        let len = router.link_len[port];
+        let tail = usize::from(router.link_head[port]) + usize::from(len);
+        let tail = if tail >= self.cap {
+            tail - self.cap
+        } else {
+            tail
         };
-        let router = &mut self.routers[tile_idx];
-        router.head_out[port] = head_out;
-        if port < LOCAL {
-            router.popped_at[port] = tick;
-            router.link_len[port] -= 1;
+        self.links[base + tail] = entry;
+        router.head_out[port] = if len == 0 {
+            entry.out()
+        } else {
+            router.head_out[port]
+        };
+        router.link_len[port] = len + 1;
+        self.note_push(tile);
+        len + 1
+    }
+
+    /// Appends `entry` to the local injection FIFO of `tile`.
+    #[inline]
+    fn push_local(&mut self, tile: usize, entry: RingEntry) {
+        let ring = &mut self.local[tile];
+        ring.push(entry);
+        let router = &mut self.routers[tile];
+        router.head_out[LOCAL] = if ring.len() == 1 {
+            entry.out()
+        } else {
+            router.head_out[LOCAL]
+        };
+        self.note_push(tile);
+    }
+
+    /// Removes the head of FIFO `port` of `tile`, refreshing the cached
+    /// head port and, for a link FIFO, stamping the pop with `tick` (the
+    /// fused pass's pre-cycle-length witness). All fabric pops go through
+    /// here.
+    #[inline]
+    fn pop(&mut self, tile: usize, port: usize, tick: u64) -> RingEntry {
+        if port == LOCAL {
+            let ring = &mut self.local[tile];
+            let entry = ring.pop().expect("planned head");
+            self.routers[tile].head_out[LOCAL] = ring.front().map_or(EMPTY_HEAD, RingEntry::out);
+            self.note_pop(tile);
+            return entry;
         }
-        self.note_pop(tile_idx);
+        let base = self.base(tile, port);
+        let router = &mut self.routers[tile];
+        debug_assert!(router.link_len[port] > 0, "planned head");
+        let head = usize::from(router.link_head[port]);
+        let entry = self.links[base + head];
+        let next = if head + 1 == self.cap { 0 } else { head + 1 };
+        let next_out = self.links[base + next].out();
+        let len = router.link_len[port] - 1;
+        router.link_head[port] = next as u16;
+        router.link_len[port] = len;
+        router.head_out[port] = if len == 0 { EMPTY_HEAD } else { next_out };
+        router.popped_at[port] = tick;
+        self.note_pop(tile);
         entry
     }
 
-    /// Registers one packet pushed into any FIFO of `tile_idx`.
+    /// Registers one packet pushed into any FIFO of `tile`.
     #[inline]
-    fn note_push(&mut self, tile_idx: usize) {
+    fn note_push(&mut self, tile: usize) {
         self.packets += 1;
-        self.occ[tile_idx] += 1;
-        if self.occ[tile_idx] == 1 {
-            self.live += 1;
-            self.occupied[tile_idx / 64] |= 1u64 << (tile_idx % 64);
-        }
+        self.occ[tile] += 1;
+        self.occupied[tile / 64] |= 1 << (tile % 64);
     }
 
-    /// Registers one packet popped from any FIFO of `tile_idx`.
+    /// Registers one packet popped from any FIFO of `tile`.
     #[inline]
-    fn note_pop(&mut self, tile_idx: usize) {
+    fn note_pop(&mut self, tile: usize) {
         self.packets -= 1;
-        self.occ[tile_idx] -= 1;
-        if self.occ[tile_idx] == 0 {
-            self.live -= 1;
-            self.occupied[tile_idx / 64] &= !(1u64 << (tile_idx % 64));
+        self.occ[tile] -= 1;
+        let emptied = u64::from(self.occ[tile] == 0);
+        self.occupied[tile / 64] &= !(emptied << (tile % 64));
+    }
+
+    /// Tiles with a packet queued: the occupancy bitset's popcount.
+    fn occupied_tiles(&self) -> usize {
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Entries queued in FIFO `port` of `tile`.
+    fn queue_len(&self, tile: usize, port: usize) -> usize {
+        if port == LOCAL {
+            self.local[tile].len()
+        } else {
+            usize::from(self.routers[tile].link_len[port])
         }
     }
 
-    /// Checks this network's mirrors against its rings; see
+    /// The entries queued in FIFO `port` of `tile`, head to tail.
+    fn queued(&self, tile: usize, port: usize) -> impl Iterator<Item = RingEntry> + '_ {
+        let (base, head, len) = if port == LOCAL {
+            (0, 0, 0)
+        } else {
+            let router = &self.routers[tile];
+            (
+                self.base(tile, port),
+                usize::from(router.link_head[port]),
+                usize::from(router.link_len[port]),
+            )
+        };
+        let link = (head..head + len).map(move |i| self.links[base + i % self.cap]);
+        let local = (port == LOCAL)
+            .then(|| self.local[tile].iter())
+            .into_iter()
+            .flatten();
+        link.chain(local)
+    }
+
+    /// Plans and applies `tile` inside a fused pass: grants each wanted
+    /// output round-robin against the pre-cycle state, pops the winners,
+    /// stages link moves in `scratch.arrivals` and ejections in
+    /// `scratch.ejected`, and counts stalls in `stats`, the tile's
+    /// outgoing links. `delta` maps a direction to the neighbour's index
+    /// offset.
+    #[inline]
+    fn fuse_tile(
+        &mut self,
+        tile: usize,
+        tick: u64,
+        delta: &[usize; 4],
+        stats: &mut [LinkStats; 4],
+        scratch: &mut TickScratch,
+    ) {
+        // Snapshot the head routes and round-robin pointers before any
+        // of this tile's own pops refresh them — the pre-cycle state the
+        // plan phase reads.
+        let Router { head_out, rr, .. } = self.routers[tile];
+        // Bit `5 * out + in` is set iff input `in` wants output `out`.
+        // An empty head (`EMPTY_HEAD` = 5) sets a bit above the matrix
+        // and in `outs` above the five ports.
+        let (mut want, mut outs) = (0u32, 0u32);
+        for (in_port, &out) in head_out.iter().enumerate() {
+            want |= 1 << (5 * u32::from(out) + in_port as u32);
+            outs |= 1 << out;
+        }
+        outs &= 0x1f;
+        while outs != 0 {
+            let out_port = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
+            let contenders = want >> (5 * out_port) & 0x1f;
+            let start = u32::from(rr[out_port]);
+            let rotated = ((contenders >> start) | (contenders << (5 - start))) & 0x1f;
+            let in_port = (start + rotated.trailing_zeros()) as usize;
+            let in_port = if in_port >= 5 { in_port - 5 } else { in_port };
+            let next_rr = if in_port == 4 { 0 } else { in_port as u8 + 1 };
+            if out_port == LOCAL {
+                let entry = self.pop(tile, in_port, tick);
+                self.routers[tile].rr[LOCAL] = next_rr;
+                scratch.ejected.push(entry);
+                continue;
+            }
+            let nb = tile.wrapping_add(delta[out_port]);
+            let in_side = OPPOSITE[out_port];
+            // Pre-cycle occupancy of the downstream FIFO: it pops at
+            // most once per cycle (stamped), and its arrivals are still
+            // staged, so adding the pop back reconstructs the length
+            // the plan phase would have read. One cache line: the
+            // neighbour's length and pop stamp share a `Router`.
+            let nb_router = &self.routers[nb];
+            let pre_len = usize::from(nb_router.link_len[in_side])
+                + usize::from(nb_router.popped_at[in_side] == tick);
+            if pre_len < self.cap {
+                let entry = self.pop(tile, in_port, tick);
+                self.routers[tile].rr[out_port] = next_rr;
+                // Link stats land in `commit_arrivals`, which touches
+                // the same cache lines anyway.
+                scratch.arrivals.push((4 * nb + in_side, entry.bumped()));
+            } else {
+                stats[out_port].stall_cycles += 1;
+            }
+        }
+    }
+
+    /// Checks this network's bookkeeping against its FIFOs; see
     /// [`Fabric::check_invariants`].
     fn check_invariants(&self, net: usize) -> Result<(), String> {
         let mut packets = 0usize;
-        for (tile, (queues, router)) in self.queues.iter().zip(&self.routers).enumerate() {
+        for (tile, router) in self.routers.iter().enumerate() {
+            for port in 0..LOCAL {
+                let (head, len) = (router.link_head[port], router.link_len[port]);
+                if usize::from(head) >= self.cap || usize::from(len) > self.cap {
+                    return Err(format!(
+                        "net {net} tile {tile} port {port}: head {head}, length {len} \
+                         outside depth {}",
+                        self.cap
+                    ));
+                }
+            }
             let occ = self.occ[tile] as usize;
-            let queued: usize = queues.iter().map(PacketRing::len).sum();
+            let queued: usize = (0..5).map(|port| self.queue_len(tile, port)).sum();
             if occ != queued {
                 return Err(format!("net {net} tile {tile}: occ {occ}, {queued} queued"));
             }
@@ -479,30 +636,19 @@ impl Network {
                     "net {net} tile {tile}: occupancy bit wrong for occ {occ}"
                 ));
             }
-            for (port, queue) in queues.iter().enumerate() {
-                let head = queue.front().map_or(EMPTY_HEAD, |entry| entry.out());
+            for port in 0..5 {
+                let head = self
+                    .queued(tile, port)
+                    .next()
+                    .map_or(EMPTY_HEAD, RingEntry::out);
                 if router.head_out[port] != head {
                     return Err(format!(
                         "net {net} tile {tile} port {port}: head_out {} but head routes to {head}",
                         router.head_out[port]
                     ));
                 }
-                if port < LOCAL && usize::from(router.link_len[port]) != queue.len() {
-                    return Err(format!(
-                        "net {net} tile {tile} port {port}: link_len {} but ring holds {}",
-                        router.link_len[port],
-                        queue.len()
-                    ));
-                }
             }
             packets += occ;
-        }
-        let popcount: usize = self.occupied.iter().map(|w| w.count_ones() as usize).sum();
-        if self.live != popcount {
-            return Err(format!(
-                "net {net}: live {} but {popcount} bits set",
-                self.live
-            ));
         }
         if self.packets != packets {
             return Err(format!(
@@ -532,10 +678,10 @@ pub struct LinkStats {
 /// steady-state tick allocation-free.
 #[derive(Default)]
 struct TickScratch {
-    /// Staged link arrivals `(net, dest tile, in side, entry)` — the
-    /// entry's hop count already bumped — committed in order after the
-    /// moves that produced them.
-    arrivals: Vec<(u8, u32, u8, RingEntry)>,
+    /// Link arrivals staged by one network's pass, as `(4 × dest tile +
+    /// in side, entry)` with the entry's hop count already bumped,
+    /// committed in order after the moves that produced them.
+    arrivals: Vec<(usize, RingEntry)>,
     /// Entries ejected at their endpoint this tick, in canonical
     /// `(network, tile, output port)` order.
     ejected: Vec<RingEntry>,
@@ -547,12 +693,12 @@ struct TickScratch {
 /// [`NetworkChoice`] avoids faulty tiles (the kernel's job).
 pub struct Fabric {
     array: TileArray,
-    queue_capacity: usize,
     /// Row-major tile coordinates, so the hot loop never divides.
     coords: Vec<TileCoord>,
-    /// Neighbour tile index per `(tile, direction)`, [`NO_NEIGHBOR`] off
-    /// the edge — the hot loop's replacement for coordinate arithmetic.
-    neighbors: Vec<[u32; 4]>,
+    /// Tile-index offset of the neighbour in each of [`DIRECTIONS`]
+    /// (`−cols, +cols, +1, −1`, wrapping): dimension-ordered routes never
+    /// leave the array, so `tile + delta[dir]` is always a tile.
+    delta: [usize; 4],
     networks: [Network; 2],
     /// Struct-of-arrays store of every in-flight packet; router FIFOs
     /// hold indices into it. Freed slots recycle, so steady-state
@@ -602,35 +748,23 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if `queue_capacity` exceeds `u16::MAX`: link FIFO lengths
-    /// are mirrored as `u16` in the one-cache-line [`Router`] hot state.
+    /// Panics unless `queue_capacity` is in `1..=u16::MAX`: a link that
+    /// can hold no packet could never forward one, and link FIFO head
+    /// indices and lengths are `u16` in the one-cache-line router state.
     pub fn new(array: TileArray, queue_capacity: usize) -> Self {
         assert!(
-            queue_capacity <= u16::MAX as usize,
-            "link FIFO depth must fit in u16"
+            (1..=usize::from(u16::MAX)).contains(&queue_capacity),
+            "link FIFO depth must be in 1..=65535, got {queue_capacity}"
         );
         let tiles = array.tile_count();
-        let coords: Vec<TileCoord> = (0..tiles).map(|i| array.coord_of(i)).collect();
-        let neighbors: Vec<[u32; 4]> = coords
-            .iter()
-            .map(|&tile| {
-                let mut nb = [NO_NEIGHBOR; 4];
-                for (d, dir) in DIRECTIONS.into_iter().enumerate() {
-                    if let Some(n) = array.neighbor(tile, dir) {
-                        nb[d] = array.index_of(n) as u32;
-                    }
-                }
-                nb
-            })
-            .collect();
+        let cols = usize::from(array.cols());
         Fabric {
             array,
-            queue_capacity,
-            coords,
-            neighbors,
+            coords: (0..tiles).map(|i| array.coord_of(i)).collect(),
+            delta: [cols.wrapping_neg(), cols, 1, usize::MAX],
             networks: [
-                Network::new(array, queue_capacity),
-                Network::new(array, queue_capacity),
+                Network::new(tiles, queue_capacity),
+                Network::new(tiles, queue_capacity),
             ],
             arena: PacketArena::default(),
             scratch: TickScratch::default(),
@@ -757,53 +891,33 @@ impl Fabric {
     /// Returns `false` (dropping the packet) when that FIFO is full —
     /// injection backpressure the endpoint must handle by retrying later.
     pub fn inject(&mut self, packet: FabricPacket) -> bool {
-        let net = packet.network() as usize;
         let idx = self.array.index_of(packet.src);
-        if self.networks[net].queues[idx][LOCAL].len() < self.queue_capacity * LOCAL_QUEUE_FACTOR {
+        let network = &self.networks[packet.network() as usize];
+        let room = network.local[idx].len() < network.cap * LOCAL_QUEUE_FACTOR;
+        if room {
             let slot = self.arena.alloc(&packet);
-            let Fabric {
-                coords,
-                networks,
-                arena,
-                ..
-            } = self;
-            networks[net].push(
-                coords[idx],
-                idx,
-                LOCAL,
-                slot,
-                arena.leg_target(slot),
-                arena.network_of(slot),
-                packet.hops,
-            );
-            true
-        } else {
-            false
+            self.enqueue_local(idx, slot, packet.hops);
         }
+        room
     }
 
     /// Enqueues `packet` at its `src` tile without a capacity check:
     /// response traffic regenerated at a destination is buffered in that
     /// tile's local memory rather than refused.
     pub fn inject_unbounded(&mut self, packet: FabricPacket) {
-        let net = packet.network() as usize;
         let idx = self.array.index_of(packet.src);
         let slot = self.arena.alloc(&packet);
-        let Fabric {
-            coords,
-            networks,
-            arena,
-            ..
-        } = self;
-        networks[net].push(
-            coords[idx],
-            idx,
-            LOCAL,
-            slot,
-            arena.leg_target(slot),
-            arena.network_of(slot),
-            packet.hops,
-        );
+        self.enqueue_local(idx, slot, packet.hops);
+    }
+
+    /// Queues arena slot `slot`, with `hops` traversals so far, in the
+    /// local injection FIFO of tile `idx` on the network of its current
+    /// leg, caching its output port there.
+    fn enqueue_local(&mut self, idx: usize, slot: u32, hops: u32) {
+        let net = self.arena.network_of(slot) as usize;
+        let target = self.arena.leg_target(slot);
+        let out = out_port_for(self.coords[idx], target, net);
+        self.networks[net].push_local(idx, RingEntry::new(slot, out, target, hops));
     }
 
     /// Packets currently queued anywhere in the fabric, in O(1).
@@ -824,13 +938,13 @@ impl Fabric {
         self.arena.slots()
     }
 
-    /// Checks the redundant bookkeeping the tick loop keeps beside the
-    /// rings, and returns the first violation found. Per network: the
-    /// occupancy bit of tile `t` is set iff `occ[t] > 0` (and `occ[t]`
-    /// is the tile's queued count), `live` is the bitset's popcount, the
-    /// packet count is `Σ occ`, each link port's `link_len` is its ring
-    /// length, and each `head_out` is the ring front's output port
-    /// (`EMPTY_HEAD` iff the ring is empty). Across the fabric, the
+    /// Checks the bookkeeping the tick loop keeps beside the FIFO
+    /// contents, and returns the first violation found. Per network and
+    /// tile: each link FIFO's head index is below its depth and its
+    /// length at most its depth, `occ` is the tile's queued count, the
+    /// occupancy bit is set iff `occ > 0`, and each `head_out` is the
+    /// FIFO front's output port (`EMPTY_HEAD` iff the FIFO is empty);
+    /// per network, the packet count is `Σ occ`. Across the fabric, the
     /// arena holds exactly the queued packets. O(tiles); call it between
     /// ticks (tests do after every tick, `skip_cycles` in debug builds).
     /// A stale occupancy bit costs only a wasted visit, so no
@@ -877,7 +991,7 @@ impl Fabric {
         // Sample the active set in both stepping modes: the sample is a
         // pure function of queue state, so the exported histogram is
         // identical across modes.
-        let active = self.networks[0].live + self.networks[1].live;
+        let active = self.networks[0].occupied_tiles() + self.networks[1].occupied_tiles();
         self.active_tiles.record(active as u64);
 
         // Gauge sampling reads the same pre-cycle queue state the sample
@@ -920,138 +1034,75 @@ impl Fabric {
         }
     }
 
-    /// The fused single-pass walk of one network: plans each occupied
+    /// The fused single-pass walk of network `net`: plans each occupied
     /// tile against reconstructed pre-cycle state and applies its grants
     /// immediately, staging arrivals until the pass completes. See the
     /// module docs for the bit-identity argument.
-    fn fused_walk(&mut self, net_idx: usize) {
+    fn fused_walk(&mut self, net: usize) {
+        let tick = self.ticks;
+        let Fabric {
+            delta,
+            networks,
+            links,
+            scratch,
+            stepping,
+            ..
+        } = self;
+        let network = &mut networks[net];
+        let stats = &mut links[net];
         // Pops change only the occupancy of the tile being visited and
         // pushes are staged, so every tile still unvisited shows its
         // pre-cycle occupancy — what the plan phase reads.
-        match self.stepping {
+        match stepping {
             // An empty network plans nothing, which spares the scan on
             // the idle cycles that dominate bursty traffic.
-            Stepping::Dense if self.networks[net_idx].packets == 0 => {}
+            Stepping::Dense if network.packets == 0 => {}
             Stepping::Dense => {
-                for tile_idx in 0..self.array.tile_count() {
-                    if self.networks[net_idx].occ[tile_idx] > 0 {
-                        self.fuse_tile(net_idx, tile_idx);
+                for (tile, tile_stats) in stats.iter_mut().enumerate() {
+                    if network.occ[tile] > 0 {
+                        network.fuse_tile(tile, tick, delta, tile_stats, scratch);
                     }
                 }
             }
             Stepping::Wheel => {
                 // `set_bits` walks a copy of each word, so the visited
                 // tile's own pops cannot disturb it.
-                for word in 0..self.networks[net_idx].occupied.len() {
-                    for tile_idx in set_bits(word, self.networks[net_idx].occupied[word]) {
-                        self.fuse_tile(net_idx, tile_idx);
+                for word in 0..network.occupied.len() {
+                    for tile in set_bits(word, network.occupied[word]) {
+                        network.fuse_tile(tile, tick, delta, &mut stats[tile], scratch);
                     }
                 }
             }
         }
-        self.commit_arrivals();
+        self.commit_arrivals(net);
     }
 
-    /// Plans and applies one tile on one network inside a fused pass.
-    fn fuse_tile(&mut self, net_idx: usize, tile_idx: usize) {
-        let tick = self.ticks;
-        let Fabric {
-            queue_capacity,
-            neighbors,
-            networks,
-            links,
-            scratch,
-            ..
-        } = self;
-        let network = &mut networks[net_idx];
-        // Snapshot the head routes before any of this tile's own pops
-        // refresh them — the pre-cycle state the plan phase reads.
-        let head_out = network.routers[tile_idx].head_out;
-        let mut want = [0u8; 5];
-        for (in_port, &out) in head_out.iter().enumerate() {
-            if out != EMPTY_HEAD {
-                want[out as usize] |= 1 << in_port;
-            }
-        }
-        // `out_port` indexes `rr`/`links` too, not just DIRECTIONS.
-        #[allow(clippy::needless_range_loop)]
-        for out_port in 0..5 {
-            let contenders = u32::from(want[out_port]);
-            if contenders == 0 {
-                continue;
-            }
-            let start = usize::from(network.routers[tile_idx].rr[out_port]);
-            let rotated = ((contenders >> start) | (contenders << (5 - start))) & 0x1f;
-            let in_port = (start + rotated.trailing_zeros() as usize) % 5;
-            if out_port == LOCAL {
-                let entry = network.pop(tile_idx, in_port, tick);
-                network.routers[tile_idx].rr[LOCAL] = ((in_port + 1) % 5) as u8;
-                scratch.ejected.push(entry);
-                continue;
-            }
-            let nb_idx = neighbors[tile_idx][out_port];
-            debug_assert_ne!(nb_idx, NO_NEIGHBOR, "DoR never routes off the array");
-            let nb_idx = nb_idx as usize;
-            let in_side = OPPOSITE[out_port];
-            // Pre-cycle occupancy of the downstream FIFO: it pops at
-            // most once per cycle (stamped), and its arrivals are still
-            // staged, so adding the pop back reconstructs the length
-            // the plan phase would have read. One cache line: the
-            // neighbour's length mirror and pop stamp share a `Router`.
-            let nb_router = &network.routers[nb_idx];
-            let pre_len = usize::from(nb_router.link_len[in_side])
-                + usize::from(nb_router.popped_at[in_side] == tick);
-            if pre_len < *queue_capacity {
-                let entry = network.pop(tile_idx, in_port, tick);
-                network.routers[tile_idx].rr[out_port] = ((in_port + 1) % 5) as u8;
-                // Link stats land in `commit_arrivals`, which touches
-                // the same cache lines anyway.
-                scratch.arrivals.push((
-                    net_idx as u8,
-                    nb_idx as u32,
-                    in_side as u8,
-                    entry.bumped(),
-                ));
-            } else {
-                links[net_idx][tile_idx][out_port].stall_cycles += 1;
-            }
-        }
-    }
-
-    /// Pushes the staged arrivals into their destination FIFOs in order,
-    /// attributing peak occupancy to the upstream link that fed each.
-    fn commit_arrivals(&mut self) {
+    /// Pushes network `net`'s staged arrivals into their destination
+    /// FIFOs in order, caching each entry's output port at its new tile
+    /// and attributing peak occupancy to the upstream link that fed it.
+    fn commit_arrivals(&mut self, net: usize) {
         let Fabric {
             coords,
-            neighbors,
+            delta,
             networks,
             links,
             scratch,
             link_traversals,
             ..
         } = self;
+        let network = &mut networks[net];
+        let stats = &mut links[net];
         *link_traversals += scratch.arrivals.len() as u64;
-        for &(net, nb_idx, in_side, entry) in &scratch.arrivals {
-            let (net, tile, port) = (net as usize, nb_idx as usize, in_side as usize);
-            let network = &mut networks[net];
-            network.push(
-                coords[tile],
-                tile,
-                port,
-                entry.slot(),
-                entry.target(),
-                entry.net(),
-                entry.hops(),
-            );
+        for &(fifo, entry) in &scratch.arrivals {
+            let (tile, port) = (fifo / 4, fifo % 4);
+            let entry = entry.with_out(out_port_for(coords[tile], entry.target(), net));
+            let occupancy = network.push_link(tile, port, entry);
             // `port` is the receiving side, which faces back toward the
             // sender; attribute the traversal and the peak to the
             // upstream link feeding it.
-            let occupancy = network.queues[tile][port].len();
-            let upstream = neighbors[tile][port];
-            debug_assert_ne!(upstream, NO_NEIGHBOR, "arrival came from a neighbour");
-            let stats = &mut links[net][upstream as usize][OPPOSITE[port]];
-            stats.forwarded += 1;
-            stats.peak_occupancy = stats.peak_occupancy.max(occupancy);
+            let link = &mut stats[tile.wrapping_add(delta[port])][OPPOSITE[port]];
+            link.forwarded += 1;
+            link.peak_occupancy = link.peak_occupancy.max(usize::from(occupancy));
         }
         scratch.arrivals.clear();
     }
@@ -1064,38 +1115,20 @@ impl Fabric {
         let mut ejected = std::mem::take(&mut self.scratch.ejected);
         for &entry in &ejected {
             let slot = entry.slot();
-            if matches!(self.arena.choice(slot), NetworkChoice::Relay { .. })
-                && self.arena.leg(slot) == 0
-            {
-                self.arena.set_leg(slot, 1);
-                self.relay_forwards += 1;
-                let NetworkChoice::Relay { via, .. } = self.arena.choice(slot) else {
-                    unreachable!()
-                };
-                let net = self.arena.network_of(slot) as usize;
-                let idx = self.array.index_of(via);
-                let Fabric {
-                    coords,
-                    networks,
-                    arena,
-                    ..
-                } = &mut *self;
-                networks[net].push(
-                    coords[idx],
-                    idx,
-                    LOCAL,
-                    slot,
-                    arena.leg_target(slot),
-                    arena.network_of(slot),
-                    entry.hops(),
-                );
-            } else {
-                // The fabric tracks hop counts in its ring entries (the
-                // arena column holds the count as of injection), so the
-                // delivered packet takes the entry's value.
-                let mut packet = self.arena.take(slot);
-                packet.hops = entry.hops();
-                delivered.push(packet);
+            match self.arena.choice(slot) {
+                NetworkChoice::Relay { via, .. } if self.arena.leg(slot) == 0 => {
+                    self.arena.set_leg(slot, 1);
+                    self.relay_forwards += 1;
+                    self.enqueue_local(self.array.index_of(via), slot, entry.hops());
+                }
+                _ => {
+                    // The fabric tracks hop counts in its FIFO entries
+                    // (the arena column holds the count as of injection),
+                    // so the delivered packet takes the entry's value.
+                    let mut packet = self.arena.take(slot);
+                    packet.hops = entry.hops();
+                    delivered.push(packet);
+                }
             }
         }
         ejected.clear();
@@ -1119,8 +1152,8 @@ impl Fabric {
             for tile in 0..tiles {
                 let mut h = Fnv1a::new();
                 for port in 0..5 {
-                    h.write_u32(network.queues[tile][port].len() as u32);
-                    for entry in network.queues[tile][port].iter() {
+                    h.write_u32(network.queue_len(tile, port) as u32);
+                    for entry in network.queued(tile, port) {
                         let slot = entry.slot();
                         h.write_u64(arena.id(slot));
                         h.write_u8(arena.leg(slot));
@@ -1360,25 +1393,10 @@ impl Fabric {
     }
 }
 
-/// [`DIRECTIONS`] index of adjacent `nb` relative to `tile` — the inverse
-/// of `Direction::offset`, branch-direct so the FIFO head refresh does
-/// not scan the direction table.
-#[inline]
-fn direction_between(tile: TileCoord, nb: TileCoord) -> usize {
-    if nb.y < tile.y {
-        0 // North
-    } else if nb.y > tile.y {
-        1 // South
-    } else if nb.x > tile.x {
-        2 // East
-    } else {
-        3 // West
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::next_hop;
 
     fn direct_req(fabric: &mut Fabric, src: (u16, u16), dst: (u16, u16)) -> FabricPacket {
         let id = fabric.allocate_id();
@@ -1639,5 +1657,77 @@ mod tests {
             NetworkChoice::Disconnected,
             0,
         );
+    }
+
+    #[test]
+    fn out_port_table_matches_next_hop() {
+        for array in [
+            TileArray::new(5, 5),
+            TileArray::new(1, 7),
+            TileArray::new(7, 1),
+        ] {
+            for tile in array.tiles() {
+                for target in array.tiles() {
+                    for net in [NetworkKind::Xy, NetworkKind::Yx] {
+                        let expected = next_hop(tile, target, net).map_or(LOCAL, |nb| {
+                            DIRECTIONS
+                                .iter()
+                                .position(|&dir| array.neighbor(tile, dir) == Some(nb))
+                                .expect("the next hop is a neighbour")
+                        });
+                        assert_eq!(
+                            usize::from(out_port_for(tile, target, net as usize)),
+                            expected,
+                            "{net}: {tile} -> {target} on {array}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_checker_flags_a_corrupted_link_fifo() {
+        let mut fabric = Fabric::new(TileArray::new(4, 4), 2);
+        for _ in 0..3 {
+            let p = direct_req(&mut fabric, (0, 0), (3, 0));
+            assert!(fabric.inject(p));
+        }
+        fabric.tick();
+        fabric.tick();
+        assert_eq!(fabric.check_invariants(), Ok(()));
+        // Tile (1, 0)'s west input has popped its first packet and holds
+        // the second, in the FIFO's second slot.
+        let (tile, port) = (1, 3);
+        let clean = fabric.networks[0].routers[tile];
+        assert_eq!((clean.link_head[port], clean.link_len[port]), (1, 1));
+        let corrupt = |fabric: &mut Fabric, edit: fn(&mut Router)| {
+            edit(&mut fabric.networks[0].routers[tile]);
+            let err = fabric.check_invariants().expect_err("corruption caught");
+            fabric.networks[0].routers[tile] = clean;
+            err
+        };
+        let err = corrupt(&mut fabric, |r| r.link_head[3] = 2);
+        assert!(err.contains("net 0 tile 1 port 3: head 2"), "{err}");
+        let err = corrupt(&mut fabric, |r| r.link_len[3] = 3);
+        assert!(
+            err.contains("net 0 tile 1 port 3: head 1, length 3"),
+            "{err}"
+        );
+        let err = corrupt(&mut fabric, |r| r.link_len[3] = 2);
+        assert!(err.contains("net 0 tile 1: occ 1, 2 queued"), "{err}");
+        assert_eq!(fabric.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "link FIFO depth must be in 1..=65535, got 0")]
+    fn zero_depth_fabric_is_rejected() {
+        let _ = Fabric::new(TileArray::new(4, 4), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link FIFO depth must be in 1..=65535, got 65536")]
+    fn over_deep_fabric_is_rejected() {
+        let _ = Fabric::new(TileArray::new(4, 4), 65_536);
     }
 }

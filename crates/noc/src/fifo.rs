@@ -1,4 +1,4 @@
-//! FIFO primitives: the router-queue ring buffer and the asynchronous
+//! FIFO primitives: the local-injection ring buffer and the asynchronous
 //! clock-domain-crossing FIFO under every inter-chiplet link.
 //!
 //! The forwarded clock arrives at each tile with accumulated phase delay
@@ -15,25 +15,22 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-/// A ring buffer of [`PacketArena`](crate::arena::PacketArena) slot
-/// indices — the storage behind every router input FIFO in the fabric's
-/// hot loop.
+/// A growable ring buffer of [`PacketArena`](crate::arena::PacketArena)
+/// slot indices — the storage behind each tile's *local injection* FIFO
+/// in the fabric.
 ///
 /// The steady-state operations (`push` within capacity, `pop`, `front`,
 /// `iter`) never allocate: the backing array is a single boxed slice and
 /// the head/length pair wraps around it. A push beyond capacity grows the
-/// buffer by doubling (amortised), which only the *local injection* FIFO
-/// ever exercises — `Fabric::inject_unbounded` models response traffic
-/// buffered in the tile's local memory, so that queue has no hard cap.
-/// Link FIFOs are bounded by the plan phase's backpressure check and stay
-/// at their construction capacity forever.
+/// buffer by doubling (amortised): `Fabric::inject_unbounded` models
+/// response traffic buffered in the tile's local memory, so the local
+/// FIFO has no hard cap. The bounded link FIFOs are not rings of their
+/// own: the fabric keeps them inline in one flat slice per network.
 ///
-/// Entries default to `u32` arena indices rather than packets: a "move"
-/// in the fabric is one small copy between rings instead of shuffling
-/// ~48-byte packet structs through `VecDeque`s. (The fabric itself
-/// instantiates `PacketRing<RingEntry>`, a packed `u128` carrying the
-/// slot index, cached output port, current-leg target/network, and hop
-/// count in one entry.)
+/// Entries default to `u32` arena indices rather than packets, so a queue
+/// holds small copies instead of ~48-byte packet structs. (The fabric
+/// instantiates it with its packed 16-byte FIFO entry, which carries the
+/// slot index, cached output port, current-leg target and hop count.)
 ///
 /// # Examples
 ///

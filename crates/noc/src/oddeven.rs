@@ -137,7 +137,7 @@ pub fn route_odd_even(
 /// within `max_hops`, as a row-major boolean mask (the source itself is
 /// always marked when healthy).
 ///
-/// Runs one [`FrontierSearch`] over the same `(tile, travel-direction)`
+/// Runs one `FrontierSearch` over the same `(tile, travel-direction)`
 /// state space [`route_odd_even`] searches, with no early exit, so one
 /// search answers reachability for *every* destination at once. A
 /// destination counts as reached when any of its four travel-direction
@@ -160,7 +160,7 @@ pub fn odd_even_reachable(faults: &FaultMap, from: TileCoord, max_hops: u32) -> 
 /// disconnection, comparable to [`crate::connectivity`]'s dual-DoR
 /// numbers).
 ///
-/// One [`FrontierSearch`] per healthy source, over scratch allocated once
+/// One `FrontierSearch` per healthy source, over scratch allocated once
 /// per map. A hop level costs a few dozen word operations per 64 tiles,
 /// so a map costs `O(H · L · T / 64)` for `H` healthy sources, `L`
 /// levels (at most `max_hops`; the frontier empties after ~25 on the

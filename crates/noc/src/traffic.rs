@@ -11,7 +11,6 @@
 //! workload execution.
 
 use std::collections::VecDeque;
-use std::error::Error;
 use std::fmt;
 
 use rand::{Rng, RngExt as _};
@@ -42,7 +41,8 @@ pub enum TrafficPattern {
 
 impl TrafficPattern {
     /// Destination for a packet injected at `src`, or `None` when the
-    /// pattern gives this tile nothing to send (e.g. self-addressed).
+    /// pattern gives this tile nothing to send (self-addressed, or a
+    /// transpose that falls off a non-square array).
     ///
     /// `array` supplies the geometry: `NeighborEast` wraps at the array's
     /// real column count, so a faulty rightmost column narrows the healthy
@@ -56,7 +56,14 @@ impl TrafficPattern {
     ) -> Option<TileCoord> {
         let dst = match *self {
             TrafficPattern::UniformRandom => healthy[rng.random_range(0..healthy.len())],
-            TrafficPattern::Transpose => TileCoord::new(src.y, src.x),
+            TrafficPattern::Transpose => {
+                let dst = TileCoord::new(src.y, src.x);
+                if !array.contains(dst) {
+                    // Off a non-square array: nothing to send.
+                    return None;
+                }
+                dst
+            }
             TrafficPattern::NeighborEast => TileCoord::new((src.x + 1) % array.cols(), src.y),
             TrafficPattern::HotSpot { target } => target,
         };
@@ -71,7 +78,8 @@ pub struct SimConfig {
     pub queue_capacity: usize,
     /// Cycles the destination takes to turn a request into a response.
     pub response_delay: u64,
-    /// Per-tile request injection probability per cycle.
+    /// Per-tile request injection probability per cycle, in `[0, 1]`
+    /// (a run panics otherwise).
     pub injection_rate: f64,
 }
 
@@ -122,6 +130,11 @@ pub struct NocSim {
 
 impl NocSim {
     /// Creates a simulator over the given fault map.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `config.queue_capacity` is in `1..=u16::MAX`, as
+    /// [`Fabric::new`] does.
     pub fn new(faults: FaultMap, config: SimConfig) -> Self {
         let array = faults.array();
         let healthy = faults.healthy_tiles().collect();
@@ -306,14 +319,21 @@ impl NocSim {
         self.fabric.in_flight() + self.pending_responses.len()
     }
 
-    /// Injects one cycle of traffic per the pattern.
+    /// Injects one cycle of traffic per the pattern: one Bernoulli trial
+    /// per healthy tile, each exactly `rng.random_bool(injection_rate)`
+    /// on the same draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `injection_rate` is outside `[0, 1]`.
     fn inject<R: Rng + ?Sized>(&mut self, pattern: TrafficPattern, rng: &mut R) {
+        let threshold = bernoulli_threshold(self.config.injection_rate);
         // Stage injections first to avoid borrowing conflicts; the
         // buffer is owned and reused across cycles.
         let mut to_inject = std::mem::take(&mut self.inject_buf);
         to_inject.clear();
         for &src in &self.healthy {
-            if !rng.random_bool(self.config.injection_rate) {
+            if !bernoulli(rng, threshold) {
                 continue;
             }
             let Some(dst) = pattern.destination(src, self.array, &self.healthy, rng) else {
@@ -397,6 +417,27 @@ impl NocSim {
             }
         }
     }
+}
+
+/// The integer form of a Bernoulli trial with probability `p`:
+/// `ceil(p·2⁵³)`, which [`bernoulli`] compares the top 53 bits of a draw
+/// against. `random_bool(p)` fires iff `k·2⁻⁵³ < p` for `k = draw >> 11`;
+/// both sides are exact in `f64` (`k < 2⁵³`, and scaling by a power of
+/// two is exact), so that holds iff `k < p·2⁵³`, iff `k < ceil(p·2⁵³)`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`, as `random_bool` does.
+fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli trial on one draw of `rng`: `rng.random_bool(p)` for
+/// `threshold = bernoulli_threshold(p)`, compared as integers.
+#[inline]
+fn bernoulli<R: Rng + ?Sized>(rng: &mut R, threshold: u64) -> bool {
+    rng.next_u64() >> 11 < threshold
 }
 
 /// Buckets of the round-trip latency histogram (1 cycle each; the last
@@ -505,18 +546,6 @@ impl fmt::Display for SimReport {
         )
     }
 }
-
-/// Error type reserved for future fallible sim entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimulateError;
-
-impl fmt::Display for SimulateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("simulation failed")
-    }
-}
-
-impl Error for SimulateError {}
 
 #[cfg(test)]
 mod tests {
@@ -792,6 +821,95 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_percentile_rejected() {
         let _ = SimReport::default().rtt_percentile(1.5);
+    }
+
+    #[test]
+    fn transpose_on_non_square_arrays_sends_from_mirrored_tiles_only() {
+        let array = TileArray::new(8, 4);
+        let healthy: Vec<TileCoord> = array.tiles().collect();
+        let mut rng = seeded_rng(22);
+        let mut transpose =
+            |src| TrafficPattern::Transpose.destination(src, array, &healthy, &mut rng);
+        assert_eq!(transpose(TileCoord::new(5, 0)), None, "(0, 5) is off 8x4");
+        assert_eq!(transpose(TileCoord::new(3, 1)), Some(TileCoord::new(1, 3)));
+        for (cols, rows) in [(8, 4), (4, 8)] {
+            let config = SimConfig {
+                injection_rate: 0.2,
+                ..SimConfig::default()
+            };
+            let mut sim = NocSim::new(FaultMap::none(TileArray::new(cols, rows)), config);
+            let report = sim.run(TrafficPattern::Transpose, 300, &mut rng);
+            assert!(report.requests_injected > 0, "{cols}x{rows}");
+            assert_eq!(report.requests_delivered, report.requests_injected);
+            assert_eq!(report.responses_delivered, report.requests_injected);
+            assert_eq!(report.undeliverable, 0);
+            assert_eq!(report.in_flight_at_end, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link FIFO depth must be in 1..=65535, got 0")]
+    fn zero_depth_sim_is_rejected() {
+        let config = SimConfig {
+            queue_capacity: 0,
+            ..SimConfig::default()
+        };
+        let _ = NocSim::new(FaultMap::none(TileArray::new(4, 4)), config);
+    }
+
+    /// Replays scripted 64-bit draws.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl Rng for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a scripted draw")
+        }
+    }
+
+    #[test]
+    fn integer_bernoulli_matches_random_bool() {
+        const TOP: u64 = (1 << 53) - 1;
+        for p in [
+            0.0,
+            5e-324,
+            0.0016,
+            0.02,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+        ] {
+            let threshold = bernoulli_threshold(p);
+            // Draws whose top 53 bits sit at, and one either side of,
+            // floor(p·2⁵³) and ceil(p·2⁵³); the low 11 bits must not count.
+            let scaled = p * (1u64 << 53) as f64;
+            for edge in [scaled.floor() as u64, scaled.ceil() as u64] {
+                for k in [edge.saturating_sub(1), edge, edge + 1] {
+                    for draw in [k << 11, k << 11 | 0x7ff].into_iter().filter(|_| k <= TOP) {
+                        let script = || Script(vec![draw].into_iter());
+                        assert_eq!(
+                            bernoulli(&mut script(), threshold),
+                            script().random_bool(p),
+                            "p {p}, top bits {k}"
+                        );
+                    }
+                }
+            }
+            let (mut float, mut int) = (seeded_rng(2021), seeded_rng(2021));
+            for i in 0..100_000 {
+                assert_eq!(
+                    bernoulli(&mut int, threshold),
+                    float.random_bool(p),
+                    "p {p}, draw {i}"
+                );
+            }
+            assert_eq!(int.next_u64(), float.next_u64(), "p {p}: streams diverged");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn out_of_range_injection_rate_is_rejected() {
+        let _ = bernoulli_threshold(1.5);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Crate layout:
 //!
-//! * [`slice`] — rectangles, wafer↔slice coordinate mapping, fault-map
+//! * [`slice`](mod@slice) — rectangles, wafer↔slice coordinate mapping, fault-map
 //!   restriction, and the connected-healthy-region usability predicate.
 //!   Confinement holds by construction: a slice's machine is built over
 //!   the slice's own [`wsp_topo::TileArray`], so its packets have no

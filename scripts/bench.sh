@@ -5,8 +5,6 @@
 #   ./scripts/bench.sh             # full runs -> BENCH_*.json + TRACE_machine.json
 #   ./scripts/bench.sh --smoke     # seconds-scale reduced runs (the CI gate),
 #                                  # validated in a temp directory, then discarded
-#   ./scripts/bench.sh --criterion # also run the arena_vs_vecdeque
-#                                  # micro-bench (criterion, ~1 min)
 #
 # Full-run artefacts land in the repo root (smoke runs never touch the
 # committed ones):
@@ -26,13 +24,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SMOKE=()
-CRITERION=0
 for arg in "$@"; do
     case "$arg" in
         --smoke) SMOKE=(--smoke) ;;
-        --criterion) CRITERION=1 ;;
         *)
-            echo "usage: $0 [--smoke] [--criterion]" >&2
+            echo "usage: $0 [--smoke]" >&2
             exit 2
             ;;
     esac
@@ -70,11 +66,6 @@ echo "==> phase profile (wsp-diff profile)"
 target/release/wsp-diff profile \
     "$OUT/BENCH_noc.json" "$OUT/BENCH_machine.json" "$OUT/BENCH_pdn.json" \
     "$OUT/BENCH_serve.json"
-
-if [[ "$CRITERION" == 1 ]]; then
-    echo "==> criterion: arena_vs_vecdeque (data-layout micro-bench)"
-    cargo bench -p wsp-bench --bench arena_vs_vecdeque
-fi
 
 if [[ ${#SMOKE[@]} -gt 0 ]]; then
     echo "Smoke artefacts validated and discarded."
