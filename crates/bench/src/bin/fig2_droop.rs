@@ -4,8 +4,8 @@
 //! Run with `cargo run -p wsp-bench --bin fig2_droop`.
 //! Accepts `--json <path>` (metrics report) and `--trace <path>` (the
 //! SOR solver's per-iteration residual convergence as a Chrome trace).
-//! Its last table compares the lexicographic and red/black sweep
-//! orderings of the same solve.
+//! Full runs (not `--smoke`) time the prototype solve as the
+//! `wall.profile.pdn.solve` phase.
 
 use std::time::Instant;
 
@@ -19,8 +19,11 @@ fn main() {
     let opts = BenchOpts::from_env();
     let recorder = SharedRecorder::new();
     let mut sink = recorder.clone();
-    let cfg = PdnConfig::paper_prototype();
-    let sol = cfg.solve_traced(&mut sink).expect("PDN solve converges");
+    let start = Instant::now();
+    let sol = PdnConfig::paper_prototype()
+        .solve_traced(&mut sink)
+        .expect("PDN solve converges");
+    let solve_wall = start.elapsed();
     sink.gauge_set("pdn.total_current_a", sol.total_current().value());
     sink.gauge_set("pdn.supply_power_w", sol.supply_power().value());
     sink.gauge_set("pdn.max_droop_v", sol.max_droop().value());
@@ -194,58 +197,11 @@ fn main() {
         Some("~12x"),
     );
 
-    header(
-        "Sweep ordering",
-        "red/black SOR vs lexicographic sweep (paper 32x32 PDN)",
-    );
-    let time_solve = |f: &dyn Fn() -> wsp_pdn::PdnSolution| {
-        let start = Instant::now();
-        let sol = f();
-        (sol, start.elapsed())
-    };
-    let (lex, lex_wall) = time_solve(&|| cfg.solve().expect("lexicographic converges"));
-    let (rb, rb_wall) = time_solve(&|| cfg.solve_red_black().expect("red/black converges"));
-    let max_dev_uv = lex
-        .voltages()
-        .map(|(t, v)| (v - rb.voltage_at(t)).value().abs() * 1e6)
-        .fold(0.0f64, f64::max);
-    row(&["ordering", "iterations", "wall ms"]);
-    row(&[
-        "lexicographic".to_string(),
-        format!("{}", lex.iterations()),
-        format!("{:.1}", lex_wall.as_secs_f64() * 1e3),
-    ]);
-    row(&[
-        "red/black".to_string(),
-        format!("{}", rb.iterations()),
-        format!("{:.1}", rb_wall.as_secs_f64() * 1e3),
-    ]);
-    result_line(
-        "max per-tile deviation between orderings",
-        format!("{max_dev_uv:.3} µV"),
-        Some("<1 µV by construction"),
-    );
-    sink.gauge_set("pdn.parallel.max_deviation_uv", max_dev_uv);
-    sink.gauge_set("pdn.parallel.iterations", rb.iterations() as f64);
     if !opts.smoke {
-        sink.gauge_set(
-            "wall.pdn.parallel.ms_lexicographic",
-            lex_wall.as_secs_f64() * 1e3,
-        );
-        sink.gauge_set(
-            "wall.pdn.parallel.ms_red_black",
-            rb_wall.as_secs_f64() * 1e3,
-        );
-        sink.gauge_set(
-            "wall.pdn.parallel.speedup",
-            lex_wall.as_secs_f64() / rb_wall.as_secs_f64(),
-        );
-        // The PDN bench has no stepped machine to profile, so the solve
-        // timings themselves become the phase tree.
+        // The PDN bench has no stepped machine to profile, so the
+        // prototype solve's timing is the phase tree.
         let mut profiler = PhaseProfiler::new(true);
-        profiler.add("pdn.solve", (lex_wall + rb_wall).as_nanos(), 2);
-        profiler.add("pdn.solve.lexicographic", lex_wall.as_nanos(), 1);
-        profiler.add("pdn.solve.red_black", rb_wall.as_nanos(), 1);
+        profiler.add("pdn.solve", solve_wall.as_nanos(), 1);
         profiler.export(&mut sink, "");
     }
 

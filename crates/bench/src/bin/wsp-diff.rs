@@ -8,8 +8,10 @@
 //!   divergent window: cycle range, network or machine lane, and tile.
 //!   Exits 1 on divergence, 2 on unreadable/incomparable journals.
 //! * `wsp-diff bench [--tolerances <file>] <baseline> <candidate>` —
-//!   numeric diff of two bench JSON reports under per-metric relative
-//!   tolerances (`wall.`-prefixed gauges are excluded automatically).
+//!   numeric diff of two bench JSON reports (counters, gauges, histogram
+//!   fields, series elements and time-series points) under per-metric
+//!   relative tolerances (`wall.`-prefixed gauges are excluded
+//!   automatically).
 //!   Exits 1 when any metric regresses beyond tolerance.
 //! * `wsp-diff profile <report>...` — prints the wall-clock phase
 //!   breakdown (total and self time) recorded in a report's

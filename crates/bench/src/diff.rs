@@ -4,13 +4,14 @@
 //! Three comparisons live here:
 //!
 //! * [`diff_reports`] — numeric diff of two `wsp-bench-v2` JSON reports'
-//!   counters, gauges, and time-series points under per-metric relative
-//!   [`Tolerances`]. Gauges under the `wall.` prefix are wall-clock
-//!   measurements and are excluded automatically; a time-series'
-//!   `every`/`stride` cadence bookkeeping (the ring sampler widens its
-//!   stride as it decimates) is excluded by construction — only point
-//!   values at cycles present on *both* sides are compared. Everything
-//!   else in the report is deterministic and defaults to zero tolerance.
+//!   counters, gauges, histogram fields, series elements and time-series
+//!   points under per-metric relative [`Tolerances`]. Gauges under the
+//!   `wall.` prefix are wall-clock measurements and are excluded
+//!   automatically; a time-series' `every`/`stride` cadence bookkeeping
+//!   (the ring sampler widens its stride as it decimates) is excluded by
+//!   construction — only point values at cycles present on *both* sides
+//!   are compared. Everything else in the report is deterministic and
+//!   defaults to zero tolerance.
 //! * [`wsp_telemetry::first_divergence`] (re-used, not re-implemented) —
 //!   localises a determinism failure between two digest journals to a
 //!   cycle window and lane; the bin adds file I/O and rendering.
@@ -97,8 +98,9 @@ impl Tolerances {
 /// (or that exists on only one side — `None` marks the missing side).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDiff {
-    /// Dotted metric name, prefixed with its report section
-    /// (`counters.` or `gauges.`).
+    /// Dotted metric name, prefixed with its report section:
+    /// `counters.<name>`, `gauges.<name>`, `histograms.<name>.<field>`,
+    /// `series.<name>[<index>]` or `timeseries.<name>[<cycle>]`.
     pub name: String,
     /// Baseline value (`None` = metric absent from the baseline).
     pub baseline: Option<f64>,
@@ -129,12 +131,20 @@ impl BenchDiff {
 }
 
 /// Flattens one report's `metrics.counters` and `metrics.gauges` into
-/// section-prefixed `name -> value` pairs.
+/// section-prefixed `name -> value` pairs, every field of every
+/// histogram into `histograms.<name>.<field>`, and every element of every
+/// series into `series.<name>[<index>]`, so a series that changes length
+/// leaves elements on one side only.
 fn numeric_metrics(report: &Value) -> Result<BTreeMap<String, f64>, String> {
     let metrics = report
         .get("metrics")
         .and_then(Value::as_object)
         .ok_or("report has no \"metrics\" object")?;
+    let number = |value: &Value, name: &str| {
+        value
+            .as_f64()
+            .ok_or_else(|| format!("{name} is not numeric"))
+    };
     let mut out = BTreeMap::new();
     for section in ["counters", "gauges"] {
         let map = metrics
@@ -142,10 +152,27 @@ fn numeric_metrics(report: &Value) -> Result<BTreeMap<String, f64>, String> {
             .and_then(Value::as_object)
             .ok_or_else(|| format!("report has no metrics.{section} object"))?;
         for (name, value) in map {
-            let v = value
-                .as_f64()
-                .ok_or_else(|| format!("{section}.{name} is not numeric"))?;
-            out.insert(format!("{section}.{name}"), v);
+            let name = format!("{section}.{name}");
+            out.insert(name.clone(), number(value, &name)?);
+        }
+    }
+    let section = |name: &str| metrics.get(name).and_then(Value::as_object);
+    for (name, hist) in section("histograms").into_iter().flatten() {
+        let fields = hist
+            .as_object()
+            .ok_or_else(|| format!("histograms.{name} is not an object"))?;
+        for (field, value) in fields {
+            let name = format!("histograms.{name}.{field}");
+            out.insert(name.clone(), number(value, &name)?);
+        }
+    }
+    for (name, values) in section("series").into_iter().flatten() {
+        let values = values
+            .as_array()
+            .ok_or_else(|| format!("series.{name} is not an array"))?;
+        for (i, value) in values.iter().enumerate() {
+            let name = format!("series.{name}[{i}]");
+            out.insert(name.clone(), number(value, &name)?);
         }
     }
     Ok(out)
@@ -205,13 +232,14 @@ fn schema_of(report: &Value) -> String {
         .to_string()
 }
 
-/// Diffs two bench reports' counters, gauges, and time-series points
-/// under `tolerances`.
+/// Diffs two bench reports' counters, gauges, histogram fields, series
+/// elements and time-series points under `tolerances`.
 ///
 /// A metric present on one side only is a regression (the report shape
-/// itself is part of the contract); `wall.`-prefixed gauges are excluded
-/// before any comparison, since wall-clock values are expected to differ
-/// run to run. Time-series are compared point-by-point as
+/// itself is part of the contract), so a series whose length changed
+/// regresses on its one-sided elements; `wall.`-prefixed gauges are
+/// excluded before any comparison, since wall-clock values are expected
+/// to differ run to run. Time-series are compared point-by-point as
 /// `timeseries.<name>[<cycle>]` at cycles present on both sides; a
 /// one-sided cycle is a decimation artifact (counted in
 /// [`BenchDiff::excluded`]), while a whole series present on one side
@@ -448,6 +476,47 @@ mod tests {
             names,
             ["timeseries.fabric.active", "timeseries.fabric.renamed"]
         );
+    }
+
+    const WITH_SERIES_AND_HISTOGRAM: &str = r#"{"schema":"wsp-bench-v2","bench":"t",
+        "metrics":{"counters":{},"gauges":{},
+        "histograms":{"fabric.active_tiles":{"count":111,"sum":1208,"min":0,"max":28,
+            "mean":10.8828829,"p50":15,"p95":28,"p99":28}},
+        "series":{"pdn.middle_row_voltage":[2.497,2.35,2.217]},"timeseries":{}}}"#;
+
+    #[test]
+    fn series_elements_are_compared_by_index() {
+        let base = WITH_SERIES_AND_HISTOGRAM;
+        let d = diff_reports(base, base, &Tolerances::default()).expect("diffs");
+        assert!(d.is_clean());
+        assert_eq!(d.passed, 8 + 3);
+        let cand = base.replace("[2.497,", "[2.0,");
+        let d = diff_reports(base, &cand, &Tolerances::default()).expect("diffs");
+        let names: Vec<&str> = d.regressions.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["series.pdn.middle_row_voltage[0]"]);
+        // A longer series regresses on the element only it has.
+        let cand = base.replace("2.217]", "2.217,2.1]");
+        let d = diff_reports(base, &cand, &Tolerances::default()).expect("diffs");
+        assert_eq!(d.regressions.len(), 1);
+        assert_eq!(d.regressions[0].name, "series.pdn.middle_row_voltage[3]");
+        assert_eq!(d.regressions[0].baseline, None);
+    }
+
+    #[test]
+    fn histogram_fields_are_compared_one_by_one() {
+        let base = WITH_SERIES_AND_HISTOGRAM;
+        let cand = base.replace("\"count\":111", "\"count\":999");
+        let d = diff_reports(base, &cand, &Tolerances::default()).expect("diffs");
+        let names: Vec<&str> = d.regressions.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["histograms.fabric.active_tiles.count"]);
+        // A renamed histogram regresses on every field of both names.
+        let cand = base.replace("fabric.active_tiles", "fabric.renamed");
+        let d = diff_reports(base, &cand, &Tolerances::default()).expect("diffs");
+        assert_eq!(d.regressions.len(), 2 * 8);
+        assert!(d
+            .regressions
+            .iter()
+            .any(|r| r.name == "histograms.fabric.active_tiles.p99" && r.candidate.is_none()));
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! packets in `VecDeque`s, so every hop copied the full struct and every
 //! queue was its own heap allocation. [`PacketArena`] instead keeps each
 //! field in its own parallel column (`id`, `src`, `dst`, `choice`, packed
-//! kind/leg metadata, `injected_at`, and the current-leg route with the
-//! hop count) and hands out `u32` slot indices. The fabric's router FIFOs
-//! queue 16-byte entries that carry the slot together with everything a
-//! hop needs (the cached output port, the current-leg target and the hop
-//! count), so a forward moves one entry and never touches the arena: the
-//! fabric reads it only at injection, relay re-injection and delivery,
-//! and the per-field columns stay cache-linear for the digest walk that
-//! scans whole queues.
+//! kind/leg metadata, `injected_at`, and the current-leg route) and hands
+//! out `u32` slot indices. The fabric's router FIFOs queue 16-byte
+//! entries that carry the slot together with everything a hop needs (the
+//! cached output port, the current-leg target and the hop count), so a
+//! forward moves one entry and never touches the arena: the fabric reads
+//! it only at injection, relay re-injection and delivery, where the hop
+//! count comes back from the delivering entry
+//! ([`PacketArena::take`]), and the per-field columns stay cache-linear
+//! for the digest walk that scans whole queues.
 //!
 //! Freed slots go on a free list and are recycled by later allocations,
 //! so a steady-state traffic mix reaches a fixed arena footprint and
@@ -45,9 +46,6 @@ struct HotRoute {
     target: TileCoord,
     /// The network carrying the current leg, materialised likewise.
     net: NetworkKind,
-    /// Link traversals as of injection: the fabric counts later hops in
-    /// its FIFO entries and reports the total at delivery.
-    hops: u32,
 }
 
 /// A free-listed struct-of-arrays store of in-flight packets.
@@ -70,8 +68,9 @@ struct HotRoute {
 /// assert_eq!(arena.id(slot), 7);
 /// assert_eq!(arena.leg_target(slot), TileCoord::new(3, 1));
 /// assert_eq!(arena.network_of(slot), NetworkKind::Xy);
-/// let out = arena.take(slot);
+/// let out = arena.take(slot, 4);
 /// assert_eq!(out.dst, TileCoord::new(3, 1));
+/// assert_eq!(out.hops, 4);
 /// assert_eq!(arena.live(), 0);
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -83,7 +82,7 @@ pub struct PacketArena {
     /// Packed kind/leg bits; see [`META_RESPONSE`] and [`META_LEG`].
     meta: Vec<u8>,
     injected_at: Vec<u64>,
-    /// Per-hop hot fields (current-leg target/network, hop count); see
+    /// Per-leg hot fields (current-leg target and network); see
     /// [`HotRoute`].
     route: Vec<HotRoute>,
     /// Slot indices available for reuse.
@@ -114,7 +113,6 @@ impl PacketArena {
         let route = HotRoute {
             target: packet.choice.leg_target(packet.leg, packet.dst),
             net: packet.choice.leg_network(response, packet.leg),
-            hops: packet.hops,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -142,9 +140,12 @@ impl PacketArena {
         }
     }
 
-    /// Reconstructs the packet in `slot` without freeing it.
+    /// Reconstructs the packet in `slot`, which has made `hops` link
+    /// traversals (the fabric counts them in its FIFO entries), and
+    /// returns the slot to the free list for reuse.
     #[inline]
-    pub fn get(&self, slot: u32) -> FabricPacket {
+    pub fn take(&mut self, slot: u32, hops: u32) -> FabricPacket {
+        self.free.push(slot);
         let i = slot as usize;
         FabricPacket {
             id: self.id[i],
@@ -158,17 +159,8 @@ impl PacketArena {
             },
             leg: (self.meta[i] & META_LEG) >> 1,
             injected_at: self.injected_at[i],
-            hops: self.route[i].hops,
+            hops,
         }
-    }
-
-    /// Reconstructs the packet in `slot` and returns the slot to the
-    /// free list for reuse.
-    #[inline]
-    pub fn take(&mut self, slot: u32) -> FabricPacket {
-        let packet = self.get(slot);
-        self.free.push(slot);
-        packet
     }
 
     /// Caller-assigned packet id of `slot`.
@@ -181,13 +173,6 @@ impl PacketArena {
     #[inline]
     pub fn leg(&self, slot: u32) -> u8 {
         (self.meta[slot as usize] & META_LEG) >> 1
-    }
-
-    /// Link traversals of `slot` as stored at allocation (the fabric
-    /// counts hops in its FIFO entries, not here).
-    #[inline]
-    pub fn hops(&self, slot: u32) -> u32 {
-        self.route[slot as usize].hops
     }
 
     /// Routing decision of `slot`.
@@ -260,14 +245,6 @@ mod tests {
             11,
         );
         let slot = arena.alloc(&relay);
-        let got = arena.get(slot);
-        assert_eq!(got.id, 9);
-        assert_eq!(got.src, TileCoord::new(0, 0));
-        assert_eq!(got.dst, TileCoord::new(7, 7));
-        assert_eq!(got.choice, relay.choice);
-        assert_eq!(got.kind, PacketKind::Request);
-        assert_eq!(got.injected_at, 11);
-        assert_eq!(got.hops, 0);
         // Leg 0 of a relay heads for the via tile on its first network.
         assert_eq!(arena.leg_target(slot), TileCoord::new(3, 3));
         assert_eq!(arena.network_of(slot), NetworkKind::Xy);
@@ -275,6 +252,15 @@ mod tests {
         assert_eq!(arena.leg(slot), 1);
         assert_eq!(arena.leg_target(slot), TileCoord::new(7, 7));
         assert_eq!(arena.network_of(slot), NetworkKind::Yx);
+        let got = arena.take(slot, 14);
+        assert_eq!(got.id, 9);
+        assert_eq!(got.src, TileCoord::new(0, 0));
+        assert_eq!(got.dst, TileCoord::new(7, 7));
+        assert_eq!(got.choice, relay.choice);
+        assert_eq!(got.kind, PacketKind::Request);
+        assert_eq!(got.leg, 1);
+        assert_eq!(got.injected_at, 11);
+        assert_eq!(got.hops, 14);
     }
 
     #[test]
@@ -283,7 +269,7 @@ mod tests {
         let a = arena.alloc(&packet(0));
         let b = arena.alloc(&packet(1));
         assert_eq!(arena.live(), 2);
-        assert_eq!(arena.take(a).id, 0);
+        assert_eq!(arena.take(a, 0).id, 0);
         assert_eq!(arena.live(), 1);
         let c = arena.alloc(&packet(2));
         assert_eq!(c, a, "freed slot reused");
@@ -301,7 +287,7 @@ mod tests {
                 slots.push(arena.alloc(&packet(round * 8 + k)));
             }
             for slot in slots.drain(..) {
-                arena.take(slot);
+                arena.take(slot, 0);
             }
         }
         assert_eq!(arena.live(), 0);
@@ -314,11 +300,11 @@ mod tests {
         let req = packet(3);
         let resp = FabricPacket::response(&req);
         let slot = arena.alloc(&resp);
-        let got = arena.get(slot);
+        // A direct response rides the complementary network.
+        assert_eq!(arena.network_of(slot), NetworkKind::Xy);
+        let got = arena.take(slot, 0);
         assert_eq!(got.kind, PacketKind::Response);
         assert_eq!(got.src, req.dst);
         assert_eq!(got.dst, req.src);
-        // A direct response rides the complementary network.
-        assert_eq!(arena.network_of(slot), NetworkKind::Xy);
     }
 }

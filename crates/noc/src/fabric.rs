@@ -45,8 +45,9 @@
 //!   heads, its round-robin pointers and its link pop stamps, so a link
 //!   pop or push touches that line and the entry, and a backpressure
 //!   probe reads one neighbour line;
-//! - only the local injection FIFO is a growable [`PacketRing`]:
-//!   [`Fabric::inject_unbounded`] buffers responses there without a cap.
+//! - only the local injection FIFO is a growable `VecDeque`, reserved at
+//!   its bounded-inject depth: [`Fabric::inject_unbounded`] buffers
+//!   responses there without a cap.
 //!
 //! All per-tick scratch (staged arrivals, ejected entries) is owned by
 //! the fabric and cleared, not reallocated — the steady-state tick
@@ -132,6 +133,8 @@
 //! assert_eq!(delivered[0].kind, PacketKind::Request);
 //! ```
 
+use std::collections::VecDeque;
+
 use wsp_common::stepping::Stepping;
 use wsp_telemetry::{
     DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
@@ -139,7 +142,6 @@ use wsp_telemetry::{
 use wsp_topo::{Direction, TileArray, TileCoord, DIRECTIONS};
 
 use crate::arena::PacketArena;
-use crate::fifo::PacketRing;
 use crate::kernel::NetworkChoice;
 use crate::routing::NetworkKind;
 
@@ -377,7 +379,7 @@ struct Network {
     /// in `routers[t]`.
     links: Vec<RingEntry>,
     /// Each tile's local injection FIFO, the only one without a bound.
-    local: Vec<PacketRing<RingEntry>>,
+    local: Vec<VecDeque<RingEntry>>,
     /// One-cache-line hot state per tile; see [`Router`].
     routers: Vec<Router>,
     /// Packets queued at each tile across all five FIFOs. The invariant
@@ -413,7 +415,7 @@ impl Network {
             // The local FIFO starts at its bounded-inject depth and grows
             // only under `inject_unbounded` response buffering.
             local: (0..tiles)
-                .map(|_| PacketRing::with_capacity(cap * LOCAL_QUEUE_FACTOR))
+                .map(|_| VecDeque::with_capacity(cap * LOCAL_QUEUE_FACTOR))
                 .collect(),
             routers: vec![Router::new(); tiles],
             occ: vec![0; tiles],
@@ -456,7 +458,7 @@ impl Network {
     #[inline]
     fn push_local(&mut self, tile: usize, entry: RingEntry) {
         let ring = &mut self.local[tile];
-        ring.push(entry);
+        ring.push_back(entry);
         let router = &mut self.routers[tile];
         router.head_out[LOCAL] = if ring.len() == 1 {
             entry.out()
@@ -474,8 +476,8 @@ impl Network {
     fn pop(&mut self, tile: usize, port: usize, tick: u64) -> RingEntry {
         if port == LOCAL {
             let ring = &mut self.local[tile];
-            let entry = ring.pop().expect("planned head");
-            self.routers[tile].head_out[LOCAL] = ring.front().map_or(EMPTY_HEAD, RingEntry::out);
+            let entry = ring.pop_front().expect("planned head");
+            self.routers[tile].head_out[LOCAL] = ring.front().map_or(EMPTY_HEAD, |e| e.out());
             self.note_pop(tile);
             return entry;
         }
@@ -540,7 +542,7 @@ impl Network {
         };
         let link = (head..head + len).map(move |i| self.links[base + i % self.cap]);
         let local = (port == LOCAL)
-            .then(|| self.local[tile].iter())
+            .then(|| self.local[tile].iter().copied())
             .into_iter()
             .flatten();
         link.chain(local)
@@ -1121,14 +1123,8 @@ impl Fabric {
                     self.relay_forwards += 1;
                     self.enqueue_local(self.array.index_of(via), slot, entry.hops());
                 }
-                _ => {
-                    // The fabric tracks hop counts in its FIFO entries
-                    // (the arena column holds the count as of injection),
-                    // so the delivered packet takes the entry's value.
-                    let mut packet = self.arena.take(slot);
-                    packet.hops = entry.hops();
-                    delivered.push(packet);
-                }
+                // Hop counts travel in the FIFO entries, not the arena.
+                _ => delivered.push(self.arena.take(slot, entry.hops())),
             }
         }
         ejected.clear();

@@ -1,5 +1,5 @@
-//! FIFO primitives: the local-injection ring buffer and the asynchronous
-//! clock-domain-crossing FIFO under every inter-chiplet link.
+//! The asynchronous clock-domain-crossing FIFO under every inter-chiplet
+//! link.
 //!
 //! The forwarded clock arrives at each tile with accumulated phase delay
 //! and jitter; the paper's footnote 3 notes this is harmless because
@@ -14,134 +14,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-
-/// A growable ring buffer of [`PacketArena`](crate::arena::PacketArena)
-/// slot indices — the storage behind each tile's *local injection* FIFO
-/// in the fabric.
-///
-/// The steady-state operations (`push` within capacity, `pop`, `front`,
-/// `iter`) never allocate: the backing array is a single boxed slice and
-/// the head/length pair wraps around it. A push beyond capacity grows the
-/// buffer by doubling (amortised): `Fabric::inject_unbounded` models
-/// response traffic buffered in the tile's local memory, so the local
-/// FIFO has no hard cap. The bounded link FIFOs are not rings of their
-/// own: the fabric keeps them inline in one flat slice per network.
-///
-/// Entries default to `u32` arena indices rather than packets, so a queue
-/// holds small copies instead of ~48-byte packet structs. (The fabric
-/// instantiates it with its packed 16-byte FIFO entry, which carries the
-/// slot index, cached output port, current-leg target and hop count.)
-///
-/// # Examples
-///
-/// ```
-/// use wsp_noc::fifo::PacketRing;
-///
-/// let mut ring = PacketRing::with_capacity(2);
-/// ring.push(7);
-/// ring.push(8);
-/// assert_eq!(ring.front(), Some(7));
-/// assert_eq!(ring.pop(), Some(7));
-/// ring.push(9); // wraps around the 2-slot buffer without growing
-/// assert_eq!(ring.capacity(), 2);
-/// assert_eq!(ring.iter().collect::<Vec<_>>(), vec![8, 9]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PacketRing<T = u32> {
-    buf: Box<[T]>,
-    head: u32,
-    len: u32,
-}
-
-impl<T: Copy + Default> PacketRing<T> {
-    /// An empty ring holding up to `capacity` indices before growing
-    /// (`capacity` is clamped to at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        PacketRing {
-            buf: vec![T::default(); capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Entries currently queued.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the ring holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Slots available before the next `push` reallocates.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Appends `idx` at the tail, doubling the backing buffer when full.
-    #[inline]
-    pub fn push(&mut self, idx: T) {
-        if self.len as usize == self.buf.len() {
-            self.grow();
-        }
-        let cap = self.buf.len() as u32;
-        let mut pos = self.head + self.len;
-        if pos >= cap {
-            pos -= cap;
-        }
-        self.buf[pos as usize] = idx;
-        self.len += 1;
-    }
-
-    /// Removes and returns the head entry.
-    #[inline]
-    pub fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let idx = self.buf[self.head as usize];
-        self.head += 1;
-        if self.head as usize == self.buf.len() {
-            self.head = 0;
-        }
-        self.len -= 1;
-        Some(idx)
-    }
-
-    /// The head entry without removing it.
-    #[inline]
-    pub fn front(&self) -> Option<T> {
-        (self.len > 0).then(|| self.buf[self.head as usize])
-    }
-
-    /// Iterates the queued indices head-to-tail without consuming them.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        let cap = self.buf.len() as u32;
-        (0..self.len).map(move |i| {
-            let mut pos = self.head + i;
-            if pos >= cap {
-                pos -= cap;
-            }
-            self.buf[pos as usize]
-        })
-    }
-
-    /// Doubles the backing buffer, linearising the live entries so the
-    /// new layout starts at index 0.
-    #[cold]
-    fn grow(&mut self) {
-        let mut next = vec![T::default(); self.buf.len() * 2].into_boxed_slice();
-        for (slot, idx) in next.iter_mut().zip(self.iter()) {
-            *slot = idx;
-        }
-        self.buf = next;
-        self.head = 0;
-    }
-}
 
 /// Converts a binary counter value to its Gray code.
 #[inline]
@@ -312,70 +184,6 @@ mod tests {
     use super::*;
     use rand::RngExt as _;
     use wsp_common::seeded_rng;
-
-    #[test]
-    fn packet_ring_wraps_around_at_capacity_without_growing() {
-        let mut ring = PacketRing::with_capacity(4);
-        // Fill, then interleave pops and pushes so head/tail lap the
-        // buffer several times; capacity must never change and order must
-        // hold through every wrap.
-        for v in 0..4 {
-            ring.push(v);
-        }
-        assert_eq!(ring.len(), 4);
-        for lap in 0..10u32 {
-            for step in 0..4u32 {
-                let expect = lap * 4 + step;
-                assert_eq!(ring.front(), Some(expect));
-                assert_eq!(ring.pop(), Some(expect));
-                ring.push(expect + 4);
-            }
-            assert_eq!(ring.capacity(), 4, "bounded use must not grow");
-        }
-        let queued: Vec<u32> = ring.iter().collect();
-        assert_eq!(queued, vec![40, 41, 42, 43]);
-    }
-
-    #[test]
-    fn packet_ring_grows_preserving_order_when_overfilled() {
-        let mut ring = PacketRing::with_capacity(2);
-        // Offset the head first so growth happens mid-wrap.
-        ring.push(100);
-        ring.push(101);
-        assert_eq!(ring.pop(), Some(100));
-        for v in 102..110 {
-            ring.push(v);
-        }
-        assert!(ring.capacity() >= 9);
-        let drained: Vec<u32> = std::iter::from_fn(|| ring.pop()).collect();
-        assert_eq!(drained, (101..110).collect::<Vec<_>>());
-        assert!(ring.is_empty());
-        assert_eq!(ring.pop(), None);
-        assert_eq!(ring.front(), None);
-    }
-
-    #[test]
-    fn packet_ring_drains_to_empty_and_reuses_slots() {
-        let mut ring = PacketRing::with_capacity(3);
-        for round in 0..50u32 {
-            ring.push(round);
-            ring.push(round + 1);
-            assert_eq!(ring.pop(), Some(round));
-            assert_eq!(ring.pop(), Some(round + 1));
-            assert!(ring.is_empty());
-        }
-        assert_eq!(ring.capacity(), 3);
-    }
-
-    #[test]
-    fn packet_ring_zero_capacity_is_clamped_to_one() {
-        let mut ring = PacketRing::with_capacity(0);
-        assert_eq!(ring.capacity(), 1);
-        ring.push(5);
-        ring.push(6); // grows rather than corrupting
-        assert_eq!(ring.pop(), Some(5));
-        assert_eq!(ring.pop(), Some(6));
-    }
 
     #[test]
     fn gray_code_round_trips() {

@@ -12,9 +12,9 @@
 //!    broken — the intermediate tile's cores spend cycles forwarding, so
 //!    this is a last resort the dual-network design makes rare.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
@@ -108,8 +108,7 @@ impl fmt::Display for NetworkChoice {
 /// same few relayed pairs on every remote access between them (a
 /// full-wafer machine run asks tens of thousands of relay queries of a
 /// few hundred pairs), while a pair with no relay at all still probes
-/// every tile. Pairs with a direct path never touch the memo. The memo
-/// sits behind a lock so one planner can be shared across threads.
+/// every tile. Pairs with a direct path never touch the memo.
 ///
 /// # Examples
 ///
@@ -121,28 +120,13 @@ impl fmt::Display for NetworkChoice {
 /// let choice = planner.choose(TileCoord::new(0, 0), TileCoord::new(5, 5));
 /// assert!(matches!(choice, NetworkChoice::Direct(_)));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoutePlanner {
     faults: FaultMap,
     oracle: SegmentOracle,
     /// [`RoutePlanner::find_relay`]'s answer for every pair asked so far
     /// that has no healthy direct path.
-    relays: RwLock<HashMap<(TileCoord, TileCoord), NetworkChoice>>,
-}
-
-impl Clone for RoutePlanner {
-    fn clone(&self) -> Self {
-        RoutePlanner {
-            faults: self.faults.clone(),
-            oracle: self.oracle.clone(),
-            relays: RwLock::new(
-                self.relays
-                    .read()
-                    .expect("relay memo lock poisoned")
-                    .clone(),
-            ),
-        }
-    }
+    relays: RefCell<HashMap<(TileCoord, TileCoord), NetworkChoice>>,
 }
 
 impl RoutePlanner {
@@ -152,7 +136,7 @@ impl RoutePlanner {
         RoutePlanner {
             faults,
             oracle,
-            relays: RwLock::new(HashMap::new()),
+            relays: RefCell::new(HashMap::new()),
         }
     }
 
@@ -183,27 +167,18 @@ impl RoutePlanner {
         }
     }
 
-    /// [`RoutePlanner::find_relay`] through the per-pair memo. Two threads
-    /// missing on the same pair both search and store the same answer.
-    /// Kept out of line: relays are the rare last resort, and the direct
-    /// arms of [`RoutePlanner::choose`] stay compact.
+    /// [`RoutePlanner::find_relay`] through the per-pair memo. Kept out
+    /// of line: relays are the rare last resort, and the direct arms of
+    /// [`RoutePlanner::choose`] stay compact.
     #[cold]
     #[inline(never)]
     fn memoised_relay(&self, src: TileCoord, dst: TileCoord) -> NetworkChoice {
-        let memoised = self
-            .relays
-            .read()
-            .expect("relay memo lock poisoned")
-            .get(&(src, dst))
-            .copied();
+        let memoised = self.relays.borrow().get(&(src, dst)).copied();
         if let Some(choice) = memoised {
             return choice;
         }
         let choice = self.find_relay(src, dst);
-        self.relays
-            .write()
-            .expect("relay memo lock poisoned")
-            .insert((src, dst), choice);
+        self.relays.borrow_mut().insert((src, dst), choice);
         choice
     }
 
@@ -726,57 +701,19 @@ mod tests {
             .iter()
             .find(|&&(s, d)| matches!(planner.choose(s, d), NetworkChoice::Relay { .. }))
             .expect("some pair needs a relay");
-        let memo_len = planner.relays.read().expect("unpoisoned").len();
+        let memo_len = planner.relays.borrow().len();
         // Overwrite the stored answer: a second query that searched again
         // would return the real relay, one served from the memo the stub.
         planner
             .relays
-            .write()
-            .expect("unpoisoned")
+            .borrow_mut()
             .insert((s, d), NetworkChoice::Disconnected);
         assert_eq!(planner.choose(s, d), NetworkChoice::Disconnected);
-        assert_eq!(planner.relays.read().expect("unpoisoned").len(), memo_len);
+        assert_eq!(planner.relays.borrow().len(), memo_len);
         // Direct pairs never enter the memo.
         let direct = RoutePlanner::new(FaultMap::none(TileArray::new(16, 16)));
         direct.build_table();
-        assert!(direct.relays.read().expect("unpoisoned").is_empty());
-    }
-
-    #[test]
-    fn threads_sharing_one_planner_agree() {
-        let (planner, pairs) = faulty_planner(11);
-        let reference: Vec<NetworkChoice> = {
-            let fresh = RoutePlanner::new(planner.faults().clone());
-            pairs.iter().map(|&(s, d)| fresh.choose(s, d)).collect()
-        };
-        let barrier = std::sync::Barrier::new(4);
-        let answers: Vec<Vec<NetworkChoice>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let (planner, pairs, barrier) = (&planner, &pairs, &barrier);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        // Each thread walks the pairs from its own offset so
-                        // memo misses and hits interleave across threads.
-                        let offset = t * pairs.len() / 4;
-                        let mut out = vec![NetworkChoice::Disconnected; pairs.len()];
-                        for k in 0..pairs.len() {
-                            let i = (k + offset) % pairs.len();
-                            let (s, d) = pairs[i];
-                            out[i] = planner.choose(s, d);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query thread panicked"))
-                .collect()
-        });
-        for answer in answers {
-            assert_eq!(answer, reference);
-        }
+        assert!(direct.relays.borrow().is_empty());
     }
 
     #[test]

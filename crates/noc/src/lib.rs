@@ -57,7 +57,7 @@ pub use connectivity::{
     ConnectivitySweep, RoutingScheme, SampleConnectedError,
 };
 pub use fabric::{Fabric, FabricPacket, LinkStats, PacketKind};
-pub use fifo::{AsyncFifo, PacketRing};
+pub use fifo::AsyncFifo;
 pub use kernel::{NetworkChoice, RoutePlanner, RoutingTable};
 pub use oddeven::{
     odd_even_disconnected_fraction, odd_even_reachable, route_odd_even, turn_allowed,

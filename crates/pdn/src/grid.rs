@@ -9,13 +9,12 @@
 //! over-relaxation on the nodal equations) yields the DC voltage each tile
 //! receives — the droop map of Fig. 2.
 //!
-//! Two sweep orderings are provided. [`PdnConfig::solve`] relaxes nodes in
-//! lexicographic order (classic Gauss–Seidel SOR). [`PdnConfig::solve_red_black`]
-//! uses red/black ordering: the grid is bipartite under 4-neighbour
-//! adjacency, so every red node ((x+y) even) depends only on black nodes
-//! and vice versa, and each colour is relaxed in place over a packed,
-//! cache-linear layout of its nodes. The two orderings converge to the
-//! same operating point within the residual tolerance.
+//! There is one solve: [`PdnConfig::solve`] (and its traced and per-tile
+//! current forms) relaxes the nodes in lexicographic, row-major order —
+//! classic Gauss–Seidel SOR. Every PDN number in the workspace comes from
+//! it. Another sweep ordering (red/black, say) stops at a different point
+//! inside the residual tolerance, so it would move those numbers in their
+//! last digits; the solution is pinned bit for bit in the unit tests.
 
 use std::error::Error;
 use std::fmt;
@@ -233,23 +232,6 @@ impl PdnConfig {
         )
     }
 
-    /// [`PdnConfig::solve`] with red/black sweep ordering.
-    ///
-    /// Red/black SOR updates all even-parity nodes, then all odd-parity
-    /// nodes; within a half-sweep every update reads only the opposite
-    /// colour, so each colour is relaxed in place. The converged solution
-    /// differs from [`PdnConfig::solve`] only by the sweep ordering, which
-    /// the residual tolerance bounds to well under 1 µV per node.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PdnConfig::solve`].
-    pub fn solve_red_black(&self) -> Result<PdnSolution, SolvePdnError> {
-        let n = self.array.tile_count();
-        let i_load = vec![self.load.current_at(self.supply).value(); n];
-        self.solve_rb_inner(i_load, matches!(self.load, LoadModel::ConstantPower(_)))
-    }
-
     /// Solves the grid with an explicit per-tile current map — e.g. a
     /// workload-derived power profile in which busy tiles draw peak
     /// current and idle tiles leakage only. Currents are fixed (constant-
@@ -306,9 +288,9 @@ impl PdnConfig {
     /// Residual (max per-iteration voltage delta) at which the sweep stops.
     ///
     /// SOR's true error tracks the per-iteration delta by roughly
-    /// `ρ/(1-ρ) ≈ 10×` at ω = 1.9, so a 10 nV delta bound keeps the
-    /// lexicographic and red/black orderings within well under 1 µV of
-    /// each other — the agreement [`PdnConfig::solve_red_black`] promises.
+    /// `ρ/(1-ρ) ≈ 10×` at ω = 1.9, so a 10 nV delta bound leaves every
+    /// node well under 1 µV from the exact nodal solution — far below the
+    /// millivolts any PDN result reports.
     const TOL: f64 = 1e-8;
     /// SOR relaxation factor for Laplace-like grids.
     const OMEGA: f64 = 1.9;
@@ -400,155 +382,11 @@ impl PdnConfig {
             array,
             supply: self.supply,
             voltages: v.into_iter().map(Volts).collect(),
+            currents: i_load.into_iter().map(Amps).collect(),
             iterations,
             total_current,
         })
     }
-
-    /// Builds the packed red/black layout: per colour, the nodes in global
-    /// row-major order with their constant nodal terms and the packed
-    /// indices of their (opposite-colour) neighbours; plus the global→packed
-    /// mapping used for load updates and reassembly.
-    fn build_rb(&self) -> ([Vec<RbNode>; 2], Vec<(usize, usize)>) {
-        let array = self.array;
-        let n = array.tile_count();
-        let g_link = 1.0 / self.loop_sheet_resistance.value();
-        let g_edge = 1.0 / self.edge_connection.value();
-        let vs = self.supply.value();
-
-        let mut packed_of_global = Vec::with_capacity(n);
-        let mut counts = [0usize; 2];
-        for idx in 0..n {
-            let tile = array.coord_of(idx);
-            let colour = usize::from((tile.x + tile.y) % 2 == 1);
-            packed_of_global.push((colour, counts[colour]));
-            counts[colour] += 1;
-        }
-
-        let mut colours = [Vec::with_capacity(counts[0]), Vec::with_capacity(counts[1])];
-        for idx in 0..n {
-            let tile = array.coord_of(idx);
-            let (colour, _) = packed_of_global[idx];
-            let mut node = RbNode {
-                global_idx: idx,
-                g_sum: 0.0,
-                edge_inflow: 0.0,
-                neighbors: [0; 4],
-                neighbor_count: 0,
-            };
-            for dir in DIRECTIONS {
-                if let Some(nb) = array.neighbor(tile, dir) {
-                    let (nb_colour, nb_packed) = packed_of_global[array.index_of(nb)];
-                    debug_assert_ne!(colour, nb_colour, "4-neighbour grid is bipartite");
-                    node.g_sum += g_link;
-                    node.neighbors[node.neighbor_count] = nb_packed;
-                    node.neighbor_count += 1;
-                }
-            }
-            if self.touches_supply(tile) {
-                node.g_sum += g_edge;
-                node.edge_inflow = g_edge * vs;
-            }
-            colours[colour].push(node);
-        }
-        (colours, packed_of_global)
-    }
-
-    fn solve_rb_inner(
-        &self,
-        mut i_load: Vec<f64>,
-        constant_power: bool,
-    ) -> Result<PdnSolution, SolvePdnError> {
-        let array = self.array;
-        let n = array.tile_count();
-        let g_link = 1.0 / self.loop_sheet_resistance.value();
-        let vs = self.supply.value();
-
-        let (colours, packed_of_global) = self.build_rb();
-        let mut v = [vec![vs; colours[0].len()], vec![vs; colours[1].len()]];
-        let mut iterations = 0usize;
-        loop {
-            let mut max_delta: f64 = 0.0;
-            for (colour, nodes) in colours.iter().enumerate() {
-                // Half-sweep: every node of `colour` reads only the opposite
-                // colour plus its own old value, so updating in place gives
-                // the same bits as computing the whole colour first.
-                let [red, black] = &mut v;
-                let (mine, opp) = if colour == 0 {
-                    (red, &*black)
-                } else {
-                    (black, &*red)
-                };
-                for (node, v_mine) in nodes.iter().zip(mine.iter_mut()) {
-                    let mut inflow = node.edge_inflow;
-                    for &nb in &node.neighbors[..node.neighbor_count] {
-                        inflow += g_link * opp[nb];
-                    }
-                    let v_new = (inflow - i_load[node.global_idx]) / node.g_sum;
-                    let old = *v_mine;
-                    let relaxed = old + Self::OMEGA * (v_new - old);
-                    max_delta = max_delta.max((relaxed - old).abs());
-                    *v_mine = relaxed;
-                }
-            }
-            iterations += 1;
-
-            if constant_power {
-                let LoadModel::ConstantPower(p) = self.load else {
-                    unreachable!("constant_power implies a ConstantPower load");
-                };
-                // Sequential, in global node order — identical semantics
-                // (including which collapsing tile is reported first) to the
-                // lexicographic solver.
-                for idx in 0..n {
-                    let (colour, packed) = packed_of_global[idx];
-                    let vi = v[colour][packed];
-                    if vi <= 0.05 {
-                        return Err(SolvePdnError::Collapse {
-                            tile: array.coord_of(idx),
-                        });
-                    }
-                    // Damped current update keeps the nonlinear outer loop stable.
-                    let target = p.value() / vi;
-                    i_load[idx] += 0.5 * (target - i_load[idx]);
-                }
-            }
-
-            if max_delta < Self::TOL {
-                break;
-            }
-            if iterations >= Self::MAX_ITERS {
-                return Err(SolvePdnError::NoConvergence {
-                    iterations,
-                    residual: max_delta,
-                });
-            }
-        }
-
-        let voltages = packed_of_global
-            .iter()
-            .map(|&(colour, packed)| Volts(v[colour][packed]))
-            .collect();
-        let total_current = Amps(i_load.iter().sum());
-        Ok(PdnSolution {
-            array,
-            supply: self.supply,
-            voltages,
-            iterations,
-            total_current,
-        })
-    }
-}
-
-/// One node of the packed red/black layout: its constant nodal terms and
-/// the packed indices of its neighbours in the *opposite* colour array.
-struct RbNode {
-    global_idx: usize,
-    g_sum: f64,
-    /// `g_edge · V_supply` when the tile touches a powered edge, else 0.
-    edge_inflow: f64,
-    neighbors: [usize; 4],
-    neighbor_count: usize,
 }
 
 impl fmt::Display for PdnConfig {
@@ -605,6 +443,8 @@ pub struct PdnSolution {
     array: TileArray,
     supply: Volts,
     voltages: Vec<Volts>,
+    /// The current each tile draws at the converged operating point.
+    currents: Vec<Amps>,
     iterations: usize,
     total_current: Amps,
 }
@@ -669,12 +509,15 @@ impl PdnSolution {
         self.supply * self.total_current
     }
 
-    /// Power dissipated in the distribution planes (supply power minus the
-    /// power arriving at the chiplet inputs).
+    /// Power dissipated in the distribution planes: supply power minus
+    /// the power arriving at the chiplet inputs, `Σ V_t · I_t` over each
+    /// tile's voltage and the current it draws there.
     pub fn plane_loss(&self) -> Watts {
         let delivered: f64 = self
-            .voltages()
-            .map(|(_, v)| (v * (self.total_current / self.array.tile_count() as f64)).value())
+            .voltages
+            .iter()
+            .zip(&self.currents)
+            .map(|(&v, &i)| (v * i).value())
             .sum();
         Watts(self.supply_power().value() - delivered)
     }
@@ -812,20 +655,9 @@ mod tests {
         // droop should be far smaller than the all-on case, and the
         // minimum should sit at the hotspot.
         let cfg = PdnConfig::paper_prototype();
-        let array = cfg.array();
-        let peak = PdnConfig::PAPER_TILE_CURRENT;
-        let idle = Amps(peak.value() * 0.05);
-        let currents: Vec<Amps> = array
-            .tiles()
-            .map(|t| {
-                if (14..18).contains(&t.x) && (14..18).contains(&t.y) {
-                    peak
-                } else {
-                    idle
-                }
-            })
-            .collect();
-        let hotspot = cfg.solve_with_tile_currents(&currents).expect("converges");
+        let hotspot = cfg
+            .solve_with_tile_currents(&hot_block(cfg.array(), 4))
+            .expect("converges");
         let all_on = cfg.solve().expect("converges");
         assert!(hotspot.max_droop().value() < 0.5 * all_on.max_droop().value());
         // The worst node is inside (or adjacent to) the hotspot block.
@@ -901,18 +733,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn red_black_matches_lexicographic_within_a_microvolt() {
-        let cfg = PdnConfig::paper_prototype();
-        let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_red_black().expect("red/black converges");
-        for (t, v) in lex.voltages() {
-            let d = (v - rb.voltage_at(t)).value().abs();
-            assert!(d < 1e-6, "{t}: orderings differ by {d:.2e} V");
-        }
-        assert!((lex.total_current() - rb.total_current()).value().abs() < 1e-6);
-    }
-
     /// FNV-1a 64 over the bits of every node voltage (row-major), then
     /// the iteration count.
     fn solution_digest(sol: &PdnSolution) -> u64 {
@@ -924,41 +744,95 @@ mod tests {
         h.finish()
     }
 
+    /// Per-tile currents with a centred `block`×`block` square at peak
+    /// and every other tile at 5 % of it.
+    fn hot_block(array: TileArray, block: u16) -> Vec<Amps> {
+        let peak = PdnConfig::PAPER_TILE_CURRENT;
+        let idle = Amps(peak.value() * 0.05);
+        let lo = array.cols() / 2 - block / 2;
+        let hot = lo..lo + block;
+        array
+            .tiles()
+            .map(|t| {
+                if hot.contains(&t.x) && hot.contains(&t.y) {
+                    peak
+                } else {
+                    idle
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn red_black_solution_is_pinned_bit_for_bit() {
-        // Any change to the update order or arithmetic moves these
-        // literals; the fig2 golden pins only the deviation from the
-        // lexicographic solve to 10 digits, and the proptest a 1 µV bound.
-        let prototype = PdnConfig::paper_prototype()
-            .solve_red_black()
-            .expect("converges");
-        assert_eq!(prototype.iterations(), 160);
-        assert_eq!(solution_digest(&prototype), 0x5b84_20aa_df56_7f1f);
+    fn solve_is_pinned_bit_for_bit() {
+        // Any change to the sweep order or the arithmetic moves these
+        // literals; the fig2 golden pins voltages only to 9 digits.
+        let prototype = PdnConfig::paper_prototype().solve().expect("converges");
+        assert_eq!(prototype.iterations(), 170);
+        assert_eq!(solution_digest(&prototype), 0xb7ec_a45a_4ed6_596d);
 
         let p = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.25);
         let east_west = PdnConfig::paper_prototype()
             .with_load(LoadModel::ConstantPower(p))
             .with_supply_sides([false, false, true, true])
-            .solve_red_black()
+            .solve()
             .expect("converges");
-        assert_eq!(east_west.iterations(), 138);
-        assert_eq!(solution_digest(&east_west), 0xa645_4d3e_5934_0a07);
+        assert_eq!(east_west.iterations(), 159);
+        assert_eq!(solution_digest(&east_west), 0x57db_2886_56f5_cf1f);
+
+        let cfg = PdnConfig::paper_prototype();
+        let hotspot = cfg
+            .solve_with_tile_currents(&hot_block(cfg.array(), 4))
+            .expect("converges");
+        assert_eq!(hotspot.iterations(), 148);
+        assert_eq!(solution_digest(&hotspot), 0x669c_2cd7_bbd4_5317);
+    }
+
+    /// I²R summed resistor by resistor over the paper grid (every edge
+    /// tile tied to the ring): each plane link once, plus each edge
+    /// connection.
+    fn resistor_loss(sol: &PdnSolution) -> f64 {
+        let g_link = 1.0 / PdnConfig::PAPER_LOOP_SHEET_RESISTANCE.value();
+        let g_edge = 1.0 / Ohms::from_milliohms(1.0).value();
+        let array = sol.array();
+        let (last_x, last_y) = (array.cols() - 1, array.rows() - 1);
+        let mut loss = 0.0;
+        for t in array.tiles() {
+            let v = sol.voltage_at(t).value();
+            for nb in [TileCoord::new(t.x + 1, t.y), TileCoord::new(t.x, t.y + 1)] {
+                if nb.x <= last_x && nb.y <= last_y {
+                    loss += (v - sol.voltage_at(nb).value()).powi(2) * g_link;
+                }
+            }
+            if t.x == 0 || t.y == 0 || t.x == last_x || t.y == last_y {
+                loss += (sol.supply().value() - v).powi(2) * g_edge;
+            }
+        }
+        loss
     }
 
     #[test]
-    fn red_black_constant_power_matches_and_collapses() {
+    fn plane_loss_equals_the_resistor_sum_under_non_uniform_loads() {
+        let cfg = PdnConfig::paper_prototype();
+        let hot_block = cfg
+            .solve_with_tile_currents(&hot_block(cfg.array(), 8))
+            .expect("converges");
         let p = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.5);
-        let cfg = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(p));
-        let lex = cfg.solve().expect("lexicographic converges");
-        let rb = cfg.solve_red_black().expect("red/black converges");
-        for (t, v) in lex.voltages() {
-            assert!((v - rb.voltage_at(t)).value().abs() < 1e-6, "{t}");
-        }
-
-        let absurd = PdnConfig::paper_prototype().with_load(LoadModel::ConstantPower(Watts(50.0)));
-        match absurd.solve_red_black() {
-            Err(SolvePdnError::Collapse { .. }) => {}
-            other => panic!("expected collapse, got {other:?}"),
+        let constant_power = cfg
+            .with_load(LoadModel::ConstantPower(p))
+            .solve()
+            .expect("converges");
+        let uniform = cfg.solve().expect("converges");
+        for (name, sol) in [
+            ("8x8 hot block", hot_block),
+            ("half-peak constant power", constant_power),
+            ("uniform peak", uniform),
+        ] {
+            let (got, want) = (sol.plane_loss().value(), resistor_loss(&sol));
+            assert!(
+                (got - want).abs() < 1e-3,
+                "{name}: plane_loss {got:.4} W vs resistor sum {want:.4} W"
+            );
         }
     }
 

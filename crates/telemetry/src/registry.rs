@@ -160,10 +160,9 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one bucket-wise: counts and
-    /// sums add (saturating), min/max widen. Used both by
-    /// [`Registry::merge`] and by subsystems that aggregate samples
-    /// locally (e.g. the fabric's per-cycle active-set sizes) and export
-    /// the finished histogram once.
+    /// sums add (saturating), min/max widen. Used by subsystems that
+    /// aggregate samples locally (e.g. the fabric's per-cycle active-set
+    /// sizes) and export the finished histogram once.
     pub fn merge_from(&mut self, other: &Histogram) {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
@@ -317,29 +316,6 @@ impl Registry {
             && self.histograms.is_empty()
             && self.series.is_empty()
             && self.timeseries.is_empty()
-    }
-
-    /// Merges another registry into this one: counters add, gauges and
-    /// series overwrite, histograms are summed bucket-wise.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in &other.counters {
-            self.counter_add(name, *v);
-        }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge_from(h);
-        }
-        for (name, s) in &other.series {
-            self.series.insert(name.clone(), s.clone());
-        }
-        for (name, s) in &other.timeseries {
-            self.timeseries.insert(name.clone(), s.clone());
-        }
     }
 
     /// Serialises the metric sections alone (no envelope): an object with
@@ -594,23 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_sums_histograms() {
-        let mut a = Registry::new();
-        a.counter_add("c", 1);
-        a.histogram_record("h", 2);
-        let mut b = Registry::new();
-        b.counter_add("c", 2);
-        b.histogram_record("h", 1000);
-        b.gauge_set("g", 1.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        let h = a.histogram("h").expect("merged");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 2);
-        assert_eq!(h.max(), 1000);
-    }
-
-    #[test]
     fn json_report_has_stable_shape() {
         let mut r = Registry::new();
         r.counter_add("z", 1);
@@ -640,9 +599,6 @@ mod tests {
             "\"timeseries\":{\"fabric.active_tiles\":{\"every\":4,\"stride\":1,\
              \"cycles\":[4,8],\"values\":[1,2]}}"
         ));
-        let mut merged = Registry::new();
-        merged.merge(&r);
-        assert_eq!(merged.timeseries("fabric.active_tiles"), Some(&s));
     }
 
     #[test]

@@ -76,9 +76,10 @@ done
 echo "    byte-identical to the goldens across stepping modes"
 
 echo "==> PDN golden (fig2_droop smoke JSON vs tests/golden)"
-# The PDN report (lexicographic and red/black solves, and the deviation
-# between them) must be byte-identical to the golden. This bin writes no
-# digest sidecar.
+# The PDN report (the Fig. 2 droop map's summary gauges, the middle-row
+# voltage profile and the solve's iteration count) must be byte-identical
+# to the golden. This bin writes no digest sidecar; on a mismatch
+# wsp-diff names each metric that moved.
 if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
     target/release/fig2_droop --smoke --json tests/golden/fig2_droop_smoke.json >/dev/null
     echo "    refreshed tests/golden/fig2_droop_smoke.json"
@@ -86,7 +87,8 @@ fi
 target/release/fig2_droop --smoke --json "$DET_DIR/fig2_droop.json" >/dev/null
 if ! cmp -s tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json"; then
     echo "FAIL: fig2_droop smoke JSON differs from tests/golden/fig2_droop_smoke.json" >&2
-    diff tests/golden/fig2_droop_smoke.json "$DET_DIR/fig2_droop.json" >&2 || true
+    target/release/wsp-diff bench tests/golden/fig2_droop_smoke.json \
+        "$DET_DIR/fig2_droop.json" >&2 || true
     exit 1
 fi
 echo "    byte-identical to the golden"
@@ -94,7 +96,8 @@ echo "    byte-identical to the golden"
 echo "==> Fig. 6 golden (fig6_disconnect smoke JSON vs tests/golden)"
 # The connectivity counts behind Fig. 6 and its odd-even table are exact
 # integers, so the smoke report must match the golden byte for byte.
-# This bin writes no digest sidecar, so it sits outside the loop above.
+# This bin writes no digest sidecar, so it sits outside the loop above;
+# on a mismatch wsp-diff names each metric that moved.
 if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
     target/release/fig6_disconnect --smoke --json tests/golden/fig6_disconnect_smoke.json >/dev/null
     echo "    refreshed tests/golden/fig6_disconnect_smoke.json"
@@ -102,7 +105,8 @@ fi
 target/release/fig6_disconnect --smoke --json "$DET_DIR/fig6_disconnect.json" >/dev/null
 if ! cmp -s tests/golden/fig6_disconnect_smoke.json "$DET_DIR/fig6_disconnect.json"; then
     echo "FAIL: fig6_disconnect smoke JSON differs from tests/golden/fig6_disconnect_smoke.json" >&2
-    diff tests/golden/fig6_disconnect_smoke.json "$DET_DIR/fig6_disconnect.json" >&2 || true
+    target/release/wsp-diff bench tests/golden/fig6_disconnect_smoke.json \
+        "$DET_DIR/fig6_disconnect.json" >&2 || true
     exit 1
 fi
 echo "    Fig. 6 disconnect fractions byte-identical to the golden"
