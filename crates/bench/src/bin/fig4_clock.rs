@@ -2,12 +2,14 @@
 //! Sec. IV duty-cycle-distortion analysis (Fig. 3's circuitry in action).
 //!
 //! Run with `cargo run -p wsp-bench --bin fig4_clock`.
+//! Full runs (not `--smoke`) time the Monte Carlo's forwarding floods as
+//! the `wall.profile.clock.forwarding` phase.
 
 use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
-use wsp_clock::{forwarding::fig4_scenario, DccUnit, DutyCycleModel, ForwardingSim};
+use wsp_clock::{forwarding::fig4_scenario, DccUnit, DutyCycleModel, ForwardingSim, TileClock};
 use wsp_common::seeded_rng;
-use wsp_telemetry::{SharedRecorder, Sink};
-use wsp_topo::{FaultMap, TileArray};
+use wsp_telemetry::{PhaseProfiler, SharedRecorder, Sink};
+use wsp_topo::{FaultMap, TileArray, DIRECTIONS};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -44,14 +46,20 @@ fn main() {
     );
     result_line("setup latency (cycles)", plan.setup_cycles(), None);
 
+    let maps_per_point = if opts.smoke { 10 } else { 100 };
     header(
         "Fig. 4 MC",
-        "clock coverage vs fault count (32x32, 100 maps each)",
+        &format!("clock coverage vs fault count (32x32, {maps_per_point} maps each)"),
     );
     row(&["faults", "mean unclocked healthy tiles", "coverage %"]);
     let array = TileArray::new(32, 32);
     let mut rng = seeded_rng(opts.seed_or(101));
-    let maps_per_point = if opts.smoke { 10 } else { 100 };
+    let mut profiler = PhaseProfiler::new(!opts.smoke);
+    // Tiles locked from each side (N, S, E, W) and setup cycles, summed
+    // over every map: which side wins a tie moves the first, so these
+    // see the flood's visiting order where coverage cannot.
+    let mut locked_from = [0usize; 4];
+    let (mut setup_total, mut plans) = (0u64, 0usize);
     for faults_n in [0usize, 5, 10, 20, 40, 80] {
         let mut unclocked_total = 0usize;
         let mut healthy_total = 0usize;
@@ -61,9 +69,17 @@ fn main() {
             let Some(generator) = array.edge_tiles().find(|&t| map.is_healthy(t)) else {
                 continue;
             };
-            let plan = ForwardingSim::new(map.clone())
-                .run([generator])
-                .expect("ok");
+            let sim = ForwardingSim::new(map.clone());
+            let started = profiler.start();
+            let plan = sim.run([generator]).expect("ok");
+            profiler.stop("clock.forwarding", started);
+            for tile in array.tiles() {
+                if let TileClock::Locked { from, .. } = plan.state_of(tile) {
+                    locked_from[from.index()] += 1;
+                }
+            }
+            setup_total += plan.setup_cycles();
+            plans += 1;
             unclocked_total += plan.unclocked_tiles().count();
             healthy_total += map.healthy_count();
             trials += 1;
@@ -77,6 +93,27 @@ fn main() {
             format!("{coverage:.3}"),
         ]);
     }
+    for dir in DIRECTIONS {
+        sink.gauge_set(
+            &format!("clock.locked_from.{dir}"),
+            locked_from[dir.index()] as f64,
+        );
+    }
+    let mean_setup = setup_total as f64 / plans as f64;
+    sink.gauge_set("clock.mc.mean_setup_cycles", mean_setup);
+    result_line(
+        "tiles locked from N / S / E / W",
+        format!(
+            "{} / {} / {} / {}",
+            locked_from[0], locked_from[1], locked_from[2], locked_from[3]
+        ),
+        None,
+    );
+    result_line(
+        "mean setup latency (cycles)",
+        format!("{mean_setup:.3}"),
+        None,
+    );
 
     header(
         "Sec. IV",
@@ -114,5 +151,6 @@ fn main() {
         Some("\"a 5% distortion per tile could kill the clock with in just 10 tiles\""),
     );
 
+    profiler.export(&mut sink, "");
     opts.write_outputs("fig4_clock", &recorder);
 }

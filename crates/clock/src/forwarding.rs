@@ -8,8 +8,17 @@
 //! first wavefront and reaches every healthy tile that is graph-connected
 //! to a generator through healthy tiles — the resiliency property Fig. 4
 //! illustrates and the paper proves by induction.
+//!
+//! [`ForwardingSim::run`] floods one level per hop. Every hop costs the
+//! same toggle count, so a shortest-path (Dijkstra) search over the array
+//! settles tiles in order of lock time — level by level — and, breaking
+//! ties on (x, y) as the model always has, visits each level in (x, y)
+//! order. A tile locks onto the side of the first tile of the previous
+//! level to reach it, and no later arrival is earlier, so visiting each
+//! level sorted by (x, y) with the first writer winning gives every tile
+//! the side and lock time the heap search gave it; a generator listed
+//! twice reaches nothing new. A test-only heap Dijkstra is the oracle.
 
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -91,77 +100,75 @@ impl ForwardingSim {
     ///
     /// # Errors
     ///
-    /// Returns an error when no generator is supplied, a generator is not
-    /// on the array edge, or a generator tile is faulty.
+    /// Returns an error when no generator is supplied, or a generator lies
+    /// outside the array, is not on its edge, or is faulty.
     pub fn run<I>(&self, generators: I) -> Result<ForwardingPlan, ClockSetupError>
     where
         I: IntoIterator<Item = TileCoord>,
     {
         let array = self.faults.array();
-        let mut states = vec![None::<TileClock>; array.tile_count()];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u16, u16)>> = BinaryHeap::new();
-
-        let mut generator_count = 0usize;
+        // A healthy tile stays `Unclocked` until the flood reaches it.
+        let mut states: Vec<TileClock> = array
+            .tiles()
+            .map(|t| {
+                if self.faults.is_faulty(t) {
+                    TileClock::Faulty
+                } else {
+                    TileClock::Unclocked
+                }
+            })
+            .collect();
+        let mut frontier = Vec::new();
         for g in generators {
+            if !array.contains(g) {
+                return Err(ClockSetupError::GeneratorOutsideArray { tile: g });
+            }
             if !array.is_edge(g) {
                 return Err(ClockSetupError::GeneratorNotOnEdge { tile: g });
             }
             if self.faults.is_faulty(g) {
                 return Err(ClockSetupError::GeneratorFaulty { tile: g });
             }
-            states[array.index_of(g)] = Some(TileClock::Generator);
-            heap.push(std::cmp::Reverse((0, g.x, g.y)));
-            generator_count += 1;
+            states[array.index_of(g)] = TileClock::Generator;
+            frontier.push(g);
         }
-        if generator_count == 0 {
+        if frontier.is_empty() {
             return Err(ClockSetupError::NoGenerator);
         }
 
-        // Multi-source Dijkstra/BFS: a tile locks `toggle_count` cycles
-        // after its earliest-toggling healthy neighbour started forwarding.
+        // Multi-source flood, one level per hop: a tile locks
+        // `toggle_count` cycles after its earliest-toggling healthy
+        // neighbour started forwarding, on the side of the first tile of
+        // that level, in (x, y) order, to reach it (module docs).
         let hop_cost = u64::from(self.toggle_count);
-        while let Some(std::cmp::Reverse((t, x, y))) = heap.pop() {
-            let tile = TileCoord::new(x, y);
-            for dir in DIRECTIONS {
-                let Some(nb) = array.neighbor(tile, dir) else {
-                    continue;
-                };
-                if self.faults.is_faulty(nb) {
-                    continue;
-                }
-                let idx = array.index_of(nb);
-                let arrival = t + hop_cost;
-                let better = match states[idx] {
-                    None => true,
-                    Some(TileClock::Locked { locked_at, .. }) => arrival < locked_at,
-                    Some(_) => false,
-                };
-                if better {
-                    states[idx] = Some(TileClock::Locked {
+        let by_column = |t: &TileCoord| (t.x, t.y);
+        frontier.sort_unstable_by_key(by_column);
+        let mut next = Vec::new();
+        let mut arrival = 0;
+        while !frontier.is_empty() {
+            arrival += hop_cost;
+            for &tile in &frontier {
+                for dir in DIRECTIONS {
+                    let Some(nb) = array.neighbor(tile, dir) else {
+                        continue;
+                    };
+                    let state = &mut states[array.index_of(nb)];
+                    if *state != TileClock::Unclocked {
+                        continue;
+                    }
+                    *state = TileClock::Locked {
                         // The winning input is the side the clock *arrives
                         // from*, i.e. the direction pointing back at `tile`.
                         from: dir.opposite(),
                         locked_at: arrival,
-                    });
-                    heap.push(std::cmp::Reverse((arrival, nb.x, nb.y)));
+                    };
+                    next.push(nb);
                 }
             }
+            next.sort_unstable_by_key(by_column);
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
-
-        let states: Vec<TileClock> = states
-            .into_iter()
-            .enumerate()
-            .map(|(idx, s)| match s {
-                Some(s) => s,
-                None => {
-                    if self.faults.is_faulty(array.coord_of(idx)) {
-                        TileClock::Faulty
-                    } else {
-                        TileClock::Unclocked
-                    }
-                }
-            })
-            .collect();
 
         Ok(ForwardingPlan {
             array,
@@ -176,6 +183,11 @@ impl ForwardingSim {
 pub enum ClockSetupError {
     /// No generator tile was configured.
     NoGenerator,
+    /// A generator tile lies outside the tile array.
+    GeneratorOutsideArray {
+        /// The offending tile.
+        tile: TileCoord,
+    },
     /// A generator tile is not on the array edge.
     GeneratorNotOnEdge {
         /// The offending tile.
@@ -192,6 +204,9 @@ impl fmt::Display for ClockSetupError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClockSetupError::NoGenerator => f.write_str("no clock generator tile configured"),
+            ClockSetupError::GeneratorOutsideArray { tile } => {
+                write!(f, "generator tile {tile} lies outside the tile array")
+            }
             ClockSetupError::GeneratorNotOnEdge { tile } => {
                 write!(f, "generator tile {tile} is not on the wafer edge")
             }
@@ -547,6 +562,142 @@ mod tests {
         assert!(art.contains('X'));
         assert!(art.contains('?'));
         assert_eq!(art.lines().count(), 8);
+    }
+
+    /// The multi-source heap Dijkstra that `run` flooded with before the
+    /// level order, kept as the oracle the flood is held to: it pops
+    /// tiles in (lock time, x, y) order and relocks a tile on a strictly
+    /// earlier arrival.
+    fn heap_flood(
+        sim: &ForwardingSim,
+        generators: &[TileCoord],
+    ) -> Result<ForwardingPlan, ClockSetupError> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let array = sim.faults.array();
+        let mut states = vec![None::<TileClock>; array.tile_count()];
+        let mut heap: BinaryHeap<Reverse<(u64, u16, u16)>> = BinaryHeap::new();
+        for &g in generators {
+            if !array.is_edge(g) {
+                return Err(ClockSetupError::GeneratorNotOnEdge { tile: g });
+            }
+            if sim.faults.is_faulty(g) {
+                return Err(ClockSetupError::GeneratorFaulty { tile: g });
+            }
+            states[array.index_of(g)] = Some(TileClock::Generator);
+            heap.push(Reverse((0, g.x, g.y)));
+        }
+        if generators.is_empty() {
+            return Err(ClockSetupError::NoGenerator);
+        }
+        let hop_cost = u64::from(sim.toggle_count);
+        while let Some(Reverse((t, x, y))) = heap.pop() {
+            let tile = TileCoord::new(x, y);
+            for dir in DIRECTIONS {
+                let Some(nb) = array.neighbor(tile, dir) else {
+                    continue;
+                };
+                if sim.faults.is_faulty(nb) {
+                    continue;
+                }
+                let idx = array.index_of(nb);
+                let arrival = t + hop_cost;
+                let better = match states[idx] {
+                    None => true,
+                    Some(TileClock::Locked { locked_at, .. }) => arrival < locked_at,
+                    Some(_) => false,
+                };
+                if better {
+                    states[idx] = Some(TileClock::Locked {
+                        from: dir.opposite(),
+                        locked_at: arrival,
+                    });
+                    heap.push(Reverse((arrival, nb.x, nb.y)));
+                }
+            }
+        }
+        let states = states
+            .into_iter()
+            .enumerate()
+            .map(|(idx, s)| match s {
+                Some(s) => s,
+                None if sim.faults.is_faulty(array.coord_of(idx)) => TileClock::Faulty,
+                None => TileClock::Unclocked,
+            })
+            .collect();
+        Ok(ForwardingPlan {
+            array,
+            states,
+            hop_cost,
+        })
+    }
+
+    #[test]
+    fn level_flood_matches_the_heap_dijkstra_oracle() {
+        use rand::RngExt as _;
+
+        let mut rng = wsp_common::seeded_rng(4);
+        let mut compared = 0;
+        for (cols, rows) in [(1, 1), (1, 7), (7, 1), (2, 2), (8, 8), (13, 9), (32, 32)] {
+            let array = TileArray::new(cols, rows);
+            for pct in [0, 5, 10, 20, 40, 60, 80] {
+                for _ in 0..4 {
+                    let count = array.tile_count() * pct / 100;
+                    let faults = FaultMap::sample_uniform(array, count, &mut rng);
+                    let edge: Vec<TileCoord> = array
+                        .edge_tiles()
+                        .filter(|&t| faults.is_healthy(t))
+                        .collect();
+                    if edge.is_empty() {
+                        continue;
+                    }
+                    let pick = |rng: &mut rand::rngs::StdRng| edge[rng.random_range(0..edge.len())];
+                    let mut sets: Vec<Vec<TileCoord>> = (1..=4)
+                        .map(|k| (0..k).map(|_| pick(&mut rng)).collect())
+                        .collect();
+                    let g = pick(&mut rng);
+                    sets.push(vec![g, g]);
+                    if let Some(adjacent) = array
+                        .neighbors(g)
+                        .find(|&t| array.is_edge(t) && faults.is_healthy(t))
+                    {
+                        sets.push(vec![adjacent, g]);
+                    }
+                    for generators in &sets {
+                        for toggle_count in [1, 16] {
+                            let sim =
+                                ForwardingSim::new(faults.clone()).with_toggle_count(toggle_count);
+                            assert_eq!(
+                                sim.run(generators.iter().copied()),
+                                heap_flood(&sim, generators),
+                                "{array}, {count} faults, generators {generators:?}, \
+                                 toggle count {toggle_count}"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 1000, "only {compared} floods compared");
+    }
+
+    #[test]
+    fn generator_outside_the_array_is_an_error() {
+        let array = TileArray::new(32, 32);
+        let sim = ForwardingSim::new(FaultMap::none(array));
+        for tile in [TileCoord::new(0, 500), TileCoord::new(40, 31)] {
+            assert_eq!(
+                sim.run([TileCoord::new(0, 0), tile]),
+                Err(ClockSetupError::GeneratorOutsideArray { tile })
+            );
+        }
+        let err = sim.run([TileCoord::new(0, 500)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "generator tile (0, 500) lies outside the tile array"
+        );
     }
 
     #[test]

@@ -10,11 +10,19 @@
 //! receives — the droop map of Fig. 2.
 //!
 //! There is one solve: [`PdnConfig::solve`] (and its traced and per-tile
-//! current forms) relaxes the nodes in lexicographic, row-major order —
-//! classic Gauss–Seidel SOR. Every PDN number in the workspace comes from
-//! it. Another sweep ordering (red/black, say) stops at a different point
-//! inside the residual tolerance, so it would move those numbers in their
-//! last digits; the solution is pinned bit for bit in the unit tests.
+//! current forms), classic Gauss–Seidel SOR with the fixed point of the
+//! lexicographic, row-major sweep. Every PDN number in the workspace comes
+//! from it. The sweep visits nodes by anti-diagonal (`x + y`), which
+//! performs exactly the row-major sweep's reads and arithmetic: a node's
+//! north and west neighbours are on the diagonal before its own and
+//! already relaxed, its south and east ones on the diagonal after and not
+//! yet. Nodes on one diagonal do not read each other, so their updates
+//! overlap instead of each waiting on its west neighbour's division. The
+//! speed of a red/black sweep comes from the same independence, but
+//! red/black reads different values and stops at a different point inside
+//! the residual tolerance, moving every PDN number in its last digits.
+//! The solution is pinned bit for bit in the unit tests, and a test-only
+//! copy of the row-major sweep is the oracle it is compared with.
 
 use std::error::Error;
 use std::fmt;
@@ -205,10 +213,13 @@ impl PdnConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SolvePdnError::NoConvergence`] if the iteration fails to
-    /// reach the `10 nV` residual tolerance within the iteration budget,
-    /// and [`SolvePdnError::Collapse`] if a constant-power load drags a
-    /// node to a non-physical (≤0 V) operating point.
+    /// Returns [`SolvePdnError::NonFiniteLoad`] if the load's current at
+    /// the supply voltage is NaN or infinite,
+    /// [`SolvePdnError::NoConvergence`] if the iteration fails to reach
+    /// the `10 nV` residual tolerance within the iteration budget or an
+    /// iterate turns NaN, and [`SolvePdnError::Collapse`] if a
+    /// constant-power load drags a node to a non-physical (≤0 V)
+    /// operating point.
     pub fn solve(&self) -> Result<PdnSolution, SolvePdnError> {
         self.solve_traced(&mut NoopSink)
     }
@@ -239,7 +250,9 @@ impl PdnConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SolvePdnError::NoConvergence`] on iteration failure.
+    /// Returns [`SolvePdnError::NonFiniteLoad`] naming the first tile whose
+    /// current is NaN or infinite, and [`SolvePdnError::NoConvergence`] on
+    /// iteration failure.
     ///
     /// # Panics
     ///
@@ -261,7 +274,9 @@ impl PdnConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SolvePdnError::NoConvergence`] on iteration failure.
+    /// Returns [`SolvePdnError::NonFiniteLoad`] naming the first tile whose
+    /// current is NaN or infinite, and [`SolvePdnError::NoConvergence`] on
+    /// iteration failure.
     ///
     /// # Panics
     ///
@@ -295,6 +310,43 @@ impl PdnConfig {
     /// SOR relaxation factor for Laplace-like grids.
     const OMEGA: f64 = 1.9;
 
+    /// The sweep's stencil, one entry per node in visiting order:
+    /// anti-diagonal by anti-diagonal (`x + y` ascending), `x` ascending
+    /// within one — the order that reads exactly what the row-major sweep
+    /// read (module docs).
+    fn stencil(&self, g_link: f64, g_edge: f64) -> Vec<Stencil> {
+        let array = self.array;
+        let (cols, rows) = (usize::from(array.cols()), usize::from(array.rows()));
+        let pad = array.tile_count();
+        let mut table = Vec::with_capacity(pad);
+        for diagonal in 0..cols + rows - 1 {
+            for x in diagonal.saturating_sub(rows - 1)..=diagonal.min(cols - 1) {
+                let tile = TileCoord::new(x as u16, (diagonal - x) as u16);
+                let mut neighbours = [pad; 4];
+                // Summed in the row-major sweep's order: N, S, E, W, ring.
+                let mut g_sum = 0.0;
+                for dir in DIRECTIONS {
+                    if let Some(nb) = array.neighbor(tile, dir) {
+                        neighbours[dir.index()] = array.index_of(nb);
+                        g_sum += g_link;
+                    }
+                }
+                let mut supply = 0.0;
+                if self.touches_supply(tile) {
+                    g_sum += g_edge;
+                    supply = g_edge * self.supply.value();
+                }
+                table.push(Stencil {
+                    node: array.index_of(tile),
+                    neighbours,
+                    g_sum,
+                    supply,
+                });
+            }
+        }
+        table
+    }
+
     fn solve_inner(
         &self,
         mut i_load: Vec<f64>,
@@ -303,32 +355,44 @@ impl PdnConfig {
     ) -> Result<PdnSolution, SolvePdnError> {
         let array = self.array;
         let n = array.tile_count();
+        if let Some(idx) = i_load.iter().position(|i| !i.is_finite()) {
+            return Err(SolvePdnError::NonFiniteLoad {
+                tile: array.coord_of(idx),
+            });
+        }
         let g_link = 1.0 / self.loop_sheet_resistance.value();
         let g_edge = 1.0 / self.edge_connection.value();
-        let vs = self.supply.value();
+        let stencil = self.stencil(g_link, g_edge);
 
-        let mut v = vec![vs; n];
+        // Node voltages in row-major order, then the pad slot a missing
+        // neighbour reads. Its term `g_link · +0.0` is +0.0, and `inflow`
+        // starts at +0.0 and never becomes −0.0, so adding it changes no
+        // bit of the row-major sweep's sum.
+        let mut v = vec![self.supply.value(); n + 1];
+        v[n] = 0.0;
         let mut iterations = 0usize;
         loop {
+            // The residual is the largest delta; a NaN delta is flagged
+            // on its own (the compare below, like `f64::max`, would drop
+            // it), so a non-finite iterate never reads as converged.
             let mut max_delta: f64 = 0.0;
-            for idx in 0..n {
-                let tile = array.coord_of(idx);
-                let mut g_sum = 0.0;
+            let mut nan_delta = false;
+            for s in &stencil {
                 let mut inflow = 0.0;
-                for dir in DIRECTIONS {
-                    if let Some(nb) = array.neighbor(tile, dir) {
-                        g_sum += g_link;
-                        inflow += g_link * v[array.index_of(nb)];
-                    }
+                for &nb in &s.neighbours {
+                    inflow += g_link * v[nb];
                 }
-                if self.touches_supply(tile) {
-                    g_sum += g_edge;
-                    inflow += g_edge * vs;
-                }
-                let v_new = (inflow - i_load[idx]) / g_sum;
-                let relaxed = v[idx] + Self::OMEGA * (v_new - v[idx]);
-                max_delta = max_delta.max((relaxed - v[idx]).abs());
-                v[idx] = relaxed;
+                inflow += s.supply;
+                let old = v[s.node];
+                let v_new = (inflow - i_load[s.node]) / s.g_sum;
+                let relaxed = old + Self::OMEGA * (v_new - old);
+                let delta = (relaxed - old).abs();
+                max_delta = if delta > max_delta { delta } else { max_delta };
+                nan_delta |= delta.is_nan();
+                v[s.node] = relaxed;
+            }
+            if nan_delta {
+                max_delta = f64::NAN;
             }
             iterations += 1;
             if sink.enabled()
@@ -363,13 +427,15 @@ impl PdnConfig {
             if max_delta < Self::TOL {
                 break;
             }
-            if iterations >= Self::MAX_ITERS {
+            // A NaN node stays NaN, so a NaN residual cannot recover.
+            if max_delta.is_nan() || iterations >= Self::MAX_ITERS {
                 return Err(SolvePdnError::NoConvergence {
                     iterations,
                     residual: max_delta,
                 });
             }
         }
+        v.truncate(n);
 
         if sink.enabled() {
             sink.span("pdn", "sor_solve", 0, 0, iterations as u64);
@@ -387,6 +453,20 @@ impl PdnConfig {
             total_current,
         })
     }
+}
+
+/// One node of the SOR sweep: where its terms live and the constants of
+/// its update, built once per solve by `PdnConfig::stencil`.
+struct Stencil {
+    /// Row-major index of the node.
+    node: usize,
+    /// Neighbour indices in N, S, E, W order; a missing neighbour points
+    /// at the pad slot past the last node, which holds +0.0.
+    neighbours: [usize; 4],
+    /// Conductance to the neighbours and the ring.
+    g_sum: f64,
+    /// Inflow from the supply ring (`g_edge · V_s`), +0.0 off the ring.
+    supply: f64,
 }
 
 impl fmt::Display for PdnConfig {
@@ -416,6 +496,13 @@ pub enum SolvePdnError {
         /// The first node observed collapsing.
         tile: TileCoord,
     },
+    /// A tile's load current is NaN or infinite before the first sweep
+    /// (a non-finite tile current, or a load whose current at the supply
+    /// voltage is not finite).
+    NonFiniteLoad {
+        /// The first such tile in row-major order.
+        tile: TileCoord,
+    },
 }
 
 impl fmt::Display for SolvePdnError {
@@ -430,6 +517,9 @@ impl fmt::Display for SolvePdnError {
             ),
             SolvePdnError::Collapse { tile } => {
                 write!(f, "node voltage collapsed at tile {tile} under constant-power load")
+            }
+            SolvePdnError::NonFiniteLoad { tile } => {
+                write!(f, "load current at tile {tile} is not finite")
             }
         }
     }
@@ -788,6 +878,58 @@ mod tests {
         assert_eq!(solution_digest(&hotspot), 0x669c_2cd7_bbd4_5317);
     }
 
+    #[test]
+    fn non_finite_load_is_rejected_naming_the_tile() {
+        let cfg = PdnConfig::paper_prototype();
+        let tile = TileCoord::new(5, 3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut currents = vec![PdnConfig::PAPER_TILE_CURRENT; cfg.array().tile_count()];
+            currents[cfg.array().index_of(tile)] = Amps(bad);
+            assert_eq!(
+                cfg.solve_with_tile_currents(&currents),
+                Err(SolvePdnError::NonFiniteLoad { tile }),
+                "current {bad}"
+            );
+        }
+        // A uniform load is the same at every tile: the first one is named.
+        for load in [
+            LoadModel::ConstantCurrent(Amps(f64::NAN)),
+            LoadModel::ConstantPower(Watts(f64::NAN)),
+            LoadModel::ConstantPower(Watts(f64::INFINITY)),
+        ] {
+            assert_eq!(
+                cfg.with_load(load).solve(),
+                Err(SolvePdnError::NonFiniteLoad {
+                    tile: TileCoord::new(0, 0)
+                }),
+                "{load:?}"
+            );
+        }
+        assert_eq!(
+            SolvePdnError::NonFiniteLoad { tile }.to_string(),
+            "load current at tile (5, 3) is not finite"
+        );
+    }
+
+    #[test]
+    fn non_finite_iterate_never_reads_as_converged() {
+        // A finite current so large that the first sweeps overflow to ±∞
+        // and then NaN: the residual carries the NaN instead of dropping
+        // it, and the solve stops at once.
+        let cfg =
+            PdnConfig::paper_prototype().with_load(LoadModel::ConstantCurrent(Amps(f64::MAX)));
+        match cfg.solve() {
+            Err(SolvePdnError::NoConvergence {
+                iterations,
+                residual,
+            }) => {
+                assert!(residual.is_nan(), "residual {residual}");
+                assert!(iterations < 10, "stopped after {iterations} iterations");
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
     /// I²R summed resistor by resistor over the paper grid (every edge
     /// tile tied to the ring): each plane link once, plus each edge
     /// connection.
@@ -834,6 +976,187 @@ mod tests {
                 "{name}: plane_loss {got:.4} W vs resistor sum {want:.4} W"
             );
         }
+    }
+
+    /// The row-major Gauss–Seidel sweep that `solve` ran before the
+    /// anti-diagonal stencil, kept as the oracle `solve` is held to bit
+    /// for bit: node by node in index order, neighbours looked up on
+    /// every sweep.
+    fn row_major_solve(
+        cfg: &PdnConfig,
+        mut i_load: Vec<f64>,
+        constant_power: bool,
+    ) -> Result<PdnSolution, SolvePdnError> {
+        let array = cfg.array;
+        let n = array.tile_count();
+        let g_link = 1.0 / cfg.loop_sheet_resistance.value();
+        let g_edge = 1.0 / cfg.edge_connection.value();
+        let vs = cfg.supply.value();
+        let mut v = vec![vs; n];
+        let mut iterations = 0usize;
+        loop {
+            let mut max_delta: f64 = 0.0;
+            for idx in 0..n {
+                let tile = array.coord_of(idx);
+                let mut g_sum = 0.0;
+                let mut inflow = 0.0;
+                for dir in DIRECTIONS {
+                    if let Some(nb) = array.neighbor(tile, dir) {
+                        g_sum += g_link;
+                        inflow += g_link * v[array.index_of(nb)];
+                    }
+                }
+                if cfg.touches_supply(tile) {
+                    g_sum += g_edge;
+                    inflow += g_edge * vs;
+                }
+                let v_new = (inflow - i_load[idx]) / g_sum;
+                let relaxed = v[idx] + PdnConfig::OMEGA * (v_new - v[idx]);
+                max_delta = max_delta.max((relaxed - v[idx]).abs());
+                v[idx] = relaxed;
+            }
+            iterations += 1;
+            if constant_power {
+                let LoadModel::ConstantPower(p) = cfg.load else {
+                    unreachable!("constant_power implies a ConstantPower load");
+                };
+                for idx in 0..n {
+                    if v[idx] <= 0.05 {
+                        return Err(SolvePdnError::Collapse {
+                            tile: array.coord_of(idx),
+                        });
+                    }
+                    let target = p.value() / v[idx];
+                    i_load[idx] += 0.5 * (target - i_load[idx]);
+                }
+            }
+            if max_delta < PdnConfig::TOL {
+                break;
+            }
+            if iterations >= PdnConfig::MAX_ITERS {
+                return Err(SolvePdnError::NoConvergence {
+                    iterations,
+                    residual: max_delta,
+                });
+            }
+        }
+        let total_current = Amps(i_load.iter().sum());
+        Ok(PdnSolution {
+            array,
+            supply: cfg.supply,
+            voltages: v.into_iter().map(Volts).collect(),
+            currents: i_load.into_iter().map(Amps).collect(),
+            iterations,
+            total_current,
+        })
+    }
+
+    /// Every bit of an outcome: voltages, currents, total and iteration
+    /// count of a solution, or the error with its residual's bits.
+    fn outcome_bits(outcome: &Result<PdnSolution, SolvePdnError>) -> String {
+        match outcome {
+            Ok(sol) => {
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let v: Vec<f64> = sol.voltages.iter().map(|v| v.value()).collect();
+                let i: Vec<f64> = sol.currents.iter().map(|i| i.value()).collect();
+                format!(
+                    "Ok iterations {} total {:#x} voltages {:?} currents {:?}",
+                    sol.iterations,
+                    sol.total_current.value().to_bits(),
+                    bits(&v),
+                    bits(&i)
+                )
+            }
+            Err(SolvePdnError::NoConvergence {
+                iterations,
+                residual,
+            }) => format!("NoConvergence {iterations} {:#x}", residual.to_bits()),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// Per-tile currents for a non-square array: tiles inside `[x0, x1)
+    /// × [y0, y1)` (in quarters of the extent) at peak, the rest at 5 %.
+    fn quarter_block(array: TileArray, x: (u16, u16), y: (u16, u16)) -> Vec<Amps> {
+        let peak = PdnConfig::PAPER_TILE_CURRENT;
+        let idle = Amps(peak.value() * 0.05);
+        let span = |n: u16, (a, b): (u16, u16)| n * a / 4..(n * b).div_ceil(4);
+        let (xs, ys) = (span(array.cols(), x), span(array.rows(), y));
+        array
+            .tiles()
+            .map(|t| {
+                if xs.contains(&t.x) && ys.contains(&t.y) {
+                    peak
+                } else {
+                    idle
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn solve_matches_the_row_major_oracle_bit_for_bit() {
+        let arrays = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (17, 33), (32, 32)];
+        let converging = Watts(PdnConfig::PAPER_TILE_CURRENT.value() * 2.5 * 0.25);
+        let collapsing = Watts(50.0);
+        let (mut cases, mut collapses, mut solved) = (0, 0, 0);
+        for (cols, rows) in arrays {
+            let array = TileArray::new(cols, rows);
+            for mask in 1u8..16 {
+                let sides = [0, 1, 2, 3].map(|bit| mask & (1 << bit) != 0);
+                let base = PdnConfig::new(
+                    array,
+                    PdnConfig::PAPER_SUPPLY,
+                    PdnConfig::PAPER_LOOP_SHEET_RESISTANCE,
+                    Ohms::from_milliohms(1.0),
+                    LoadModel::ConstantCurrent(PdnConfig::PAPER_TILE_CURRENT),
+                    sides,
+                );
+                let n = array.tile_count();
+                let peak = PdnConfig::PAPER_TILE_CURRENT.value();
+                let mut runs = vec![(
+                    "constant current",
+                    base.solve(),
+                    row_major_solve(&base, vec![peak; n], false),
+                )];
+                for (name, p) in [
+                    ("converging constant power", converging),
+                    ("collapsing constant power", collapsing),
+                ] {
+                    let cfg = base.with_load(LoadModel::ConstantPower(p));
+                    let i0 = p.value() / cfg.supply.value();
+                    runs.push((name, cfg.solve(), row_major_solve(&cfg, vec![i0; n], true)));
+                }
+                for (name, x, y) in [
+                    ("centre hot block", (1, 3), (1, 3)),
+                    ("corner hot block", (0, 1), (2, 4)),
+                ] {
+                    let currents = quarter_block(array, x, y);
+                    let amps = currents.iter().map(|i| i.value()).collect();
+                    runs.push((
+                        name,
+                        base.solve_with_tile_currents(&currents),
+                        row_major_solve(&base, amps, false),
+                    ));
+                }
+                for (name, got, want) in runs {
+                    assert_eq!(
+                        outcome_bits(&got),
+                        outcome_bits(&want),
+                        "{cols}x{rows}, supply sides {sides:?}, {name}"
+                    );
+                    cases += 1;
+                    collapses += usize::from(matches!(got, Err(SolvePdnError::Collapse { .. })));
+                    solved += usize::from(got.is_ok());
+                }
+            }
+        }
+        assert_eq!(cases, 7 * 15 * 5);
+        // Both outcomes the oracle can reach are covered.
+        assert!(
+            collapses > 0 && solved > 0,
+            "{collapses} collapses, {solved} solved"
+        );
     }
 
     #[test]

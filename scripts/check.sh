@@ -111,6 +111,24 @@ if ! cmp -s tests/golden/fig6_disconnect_smoke.json "$DET_DIR/fig6_disconnect.js
 fi
 echo "    Fig. 6 disconnect fractions byte-identical to the golden"
 
+echo "==> Fig. 4 golden (fig4_clock smoke JSON vs tests/golden)"
+# The clock flood's Monte Carlo counts, tiles locked from each side
+# included, are exact integers: a flood that breaks a tie differently
+# moves the locked-from counts even where coverage and setup latency
+# hold. No digest sidecar; on a mismatch wsp-diff names each moved metric.
+if [ "${WSP_UPDATE_GOLDEN:-0}" = "1" ]; then
+    target/release/fig4_clock --smoke --json tests/golden/fig4_clock_smoke.json >/dev/null
+    echo "    refreshed tests/golden/fig4_clock_smoke.json"
+fi
+target/release/fig4_clock --smoke --json "$DET_DIR/fig4_clock.json" >/dev/null
+if ! cmp -s tests/golden/fig4_clock_smoke.json "$DET_DIR/fig4_clock.json"; then
+    echo "FAIL: fig4_clock smoke JSON differs from tests/golden/fig4_clock_smoke.json" >&2
+    target/release/wsp-diff bench tests/golden/fig4_clock_smoke.json \
+        "$DET_DIR/fig4_clock.json" >&2 || true
+    exit 1
+fi
+echo "    Fig. 4 lock counts byte-identical to the golden"
+
 echo "==> serve snapshot gate (snapshot -> restore -> resume is bit-identical)"
 # Checkpoint a serving campaign after 9 of its 24 smoke jobs, restore it
 # in a fresh process, run the remainder, and demand the resumed run's
