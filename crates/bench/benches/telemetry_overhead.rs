@@ -8,46 +8,21 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waferscale::{MultiTileMachine, SystemConfig};
+use waferscale::workload::build_halo_machine;
+use waferscale::MultiTileMachine;
 use wsp_common::seeded_rng;
 use wsp_noc::{NocSim, SimConfig, TrafficPattern};
 use wsp_telemetry::{NoopSink, SharedRecorder};
-use wsp_tile::isa::{Program, Reg};
-use wsp_topo::{FaultMap, TileArray, TileCoord};
-
-const N: u16 = 4;
-const HALO_WORDS: u32 = 8;
+use wsp_tile::MemoryModelKind;
+use wsp_topo::{FaultMap, TileArray};
 
 /// Every tile's first two cores sum a strip of the east neighbour's
 /// memory over the shared NoC fabric.
 fn stencil_machine() -> MultiTileMachine {
-    let cfg = SystemConfig::with_array(TileArray::new(N, N));
-    let mut m = MultiTileMachine::new(cfg, FaultMap::none(cfg.array()));
-    for y in 0..N {
-        for x in 0..N {
-            let east = TileCoord::new((x + 1) % N, y);
-            for core in 0..2u32 {
-                let base = m.global_address(east, core * 64).expect("mapped");
-                let program = Program::builder()
-                    .ldi(Reg::R1, base)
-                    .ldi(Reg::R5, 0)
-                    .ldi(Reg::R3, HALO_WORDS)
-                    .ldi(Reg::R0, 0)
-                    .label("halo")
-                    .ld(Reg::R2, Reg::R1, 0)
-                    .add(Reg::R5, Reg::R5, Reg::R2)
-                    .addi(Reg::R1, Reg::R1, 4)
-                    .addi(Reg::R3, Reg::R3, -1)
-                    .bne(Reg::R3, Reg::R0, "halo")
-                    .halt()
-                    .build()
-                    .expect("builds");
-                m.load_program(TileCoord::new(x, y), core as usize, &program)
-                    .expect("loads");
-            }
-        }
-    }
-    m
+    build_halo_machine(
+        &FaultMap::none(TileArray::new(4, 4)),
+        MemoryModelKind::Fixed,
+    )
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

@@ -15,7 +15,7 @@ use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
 use wsp_common::seeded_rng;
 use wsp_common::stepping::Stepping;
 use wsp_noc::{NocSim, RoutePlanner, SimConfig, TrafficPattern};
-use wsp_telemetry::{SharedRecorder, Sink};
+use wsp_telemetry::{SharedRecorder, Sink, DEFAULT_DIGEST_EVERY, DEFAULT_SAMPLE_EVERY};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 fn main() {
@@ -102,8 +102,8 @@ fn main() {
         // give it the full observability treatment (time series, digest
         // journal, and — outside smoke mode — the wall-clock profiler).
         if matches!(pattern, TrafficPattern::HotSpot { .. }) {
-            sim.fabric_mut().set_sampling(opts.sample_every);
-            sim.fabric_mut().set_digests(opts.digest_every);
+            sim.fabric_mut().set_sampling(DEFAULT_SAMPLE_EVERY);
+            sim.fabric_mut().set_digests(DEFAULT_DIGEST_EVERY);
             sim.fabric_mut().set_profiling(!opts.smoke);
         }
         let report = sim.run(pattern, requests, &mut rng);

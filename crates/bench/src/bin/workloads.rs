@@ -18,7 +18,7 @@ use waferscale::workload::{
     build_halo_machine, reference_pagerank, run_bfs, run_pagerank, run_sssp, run_stencil, Graph,
     GraphKind, StencilGrid,
 };
-use waferscale::{SystemConfig, WaferscaleSystem};
+use waferscale::{MultiTileMachine, SystemConfig, WaferscaleSystem};
 use wsp_bench::{header, metric_key, result_line, row, BenchOpts};
 use wsp_clock::ClockSelector;
 use wsp_common::rng::stream_seed;
@@ -28,7 +28,8 @@ use wsp_common::units::Amps;
 use wsp_dft::TestSchedule;
 use wsp_noc::sample_connected_fault_map;
 use wsp_pdn::{LoadModel, PdnConfig};
-use wsp_telemetry::{SharedRecorder, Sink};
+use wsp_telemetry::{SharedRecorder, Sink, DEFAULT_DIGEST_EVERY, DEFAULT_SAMPLE_EVERY};
+use wsp_tile::MemoryModelKind;
 use wsp_topo::{Direction, FaultMap, TileArray};
 
 fn main() {
@@ -324,6 +325,11 @@ fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, stepping: Stepping)
     );
 }
 
+/// The halo-exchange machine on a fault-free `n`×`n` array.
+fn clean_halo_machine(n: u16, memory: MemoryModelKind) -> MultiTileMachine {
+    build_halo_machine(&FaultMap::none(TileArray::new(n, n)), memory)
+}
+
 /// The memory-fidelity sweep: BFS, SSSP, PageRank, and the halo-exchange
 /// machine each run under the fixed-latency and the banked row-buffer
 /// backend, recording the slowdown and the row-buffer hit rate. The
@@ -331,8 +337,6 @@ fn mini_serve_campaign(sink: &mut SharedRecorder, seed: u64, stepping: Stepping)
 /// fixed cycles (the banked model only ever adds latency) — both are
 /// asserted, not just reported. Skipped in smoke mode.
 fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64) {
-    use wsp_tile::MemoryModelKind;
-
     header(
         "Memory hierarchy",
         "kernel slowdown under banked row-buffer timing (8x8)",
@@ -408,7 +412,7 @@ fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64) {
         pagerank(MemoryModelKind::Banked),
     );
     let halo = |kind| {
-        let mut m = waferscale::workload::build_halo_machine_with_memory(8, kind);
+        let mut m = clean_halo_machine(8, kind);
         let stats = m.run_until_halt(1_000_000).expect("halts");
         (stats.cycles, 0, m.memory_profile().row_hit_rate())
     };
@@ -431,7 +435,7 @@ fn memory_fidelity_sweep(sink: &mut SharedRecorder, seed: u64) {
 /// gate).
 fn full_wafer_machine_bench(sink: &mut SharedRecorder, stepping: Stepping) {
     header("Full wafer", "32x32 machine halo exchange");
-    let mut m = build_halo_machine(32);
+    let mut m = clean_halo_machine(32, MemoryModelKind::Fixed);
     m.set_stepping(stepping);
     let start = Instant::now();
     let stats = m.run_until_halt(1_000_000).expect("halts");
@@ -469,7 +473,7 @@ fn wheel_vs_dense_machine_bench(sink: &mut SharedRecorder) {
         "16x16 machine halo exchange, dense sweep vs wheel stepping",
     );
     let run = |stepping: Stepping| {
-        let mut m = build_halo_machine(16);
+        let mut m = clean_halo_machine(16, MemoryModelKind::Fixed);
         m.set_stepping(stepping);
         let start = Instant::now();
         let stats = m.run_until_halt(1_000_000).expect("halts");
@@ -563,12 +567,12 @@ fn traced_stencil_run(recorder: &SharedRecorder, opts: &BenchOpts) {
     TestSchedule::paper_multichain().trace_load(16 * 1024, &mut sink);
 
     // The halo-exchange machine, fully instrumented.
-    let mut m = build_halo_machine(N);
+    let mut m = clean_halo_machine(N, MemoryModelKind::Fixed);
     m.set_stepping(stepping);
     m.set_sink(recorder.boxed());
     m.fabric_mut().set_sink(recorder.boxed());
-    m.set_sampling(opts.sample_every);
-    m.set_digests(opts.digest_every);
+    m.set_sampling(DEFAULT_SAMPLE_EVERY);
+    m.set_digests(DEFAULT_DIGEST_EVERY);
     m.set_profiling(!opts.smoke);
     let stats = m.run_until_halt(1_000_000).expect("halts");
     m.export_metrics(&mut sink);

@@ -11,7 +11,7 @@ use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 use wsp_common::stepping::Stepping;
-use wsp_telemetry::{DigestJournal, SharedRecorder, DEFAULT_DIGEST_EVERY, DEFAULT_SAMPLE_EVERY};
+use wsp_telemetry::{DigestJournal, SharedRecorder};
 use wsp_tile::MemoryModelKind;
 
 pub mod diff;
@@ -33,12 +33,13 @@ pub mod diff;
 /// - `--memory <fixed|banked|banked+tlb>` — memory-timing backend for
 ///   the machine and workload layers (default: `fixed`, which is
 ///   byte-identical to the pre-trait model);
-/// - `--sample-every <n>` — cycles between time-series gauge samples in
-///   the cycle-level engines (default: 64; `0` disables sampling);
-/// - `--digest-every <n>` — cycles between determinism-digest windows;
-///   the journal is written to `<json>.digest` next to `--json`
-///   (default: 64; `0` disables digests);
 /// - `--smoke` — shrink the workload to a seconds-scale smoke run.
+///
+/// The cycle-level engines sample time series every
+/// [`wsp_telemetry::DEFAULT_SAMPLE_EVERY`] cycles and fold a
+/// determinism digest every [`wsp_telemetry::DEFAULT_DIGEST_EVERY`]
+/// cycles; the digest journal is written to `<json>.digest` next to
+/// `--json`.
 ///
 /// # Examples
 ///
@@ -55,7 +56,7 @@ pub mod diff;
 /// assert!(opts.smoke);
 /// assert_eq!(opts.json.as_deref(), Some(std::path::Path::new("out.json")));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchOpts {
     /// Where to write the metrics report, if requested.
     pub json: Option<PathBuf>,
@@ -67,27 +68,8 @@ pub struct BenchOpts {
     pub stepping: Stepping,
     /// Memory-timing backend for the machine and workload layers.
     pub memory: MemoryModelKind,
-    /// Cycles between time-series gauge samples (0 = off).
-    pub sample_every: u64,
-    /// Cycles between determinism-digest windows (0 = off).
-    pub digest_every: u64,
     /// Whether to run the reduced smoke workload.
     pub smoke: bool,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            json: None,
-            trace: None,
-            seed: None,
-            stepping: Stepping::default(),
-            memory: MemoryModelKind::default(),
-            sample_every: DEFAULT_SAMPLE_EVERY,
-            digest_every: DEFAULT_DIGEST_EVERY,
-            smoke: false,
-        }
-    }
 }
 
 impl BenchOpts {
@@ -100,7 +82,7 @@ impl BenchOpts {
                 eprintln!(
                     "usage: [--json <path>] [--trace <path>] [--seed <u64>] \
                      [--stepping <dense|wheel>] [--memory <fixed|banked|banked+tlb>] \
-                     [--sample-every <n>] [--digest-every <n>] [--smoke]"
+                     [--smoke]"
                 );
                 std::process::exit(2);
             }
@@ -144,18 +126,6 @@ impl BenchOpts {
                         format!("invalid memory model {raw:?} (fixed|banked|banked+tlb)")
                     })?;
                 }
-                "--sample-every" => {
-                    let raw = args.next().ok_or("--sample-every requires a value")?;
-                    opts.sample_every = raw
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid sample cadence {raw:?}"))?;
-                }
-                "--digest-every" => {
-                    let raw = args.next().ok_or("--digest-every requires a value")?;
-                    opts.digest_every = raw
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid digest cadence {raw:?}"))?;
-                }
                 "--smoke" => opts.smoke = true,
                 other => return Err(format!("unknown argument {other:?}")),
             }
@@ -197,8 +167,8 @@ impl BenchOpts {
     }
 
     /// Writes the digest journal sidecar next to `--json`. A no-op when
-    /// `--json` was not requested or digests were disabled (`journal` is
-    /// `None`).
+    /// `--json` was not requested or the engine kept no journal
+    /// (`journal` is `None`).
     pub fn write_digest(&self, journal: Option<&DigestJournal>) {
         if let (Some(path), Some(journal)) = (self.digest_path(), journal) {
             write_file(&path, &journal.to_text());
@@ -417,10 +387,6 @@ mod tests {
             "dense",
             "--memory",
             "banked",
-            "--sample-every",
-            "8",
-            "--digest-every",
-            "16",
             "--smoke",
         ])
         .expect("valid");
@@ -429,8 +395,6 @@ mod tests {
         assert_eq!(opts.seed, Some(9));
         assert_eq!(opts.stepping, Stepping::Dense);
         assert_eq!(opts.memory, MemoryModelKind::Banked);
-        assert_eq!(opts.sample_every, 8);
-        assert_eq!(opts.digest_every, 16);
         assert!(opts.smoke);
         assert_eq!(opts.seed_or(7), 9);
         assert_eq!(
@@ -441,11 +405,7 @@ mod tests {
         assert_eq!(empty.seed_or(7), 7);
         assert_eq!(empty.stepping, Stepping::Wheel);
         assert_eq!(empty.memory, MemoryModelKind::Fixed);
-        assert_eq!(empty.sample_every, DEFAULT_SAMPLE_EVERY);
-        assert_eq!(empty.digest_every, DEFAULT_DIGEST_EVERY);
         assert_eq!(empty.digest_path(), None);
-        let off = parse(&["--sample-every", "0", "--digest-every", "0"]).expect("valid");
-        assert_eq!((off.sample_every, off.digest_every), (0, 0));
         let tlb = parse(&["--memory", "banked+tlb"]).expect("valid");
         assert_eq!(tlb.memory, MemoryModelKind::BankedTlb);
     }
@@ -468,10 +428,14 @@ mod tests {
         );
         assert!(parse(&["--memory"]).is_err());
         assert!(parse(&["--memory", "dram"]).is_err());
-        assert!(parse(&["--sample-every"]).is_err());
-        assert!(parse(&["--sample-every", "often"]).is_err());
-        assert!(parse(&["--digest-every"]).is_err());
-        assert!(parse(&["--digest-every", "-1"]).is_err());
+        assert_eq!(
+            parse(&["--sample-every", "8"]).unwrap_err(),
+            "unknown argument \"--sample-every\""
+        );
+        assert_eq!(
+            parse(&["--digest-every", "8"]).unwrap_err(),
+            "unknown argument \"--digest-every\""
+        );
         assert!(parse(&["--frobnicate"]).is_err());
     }
 

@@ -4,7 +4,8 @@
 //!
 //! Each tile contributes its four global banks to one flat address space:
 //! `GLOBAL_BASE + tile_index × 512 KiB + offset`. A core load/store that
-//! decodes to its own tile arbitrates the local crossbar as usual; one
+//! decodes to its own tile goes through that tile's bank port
+//! ([`MemoryChiplet::serve`]) as usual; one
 //! that decodes to a *remote* tile becomes a request packet on the shared
 //! [`wsp_noc::Fabric`] — riding whichever network the kernel's
 //! [`RoutePlanner`] picked, with the response returning on the
@@ -30,8 +31,8 @@ use wsp_telemetry::{
 use wsp_tile::{
     isa::Reg,
     memory::{bank_of_offset, GLOBAL_REGION_BYTES},
-    AccessMemoryError, BusAccess, BusGrant, CoreSim, CoreState, MemTiming, MemoryChiplet,
-    MemoryModel, MemoryModelKind, PendingAccess, StepError, GLOBAL_BASE,
+    AccessMemoryError, BusAccess, BusGrant, CoreSim, CoreState, MemoryChiplet, MemoryModel,
+    MemoryModelKind, PendingAccess, StepError, GLOBAL_BASE,
 };
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
@@ -53,16 +54,6 @@ struct RemoteOp {
     core_idx: usize,
     access: BusAccess,
     result: Option<u32>,
-}
-
-impl RemoteOp {
-    fn addr(&self) -> u32 {
-        match self.access {
-            BusAccess::Load { addr }
-            | BusAccess::Store { addr, .. }
-            | BusAccess::AmoAdd { addr, .. } => addr,
-        }
-    }
 }
 
 /// Execution statistics of a machine run.
@@ -882,42 +873,27 @@ impl MultiTileMachine {
     /// memory model denied the port (retry next cycle).
     fn try_service_request(&mut self, packet: &FabricPacket, op: &RemoteOp) -> bool {
         let owner_idx = self.faults.array().index_of(packet.dst);
-        let offset = (op.addr() - GLOBAL_BASE) % GLOBAL_REGION_BYTES as u32;
+        let offset = (op.access.addr() - GLOBAL_BASE) % GLOBAL_REGION_BYTES as u32;
         // The issuing closure validated range and alignment before the
         // packet was injected. Models stamp with the absolute cycle, so
         // no lazy per-cycle reset is needed even under wheel stepping.
-        self.memories[owner_idx]
-            .bank_of(offset)
+        // The response is injected immediately on grant; a banked model
+        // prices the access by keeping the bank busy, which delays
+        // *subsequent* requests rather than this reply.
+        let served = self.memories[owner_idx]
+            .serve(
+                self.mem_models[owner_idx].as_mut(),
+                offset,
+                self.cycles,
+                op.access,
+            )
             .expect("offset validated at issue");
-        match self.mem_models[owner_idx].request(offset, self.cycles) {
-            MemTiming::Denied => {
-                self.bank_conflicts += 1;
-                if self.sink.enabled() {
-                    self.sink.counter_add("machine.bank_conflicts", 1);
-                }
-                return false;
+        let Some((value, _stall)) = served else {
+            self.bank_conflicts += 1;
+            if self.sink.enabled() {
+                self.sink.counter_add("machine.bank_conflicts", 1);
             }
-            // The response is injected immediately on grant; a banked
-            // model prices the access by keeping the bank busy, which
-            // delays *subsequent* requests rather than this reply.
-            MemTiming::Granted { .. } => {}
-        }
-        let memory = &mut self.memories[owner_idx];
-        let value = match op.access {
-            BusAccess::Load { .. } => memory.read_word(offset).expect("offset validated at issue"),
-            BusAccess::Store { value, .. } => {
-                memory
-                    .write_word(offset, value)
-                    .expect("offset validated at issue");
-                0
-            }
-            BusAccess::AmoAdd { value, .. } => {
-                let old = memory.read_word(offset).expect("offset validated at issue");
-                memory
-                    .write_word(offset, old.wrapping_add(value))
-                    .expect("offset validated at issue");
-                old
-            }
+            return false;
         };
         self.in_flight
             .get_mut(&packet.id)
@@ -937,7 +913,11 @@ impl MultiTileMachine {
         };
         let slot = &mut self.pending[op.tile_idx][op.core_idx];
         if let Some(PendingAccess::InFlight { addr, issued_at }) = *slot {
-            debug_assert_eq!(addr, op.addr(), "response matches the stalled access");
+            debug_assert_eq!(
+                addr,
+                op.access.addr(),
+                "response matches the stalled access"
+            );
             *slot = Some(PendingAccess::Ready {
                 addr,
                 issued_at,
@@ -985,11 +965,7 @@ impl MultiTileMachine {
         let mut stall = 0u64;
         let core = &mut cores[tile_idx][core_idx];
         let outcome = core.step(|access| {
-            let addr = match access {
-                BusAccess::Load { addr }
-                | BusAccess::Store { addr, .. }
-                | BusAccess::AmoAdd { addr, .. } => addr,
-            };
+            let addr = access.addr();
             let (owner_idx, offset) = decode_global(array, faults, addr)?;
 
             if owner_idx != tile_idx {
@@ -1050,31 +1026,17 @@ impl MultiTileMachine {
                 }
             }
 
-            // Arbitrate this tile's own memory model for a local access.
-            memory.bank_of(offset)?;
-            match model.request(offset, cycles) {
-                MemTiming::Denied => {
-                    *bank_conflicts += 1;
-                    if telemetry_on {
-                        sink.counter_add("machine.bank_conflicts", 1);
-                    }
-                    return Ok(BusGrant::Stalled);
+            // Arbitrate this tile's own bank port for a local access.
+            let Some((value, extra)) = memory.serve(model, offset, cycles, access)? else {
+                *bank_conflicts += 1;
+                if telemetry_on {
+                    sink.counter_add("machine.bank_conflicts", 1);
                 }
-                MemTiming::Granted { stall: extra } => stall = extra,
-            }
+                return Ok(BusGrant::Stalled);
+            };
+            stall = extra;
             *local_accesses += 1;
-            match access {
-                BusAccess::Load { .. } => Ok(BusGrant::Granted(memory.read_word(offset)?)),
-                BusAccess::Store { value, .. } => {
-                    memory.write_word(offset, value)?;
-                    Ok(BusGrant::Granted(0))
-                }
-                BusAccess::AmoAdd { value, .. } => {
-                    let old = memory.read_word(offset)?;
-                    memory.write_word(offset, old.wrapping_add(value))?;
-                    Ok(BusGrant::Granted(old))
-                }
-            }
+            Ok(BusGrant::Granted(value))
         });
         core.apply_stall_cycles(stall);
         outcome
@@ -2152,7 +2114,8 @@ mod tests {
 
     #[test]
     fn invariant_checker_sees_stale_core_masks() {
-        let mut m = crate::workload::build_halo_machine(4);
+        let faults = FaultMap::none(TileArray::new(4, 4));
+        let mut m = crate::workload::build_halo_machine(&faults, MemoryModelKind::Fixed);
         let mut parked_seen = false;
         while m.any_running() {
             m.step().expect("halo machine runs");

@@ -21,7 +21,7 @@ mod stencil;
 
 pub use bfs::run_bfs;
 pub use graph::{Graph, GraphKind};
-pub use halo::{build_halo_machine, build_halo_machine_with_memory, HALO_WORDS};
+pub use halo::{build_halo_machine, HALO_WORDS};
 pub use pagerank::{reference_pagerank, run_pagerank};
 pub use sssp::run_sssp;
 pub use stencil::{run_stencil, StencilGrid};

@@ -52,6 +52,6 @@ pub mod slice;
 pub mod snapshot;
 
 pub use jobs::{synthesize_jobs, JobKind, JobSpec};
-pub use serve::{build_halo_slice_machine, ServeCampaign, ServeConfig, ServeError};
+pub use serve::{ServeCampaign, ServeConfig, ServeError};
 pub use slice::{partition, restrict_faults, slice_usable, Slice, SliceRect};
 pub use snapshot::SNAPSHOT_MAGIC;

@@ -28,16 +28,15 @@ use std::collections::VecDeque;
 
 use rand::{Rng, RngExt as _};
 use waferscale::workload::{
-    reference_pagerank, run_bfs, run_pagerank, run_sssp, run_stencil, Graph, GraphKind,
-    StencilGrid, HALO_WORDS,
+    build_halo_machine, reference_pagerank, run_bfs, run_pagerank, run_sssp, run_stencil, Graph,
+    GraphKind, StencilGrid,
 };
-use waferscale::{MultiTileMachine, SystemConfig, WaferscaleSystem};
+use waferscale::{SystemConfig, WaferscaleSystem};
 use wsp_common::seeded_rng;
 use wsp_common::stepping::Stepping;
 use wsp_telemetry::{DigestJournal, Fnv1a, Histogram, LaneId, PhaseProfiler, Sink};
-use wsp_tile::isa::{Program, Reg};
 use wsp_tile::MemoryModelKind;
-use wsp_topo::{FaultMap, TileArray, TileCoord};
+use wsp_topo::{FaultMap, TileArray};
 
 use crate::jobs::{JobKind, JobSpec};
 use crate::slice::{partition, restrict_faults, slice_usable, Slice};
@@ -450,8 +449,8 @@ impl ServeCampaign {
                 (report.cycles, result == grid.reference_jacobi(6))
             }
             JobKind::Halo => {
-                let mut machine =
-                    build_halo_slice_machine(&faults, self.config.stepping, self.config.memory);
+                let mut machine = build_halo_machine(&faults, self.config.memory);
+                machine.set_stepping(self.config.stepping);
                 let stats = machine.run_until_halt(2_000_000).expect("halo job halts");
                 hasher.write_u64(stats.cycles);
                 hasher.write_u64(stats.retired);
@@ -519,61 +518,6 @@ fn timed_graph<R: Rng + ?Sized>(
     let graph = Graph::generate(kind, vertices, rng);
     profile.stop(phase, timer);
     graph
-}
-
-/// Builds the halo-exchange machine over a slice's (possibly faulty)
-/// local array: every healthy tile runs two cores that stream
-/// [`HALO_WORDS`] words from the nearest *machine-reachable* healthy
-/// tile eastwards (wrapping around; a tile with no reachable peer in
-/// its row reads itself). The faulty-slice generalisation of
-/// `waferscale::workload::build_halo_machine`.
-///
-/// Reachability is the machine's own: the kernel route planner's dual
-/// DoR networks plus a single relay. That is *stricter* than the
-/// connected-healthy-region predicate the scheduler admits slices by —
-/// a fault maze can leave two healthy tiles connected only through
-/// multiple intermediates, which the analytic kernels price as
-/// store-and-forward but the ISA machine cannot route. Skipping such
-/// pairs (rather than faulting the core) keeps every admitted slice
-/// able to serve halo jobs.
-pub fn build_halo_slice_machine(
-    faults: &FaultMap,
-    stepping: Stepping,
-    memory: MemoryModelKind,
-) -> MultiTileMachine {
-    let array = faults.array();
-    let cfg = SystemConfig::with_array(array).with_memory_model(memory);
-    let planner = wsp_noc::RoutePlanner::new(faults.clone());
-    let mut m = MultiTileMachine::new(cfg, faults.clone());
-    m.set_stepping(stepping);
-    for t in faults.healthy_tiles().collect::<Vec<_>>() {
-        let east = (1..=array.cols())
-            .map(|dx| TileCoord::new((t.x + dx) % array.cols(), t.y))
-            .find(|&e| {
-                faults.is_healthy(e) && planner.choose(t, e) != wsp_noc::NetworkChoice::Disconnected
-            })
-            .unwrap_or(t);
-        for core in 0..2u32 {
-            let base = m.global_address(east, core * 64).expect("healthy target");
-            let program = Program::builder()
-                .ldi(Reg::R1, base)
-                .ldi(Reg::R5, 0)
-                .ldi(Reg::R3, HALO_WORDS)
-                .ldi(Reg::R0, 0)
-                .label("halo")
-                .ld(Reg::R2, Reg::R1, 0)
-                .add(Reg::R5, Reg::R5, Reg::R2)
-                .addi(Reg::R1, Reg::R1, 4)
-                .addi(Reg::R3, Reg::R3, -1)
-                .bne(Reg::R3, Reg::R0, "halo")
-                .halt()
-                .build()
-                .expect("builds");
-            m.load_program(t, core as usize, &program)
-                .expect("healthy tile");
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -706,9 +650,12 @@ mod tests {
 
     #[test]
     fn halo_slice_machine_tolerates_faults() {
+        use waferscale::workload::HALO_WORDS;
+        use wsp_topo::TileCoord;
+
         let array = TileArray::new(4, 4);
         let faults = FaultMap::from_faulty(array, [TileCoord::new(1, 1), TileCoord::new(2, 2)]);
-        let mut m = build_halo_slice_machine(&faults, Stepping::Wheel, MemoryModelKind::Fixed);
+        let mut m = build_halo_machine(&faults, MemoryModelKind::Fixed);
         let stats = m.run_until_halt(1_000_000).expect("halts");
         // 14 healthy tiles x 2 cores x HALO_WORDS loads, local or remote.
         assert_eq!(

@@ -142,8 +142,9 @@ pub struct DigestWindow {
 /// Magic first line of the sidecar journal format.
 pub const JOURNAL_MAGIC: &str = "wsp-digest-v1";
 
-/// Default digest cadence (cycles between windows) used by the bench
-/// binaries' `--digest-every` flag.
+/// Digest cadence (cycles between windows) of every bench binary's
+/// `<json>.digest` journal; `set_digests` on the fabric and the machine
+/// takes any other cadence (0 = off).
 pub const DEFAULT_DIGEST_EVERY: u64 = 64;
 
 /// A determinism-digest journal: windows of per-lane FNV-1a digests at

@@ -10,8 +10,9 @@ use crate::{push_json_f64, push_json_string};
 /// Default maximum number of retained points per series.
 pub const DEFAULT_SERIES_CAPACITY: usize = 512;
 
-/// Default sampling cadence (cycles between samples) used by the bench
-/// binaries' `--sample-every` flag.
+/// Sampling cadence (cycles between samples) of every bench binary's
+/// time series; `set_sampling` on the fabric and the machine takes any
+/// other cadence (0 = off).
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 /// A bounded time series of gauge samples.

@@ -3,7 +3,7 @@
 //!
 //! Each core retires one instruction per cycle; loads and stores to the
 //! private SRAM complete in that cycle, while accesses at or above
-//! [`crate::GLOBAL_BASE`] are presented to the tile's crossbar and may
+//! [`crate::GLOBAL_BASE`] are presented to the tile's bank ports and may
 //! stall for arbitration — the core re-issues the access every cycle until
 //! granted, exactly like a blocked AHB master.
 
@@ -37,6 +37,18 @@ pub enum BusAccess {
         /// The addend.
         value: u32,
     },
+}
+
+impl BusAccess {
+    /// The byte address the access targets.
+    #[inline]
+    pub fn addr(&self) -> u32 {
+        match *self {
+            BusAccess::Load { addr }
+            | BusAccess::Store { addr, .. }
+            | BusAccess::AmoAdd { addr, .. } => addr,
+        }
+    }
 }
 
 /// Outcome of presenting a [`BusAccess`] this cycle.

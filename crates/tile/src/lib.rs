@@ -9,11 +9,13 @@
 //!
 //! The model is executable: [`CoreSim`] interprets a small load/store ISA
 //! ([`isa`]) cycle by cycle, private loads hit the core's own SRAM, and
-//! accesses to the shared address space arbitrate through the
-//! [`Crossbar`] onto the [`MemoryChiplet`] banks — one access per bank per
-//! cycle, which is exactly where the paper's 6.144 TB/s aggregate
-//! shared-memory bandwidth figure comes from (1024 tiles × 5 banks ×
-//! 32 bit × 300 MHz).
+//! every access to the shared address space goes through one bank port,
+//! [`MemoryChiplet::serve`], which presents it to the tile's
+//! [`MemoryModel`] and performs it on a grant. Under the paper's
+//! [`FixedLatency`] timing that is one access per bank per cycle, which
+//! is exactly where the paper's 6.144 TB/s aggregate shared-memory
+//! bandwidth figure comes from (1024 tiles × 5 banks × 32 bit ×
+//! 300 MHz).
 //!
 //! # Examples
 //!
@@ -40,14 +42,12 @@
 #![forbid(unsafe_code)]
 
 pub mod core;
-pub mod crossbar;
 pub mod isa;
 pub mod memory;
 pub mod memory_model;
 mod tile;
 
 pub use crate::core::{BusAccess, BusGrant, CoreSim, CoreState, PendingAccess, StepError};
-pub use crate::crossbar::Crossbar;
 pub use crate::memory::{AccessMemoryError, MemoryChiplet};
 pub use crate::memory_model::{
     BankedRowBuffer, FixedLatency, MemTiming, MemoryModel, MemoryModelKind, PAddr, Tlb, VAddr,
@@ -56,7 +56,7 @@ pub use crate::tile::{LoadProgramError, RunTileError, Tile, TileStats};
 
 /// Base of the globally shared address space as seen by a core. Addresses
 /// below this go to the core's private SRAM; at or above, to the shared
-/// banks via the crossbar.
+/// banks through [`MemoryChiplet::serve`].
 pub const GLOBAL_BASE: u32 = 0x8000_0000;
 
 /// Number of cores on the compute chiplet (Table I: 14 per tile).

@@ -10,6 +10,9 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::core::BusAccess;
+use crate::memory_model::{MemTiming, MemoryModel};
+
 /// Number of SRAM banks on the memory chiplet.
 pub const BANK_COUNT: usize = 5;
 
@@ -33,10 +36,9 @@ pub const ROW_BYTES: usize = 2048;
 /// global offsets word-interleave across banks 0–3, local offsets go to
 /// bank 4.
 ///
-/// This is [`MemoryChiplet::bank_of`] without the chiplet: the mapping
-/// depends only on the address, so shared-memory validation (e.g. a
-/// machine shard checking a *remote* tile's bank before queueing a fabric
-/// request) can run without touching the owner's memory instance.
+/// The mapping depends only on the address, so an issuing tile can
+/// validate an access to a *remote* tile's banks before it sends the
+/// request, without touching the owner's memory instance.
 ///
 /// # Errors
 ///
@@ -182,16 +184,6 @@ impl MemoryChiplet {
         }
     }
 
-    /// The bank an offset maps to: global offsets word-interleave across
-    /// banks 0–3, local offsets go to bank 4.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for misaligned or out-of-range offsets.
-    pub fn bank_of(&self, offset: u32) -> Result<usize, AccessMemoryError> {
-        bank_of_offset(offset)
-    }
-
     /// Reads a word at `offset`.
     ///
     /// # Errors
@@ -210,6 +202,46 @@ impl MemoryChiplet {
         self.words.write(locate(offset)?, value);
         Ok(())
     }
+
+    /// The bank port: serves one shared-word access at `offset` in cycle
+    /// `now`. The offset is validated first; then `model` is presented
+    /// the access exactly once. On a grant the Load, Store or AMO
+    /// performs now and the result is `(value, stall)`: the word read
+    /// (the old word for an AMO, 0 for a store) and the extra cycles the
+    /// issuer must absorb. A denied access returns `None` and leaves the
+    /// word untouched; present it again in a later cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryChiplet::read_word`]'s error for a misaligned or
+    /// out-of-range offset, before the model sees the access.
+    pub fn serve(
+        &mut self,
+        model: &mut dyn MemoryModel,
+        offset: u32,
+        now: u64,
+        access: BusAccess,
+    ) -> Result<Option<(u32, u64)>, AccessMemoryError> {
+        let word = locate(offset)?;
+        let MemTiming::Granted { stall } = model.request(offset, now) else {
+            return Ok(None);
+        };
+        let value = match access {
+            BusAccess::Load { .. } => self.words.read(word),
+            BusAccess::Store { value, .. } => {
+                self.words.write(word, value);
+                0
+            }
+            BusAccess::AmoAdd { value, .. } => {
+                // One bank grant covers the whole read-modify-write: the
+                // bank port is the serialisation point.
+                let old = self.words.read(word);
+                self.words.write(word, old.wrapping_add(value));
+                old
+            }
+        };
+        Ok(Some((value, stall)))
+    }
 }
 
 impl Default for MemoryChiplet {
@@ -221,25 +253,22 @@ impl Default for MemoryChiplet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory_model::{BankedRowBuffer, FixedLatency, ROW_MISS_PENALTY};
+    use crate::GLOBAL_BASE;
 
     #[test]
     fn word_interleave_across_global_banks() {
-        let mem = MemoryChiplet::new();
-        assert_eq!(mem.bank_of(0).expect("ok"), 0);
-        assert_eq!(mem.bank_of(4).expect("ok"), 1);
-        assert_eq!(mem.bank_of(8).expect("ok"), 2);
-        assert_eq!(mem.bank_of(12).expect("ok"), 3);
-        assert_eq!(mem.bank_of(16).expect("ok"), 0);
+        assert_eq!(bank_of_offset(0), Ok(0));
+        assert_eq!(bank_of_offset(4), Ok(1));
+        assert_eq!(bank_of_offset(8), Ok(2));
+        assert_eq!(bank_of_offset(12), Ok(3));
+        assert_eq!(bank_of_offset(16), Ok(0));
     }
 
     #[test]
     fn local_bank_region() {
-        let mem = MemoryChiplet::new();
-        assert_eq!(
-            mem.bank_of(GLOBAL_REGION_BYTES as u32).expect("ok"),
-            GLOBAL_BANKS
-        );
-        assert_eq!(mem.bank_of(TOTAL_BYTES as u32 - 4).expect("ok"), 4);
+        assert_eq!(bank_of_offset(GLOBAL_REGION_BYTES as u32), Ok(GLOBAL_BANKS));
+        assert_eq!(bank_of_offset(TOTAL_BYTES as u32 - 4), Ok(4));
     }
 
     #[test]
@@ -265,12 +294,93 @@ mod tests {
     }
 
     #[test]
-    fn bank_of_offset_matches_the_chiplet_mapping() {
-        let mem = MemoryChiplet::new();
-        for offset in (0..TOTAL_BYTES as u32 + 8).step_by(4) {
-            assert_eq!(bank_of_offset(offset), mem.bank_of(offset), "{offset:#x}");
+    fn serve_denial_returns_none_and_leaves_the_word() {
+        let mut mem = MemoryChiplet::new();
+        let mut model = FixedLatency::new();
+        mem.write_word(16, 5).expect("write");
+        // Offset 0 takes bank 0's port for cycle 1; offset 16 is bank 0.
+        let first = mem.serve(&mut model, 0, 1, BusAccess::Load { addr: GLOBAL_BASE });
+        assert_eq!(first, Ok(Some((0, 0))));
+        let store = BusAccess::Store {
+            addr: GLOBAL_BASE + 16,
+            value: 9,
+        };
+        assert_eq!(mem.serve(&mut model, 16, 1, store), Ok(None));
+        assert_eq!(mem.read_word(16), Ok(5));
+        assert_eq!((model.grants(), model.conflicts()), (1, 1));
+        // The next cycle the same store is granted and performed.
+        assert_eq!(mem.serve(&mut model, 16, 2, store), Ok(Some((0, 0))));
+        assert_eq!(mem.read_word(16), Ok(9));
+    }
+
+    #[test]
+    fn serve_load_returns_the_word_and_the_model_stall() {
+        let mut mem = MemoryChiplet::new();
+        let mut model = BankedRowBuffer::new();
+        mem.write_word(8, 77).expect("write");
+        // A first touch misses the closed row: the model's stall rides
+        // along with the value.
+        assert_eq!(
+            mem.serve(
+                &mut model,
+                8,
+                1,
+                BusAccess::Load {
+                    addr: GLOBAL_BASE + 8
+                }
+            ),
+            Ok(Some((77, ROW_MISS_PENALTY)))
+        );
+    }
+
+    #[test]
+    fn serve_store_returns_zero() {
+        let mut mem = MemoryChiplet::new();
+        let mut model = FixedLatency::new();
+        mem.write_word(4, 3).expect("write");
+        let store = BusAccess::Store {
+            addr: GLOBAL_BASE + 4,
+            value: 11,
+        };
+        assert_eq!(mem.serve(&mut model, 4, 1, store), Ok(Some((0, 0))));
+        assert_eq!(mem.read_word(4), Ok(11));
+    }
+
+    #[test]
+    fn serve_amo_returns_the_old_word_and_writes_the_sum() {
+        let mut mem = MemoryChiplet::new();
+        let mut model = FixedLatency::new();
+        let local = GLOBAL_REGION_BYTES as u32;
+        mem.write_word(local, u32::MAX).expect("write");
+        let amo = BusAccess::AmoAdd {
+            addr: GLOBAL_BASE + local,
+            value: 3,
+        };
+        assert_eq!(
+            mem.serve(&mut model, local, 1, amo),
+            Ok(Some((u32::MAX, 0)))
+        );
+        assert_eq!(mem.read_word(local), Ok(2)); // wraps
+    }
+
+    #[test]
+    fn serve_rejects_bad_offsets_before_presenting_them() {
+        let mut mem = MemoryChiplet::new();
+        let mut model = FixedLatency::new();
+        for offset in [2u32, TOTAL_BYTES as u32, TOTAL_BYTES as u32 + 1] {
+            let amo = BusAccess::AmoAdd {
+                addr: GLOBAL_BASE.wrapping_add(offset),
+                value: 1,
+            };
+            assert_eq!(
+                mem.serve(&mut model, offset, 1, amo),
+                Err(mem.read_word(offset).expect_err("invalid offset")),
+                "{offset:#x}"
+            );
         }
-        assert_eq!(bank_of_offset(7), mem.bank_of(7));
+        // The model never saw an access: no grant, no conflict.
+        assert_eq!((model.grants(), model.conflicts()), (0, 0));
+        assert_eq!(mem, MemoryChiplet::new());
     }
 
     #[test]

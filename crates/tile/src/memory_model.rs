@@ -7,8 +7,7 @@
 //!
 //! - [`FixedLatency`]: the paper's model. Each bank accepts one word per
 //!   cycle; a granted access completes in the same cycle, a denied one
-//!   retries next cycle. This wraps the per-cycle [`Crossbar`] arbiter
-//!   and is bit-identical to the pre-trait code path by construction.
+//!   retries next cycle.
 //! - [`BankedRowBuffer`]: per-bank open row with open-page hits, a
 //!   row-miss penalty, a deterministic idle close policy, and per-bank
 //!   busy windows during which further requests are denied. Optionally
@@ -24,6 +23,8 @@
 //!   access now, apply the returned `stall` to the issuing core via
 //!   [`CoreSim::apply_stall_cycles`](crate::CoreSim::apply_stall_cycles),
 //!   and must **not** present the access again.
+//!   [`MemoryChiplet::serve`](crate::MemoryChiplet::serve) is the one
+//!   caller: it presents each access once and performs it on a grant.
 //! - [`MemTiming::Denied`] means the bank port (or its busy window)
 //!   rejected the access this cycle. Only the conflict counter moved —
 //!   row, TLB, and busy state are untouched — so re-presenting next
@@ -38,7 +39,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::crossbar::Crossbar;
 use crate::memory::{bank_row_of_offset, BANK_COUNT};
 
 /// Extra cycles a row miss costs over an open-page hit (precharge +
@@ -213,27 +213,32 @@ impl Clone for Box<dyn MemoryModel> {
     }
 }
 
-/// The paper's fixed-latency banks: one word per bank per cycle through
-/// the [`Crossbar`], zero additional latency. Wrapping the crossbar —
-/// rather than reimplementing it — keeps grant/conflict accounting
-/// bit-identical to the pre-trait code path.
+/// The paper's fixed-latency banks: one word per bank per cycle, zero
+/// additional latency. Each bank's port is a flag that the first access
+/// of a cycle takes and that a later cycle frees; fairness comes from
+/// the callers presenting their cores in rotating order.
 #[derive(Debug, Clone)]
 pub struct FixedLatency {
-    xbar: Crossbar,
-    /// Cycle the crossbar was last reset for; `u64::MAX` = never. The
-    /// lazy reset replaces the external per-cycle `begin_cycle` call so
-    /// sparsely stepped tiles need no catch-up loop.
+    /// Bank ports taken in cycle `stamp`.
+    busy: [bool; BANK_COUNT],
+    /// Cycle `busy` describes; `u64::MAX` = never. The first request of
+    /// a new cycle frees every port, so sparsely stepped tiles need no
+    /// per-cycle reset call.
     stamp: u64,
     served: [u64; BANK_COUNT],
+    grants: u64,
+    conflicts: u64,
 }
 
 impl FixedLatency {
     /// Creates an idle fixed-latency model.
     pub fn new() -> Self {
         FixedLatency {
-            xbar: Crossbar::new(),
+            busy: [false; BANK_COUNT],
             stamp: u64::MAX,
             served: [0; BANK_COUNT],
+            grants: 0,
+            conflicts: 0,
         }
     }
 }
@@ -247,15 +252,18 @@ impl Default for FixedLatency {
 impl MemoryModel for FixedLatency {
     fn request(&mut self, offset: u32, now: u64) -> MemTiming {
         if self.stamp != now {
-            self.xbar.begin_cycle();
+            self.busy = [false; BANK_COUNT];
             self.stamp = now;
         }
         let (bank, _row) = bank_row_of_offset(offset).expect("validated shared offset");
-        if self.xbar.request(bank) {
+        if self.busy[bank] {
+            self.conflicts += 1;
+            MemTiming::Denied
+        } else {
+            self.busy[bank] = true;
+            self.grants += 1;
             self.served[bank] += 1;
             MemTiming::Granted { stall: 0 }
-        } else {
-            MemTiming::Denied
         }
     }
 
@@ -264,11 +272,11 @@ impl MemoryModel for FixedLatency {
     }
 
     fn grants(&self) -> u64 {
-        self.xbar.grants()
+        self.grants
     }
 
     fn conflicts(&self) -> u64 {
-        self.xbar.conflicts()
+        self.conflicts
     }
 
     fn bank_busy_cycles(&self) -> [u64; BANK_COUNT] {
@@ -280,7 +288,7 @@ impl MemoryModel for FixedLatency {
         for &s in &self.served {
             h = fp_mix(h, s);
         }
-        fp_mix(fp_mix(h, self.xbar.grants()), self.xbar.conflicts())
+        fp_mix(fp_mix(h, self.grants), self.conflicts)
     }
 
     fn clone_box(&self) -> Box<dyn MemoryModel> {
@@ -502,7 +510,7 @@ impl Default for Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::ROW_BYTES;
+    use crate::memory::{GLOBAL_BANKS, GLOBAL_REGION_BYTES, ROW_BYTES, TOTAL_BYTES};
 
     /// Word offsets guaranteed to hit bank 0: the global region
     /// word-interleaves, so stride 16 stays on one bank.
@@ -523,6 +531,105 @@ mod tests {
         assert_eq!(m.grants(), 3);
         assert_eq!(m.conflicts(), 1);
         assert_eq!(m.row_hits() + m.row_misses(), 0);
+    }
+
+    #[test]
+    fn one_access_per_bank_per_cycle() {
+        // Offsets 0, 4, 8, 12 word-interleave onto banks 0-3; the first
+        // local-bank word is bank 4.
+        let banks = [0, 4, 8, 12, GLOBAL_REGION_BYTES as u32];
+        let mut m = FixedLatency::new();
+        for &offset in &banks {
+            assert_eq!(m.request(offset, 1), MemTiming::Granted { stall: 0 });
+        }
+        for &offset in &banks {
+            assert_eq!(m.request(offset, 1), MemTiming::Denied);
+        }
+        assert_eq!(m.grants(), BANK_COUNT as u64);
+        assert_eq!(m.conflicts(), BANK_COUNT as u64);
+        assert_eq!(m.bank_busy_cycles(), [1; BANK_COUNT]);
+    }
+
+    #[test]
+    fn banks_are_independent() {
+        let mut m = FixedLatency::new();
+        assert_eq!(m.request(0, 1), MemTiming::Granted { stall: 0 });
+        // A different bank in the same cycle is unaffected.
+        assert_eq!(m.request(4, 1), MemTiming::Granted { stall: 0 });
+        assert_eq!(m.conflicts(), 0);
+    }
+
+    #[test]
+    fn a_new_cycle_frees_every_port() {
+        let mut m = FixedLatency::new();
+        for bank in 0..GLOBAL_BANKS as u32 {
+            assert_eq!(m.request(bank * 4, 1), MemTiming::Granted { stall: 0 });
+        }
+        // Any later cycle, not only the next one, frees the ports.
+        for now in [2, 7] {
+            for bank in 0..GLOBAL_BANKS as u32 {
+                assert_eq!(m.request(bank * 4, now), MemTiming::Granted { stall: 0 });
+            }
+        }
+        assert_eq!(m.conflicts(), 0);
+        assert_eq!(m.grants(), 3 * GLOBAL_BANKS as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "validated shared offset")]
+    fn out_of_range_offset_panics() {
+        let _ = FixedLatency::new().request(TOTAL_BYTES as u32, 1);
+    }
+
+    /// A scripted stream over all five banks and four cycles, with
+    /// same-cycle denials and skipped cycles. The literals were captured
+    /// from the model that wrapped a separate crossbar arbiter, so the
+    /// grant sequence, the counters and the fingerprint folded into the
+    /// machine digests are pinned bit for bit.
+    #[test]
+    fn fixed_latency_is_pinned_on_a_scripted_stream() {
+        let stream: [(u32, u64); 19] = [
+            (0, 1),
+            (16, 1),
+            (4, 1),
+            (524_288, 1),
+            (524_292, 1),
+            (8, 2),
+            (0, 2),
+            (32, 2),
+            (12, 5),
+            (28, 5),
+            (44, 5),
+            (0, 5),
+            (4, 9),
+            (20, 9),
+            (8, 9),
+            (12, 9),
+            (524_300, 9),
+            (0, 9),
+            (48, 9),
+        ];
+        let granted = [
+            true, false, true, true, false, true, true, false, true, false, false, true, true,
+            false, true, true, true, true, false,
+        ];
+        let mut m = FixedLatency::new();
+        assert_eq!(m.state_fingerprint(), 0x640c_88a0_e459_2f9d);
+        for (&(offset, now), &want) in stream.iter().zip(&granted) {
+            let timing = m.request(offset, now);
+            assert_eq!(
+                timing == MemTiming::Granted { stall: 0 },
+                want,
+                "offset {offset} at cycle {now}: {timing:?}"
+            );
+        }
+        assert_eq!(m.grants(), 12);
+        assert_eq!(m.conflicts(), 7);
+        assert_eq!(m.bank_busy_cycles(), [4, 2, 2, 2, 2]);
+        assert_eq!(m.state_fingerprint(), 0x6cfe_9165_71ff_a103);
+        let mut one = FixedLatency::new();
+        let _ = one.request(0, 1);
+        assert_eq!(one.state_fingerprint(), 0x76a0_8cd6_6fe8_89c4);
     }
 
     #[test]

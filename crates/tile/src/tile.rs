@@ -3,10 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::core::{BusAccess, BusGrant, CoreSim, CoreState, StepError};
+use crate::core::{BusGrant, CoreSim, CoreState, StepError};
 use crate::isa::Program;
 use crate::memory::{AccessMemoryError, MemoryChiplet, TOTAL_BYTES};
-use crate::memory_model::{MemTiming, MemoryModel, MemoryModelKind};
+use crate::memory_model::{MemoryModel, MemoryModelKind};
 use crate::{CORES_PER_TILE, GLOBAL_BASE};
 
 /// Aggregate execution statistics of a tile.
@@ -147,8 +147,21 @@ impl Tile {
             let model = self.memory_model.as_mut();
             let core = &mut self.cores[idx];
             let mut stall = 0u64;
-            core.step(|access| service_shared(memory, model, now, &mut stall, access))
-                .map_err(|source| RunTileError::CoreFault { core: idx, source })?;
+            core.step(|access| {
+                let addr = access.addr();
+                let offset = addr - GLOBAL_BASE;
+                if offset as usize >= TOTAL_BYTES {
+                    return Err(AccessMemoryError::OutOfRange { addr });
+                }
+                Ok(match memory.serve(model, offset, now, access)? {
+                    Some((value, extra)) => {
+                        stall = extra;
+                        BusGrant::Granted(value)
+                    }
+                    None => BusGrant::Stalled,
+                })
+            })
+            .map_err(|source| RunTileError::CoreFault { core: idx, source })?;
             core.apply_stall_cycles(stall);
         }
         self.rotate = (self.rotate + 1) % n;
@@ -186,49 +199,6 @@ impl Tile {
 impl Default for Tile {
     fn default() -> Self {
         Tile::new()
-    }
-}
-
-/// Services one shared-memory access against the tile's own banks.
-///
-/// Execute-then-stall: the model is presented exactly once; on a grant
-/// the data access performs immediately and any extra latency lands in
-/// `*stall_out` for the caller to apply via
-/// [`CoreSim::apply_stall_cycles`].
-fn service_shared(
-    memory: &mut MemoryChiplet,
-    model: &mut dyn MemoryModel,
-    now: u64,
-    stall_out: &mut u64,
-    access: BusAccess,
-) -> Result<BusGrant, AccessMemoryError> {
-    let addr = match access {
-        BusAccess::Load { addr }
-        | BusAccess::Store { addr, .. }
-        | BusAccess::AmoAdd { addr, .. } => addr,
-    };
-    let offset = addr - GLOBAL_BASE;
-    if offset as usize >= TOTAL_BYTES {
-        return Err(AccessMemoryError::OutOfRange { addr });
-    }
-    memory.bank_of(offset)?;
-    match model.request(offset, now) {
-        MemTiming::Denied => return Ok(BusGrant::Stalled),
-        MemTiming::Granted { stall } => *stall_out = stall,
-    }
-    match access {
-        BusAccess::Load { .. } => Ok(BusGrant::Granted(memory.read_word(offset)?)),
-        BusAccess::Store { value, .. } => {
-            memory.write_word(offset, value)?;
-            Ok(BusGrant::Granted(0))
-        }
-        BusAccess::AmoAdd { value, .. } => {
-            // One bank grant covers the whole read-modify-write: the
-            // bank port is the serialisation point.
-            let old = memory.read_word(offset)?;
-            memory.write_word(offset, old.wrapping_add(value))?;
-            Ok(BusGrant::Granted(old))
-        }
     }
 }
 

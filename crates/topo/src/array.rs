@@ -229,14 +229,16 @@ impl TileArray {
         )
     }
 
-    /// Returns `true` when `tile` sits on the array boundary.
+    /// Returns `true` when `tile` lies inside the array on its boundary;
+    /// a tile outside the array is never an edge tile.
     ///
     /// Edge tiles are special throughout the design: they receive the 2.5 V
     /// supply, can host the clock generator, and connect to the external
     /// JTAG controllers.
     #[inline]
     pub fn is_edge(self, tile: TileCoord) -> bool {
-        tile.x == 0 || tile.y == 0 || tile.x == self.cols - 1 || tile.y == self.rows - 1
+        self.contains(tile)
+            && (tile.x == 0 || tile.y == 0 || tile.x == self.cols - 1 || tile.y == self.rows - 1)
     }
 
     /// The neighbouring tile in `dir`, or `None` at the array boundary.
@@ -384,6 +386,22 @@ mod tests {
         assert!(array.is_edge(TileCoord::new(0, 2)));
         assert!(!array.is_edge(TileCoord::new(1, 1)));
         assert!(array.tiles().all(|t| array.contains(t)));
+    }
+
+    #[test]
+    fn tiles_outside_the_array_are_not_edge_tiles() {
+        let array = TileArray::new(32, 32);
+        for outside in [
+            TileCoord::new(0, 500),
+            TileCoord::new(31, 40),
+            TileCoord::new(40, 31),
+            TileCoord::new(32, 0),
+        ] {
+            assert!(!array.is_edge(outside), "{outside}");
+        }
+        assert!(array.is_edge(TileCoord::new(0, 31)));
+        assert!(array.is_edge(TileCoord::new(31, 5)));
+        assert_eq!(array.edge_tiles().count(), 124);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 # `target/release/<bench-bin> --json <out>` with its default options.
 # Prints one row per `wall.*` gauge present in every run of both sides:
 # the base median, the head median, head/base, and the pairs head won
-# (lower value wins; higher wins for `*.speedup` gauges).
+# (lower value wins; higher wins for `*.speedup` gauges). When no gauge
+# qualifies (the bin records no `wall.*` gauge, or the two sides share
+# none), it prints one line with each side's count of distinct `wall.*`
+# gauges instead and exits 1: such a run measured nothing.
 #
 # Each side builds from its own sources before the first timed run. The
 # script needs git, tar, cargo and jq.
@@ -99,12 +102,12 @@ if [[ "$mode" == bin ]]; then
         done
         jq -s '[.[].metrics.gauges]' "${files[@]}"
     }
-    echo "==> wall.* gauges: median of $pairs runs per side"
-    jq -rn --argjson base "$(gauges base)" --argjson head "$(gauges head)" '
+    base_gauges="$(gauges base)"
+    head_gauges="$(gauges head)"
+    rows="$(jq -rn --argjson base "$base_gauges" --argjson head "$head_gauges" '
         def median: sort | if length % 2 == 1 then .[length / 2 | floor]
             else (.[length / 2 - 1] + .[length / 2]) / 2 end;
         def r3: . * 1000 | round / 1000;
-        (["gauge", "base", "head", "head/base", "head won"] | @tsv),
         ($base[0] | keys[] | select(startswith("wall."))) as $k
         | select(all($base[], $head[]; has($k)))
         | [$base[][$k]] as $b | [$head[][$k]] as $h
@@ -114,7 +117,16 @@ if [[ "$mode" == bin ]]; then
            | length) as $won
         | [$k, ($bm | r3), ($hm | r3),
            (if $bm == 0 then "-" else ($hm / $bm | r3) end), "\($won)/\($h | length)"]
-        | @tsv'
+        | @tsv')"
+    if [[ -z "$rows" ]]; then
+        wall_count() { jq '[.[] | keys[] | select(startswith("wall."))] | unique | length' <<<"$1"; }
+        echo "error: no wall.* gauge is present in every run of both sides" \
+            "(distinct wall.* gauges: base $(wall_count "$base_gauges"), head $(wall_count "$head_gauges")); nothing was measured" >&2
+        echo "results kept in $out"
+        exit 1
+    fi
+    echo "==> wall.* gauges: median of $pairs runs per side"
+    printf 'gauge\tbase\thead\thead/base\thead won\n%s\n' "$rows"
     echo "results kept in $out"
     exit 0
 fi

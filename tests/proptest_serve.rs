@@ -12,10 +12,11 @@
 //! bit-identical across stepping modes.
 
 use proptest::prelude::*;
+use waferscale::workload::build_halo_machine;
 use wsp_common::seeded_rng;
 use wsp_common::stepping::Stepping;
 use wsp_noc::NetworkKind;
-use wsp_sched::{build_halo_slice_machine, partition, restrict_faults, slice_usable};
+use wsp_sched::{partition, restrict_faults, slice_usable};
 use wsp_tile::MemoryModelKind;
 use wsp_topo::{Direction, FaultMap, TileArray, TileCoord, DIRECTIONS};
 
@@ -82,7 +83,8 @@ proptest! {
             let local = restrict_faults(&map, slice.rect);
             let mut reference: Option<(waferscale::MachineStats, Vec<u64>)> = None;
             for stepping in STEPPINGS {
-                let mut m = build_halo_slice_machine(&local, stepping, MemoryModelKind::Fixed);
+                let mut m = build_halo_machine(&local, MemoryModelKind::Fixed);
+                m.set_stepping(stepping);
                 let stats = m.run_until_halt(2_000_000).expect("halo job halts");
                 let array = local.array();
                 let mut heat = Vec::new();
