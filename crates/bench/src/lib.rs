@@ -27,9 +27,10 @@ pub mod diff;
 /// - `--seed <u64>` — override the deterministic RNG seed (binaries
 ///   without randomness ignore it);
 /// - `--stepping <dense|wheel>` — tile-visit strategy for the
-///   cycle-level engines (default: `wheel`, the active-set walk with
-///   event-driven jumps over idle/stalled windows; `dense` is the
-///   reference sweep; results are bit-identical in either mode);
+///   cycle-level engines (default: `wheel`, the active-set walk, which
+///   also jumps the synthetic-traffic simulator across idle windows of an
+///   empty fabric; `dense` is the reference sweep; results are
+///   bit-identical in either mode);
 /// - `--memory <fixed|banked|banked+tlb>` — memory-timing backend for
 ///   the machine and workload layers (default: `fixed`, which is
 ///   byte-identical to the pre-trait model);

@@ -3,19 +3,20 @@
 /// How a simulator visits its per-cycle work.
 ///
 /// `Wheel` is the default: each executed cycle visits only the active
-/// sets the schedulers in `wsp-noc` and `wsp-core` track, and whenever
-/// nothing can make progress until a known future deadline (a pending
-/// response's ready cycle, a stall expiry), simulated `now` jumps
-/// straight there and the skipped window is replayed in bulk. Both halves are bit-identical to the dense sweep by
-/// construction (see DESIGN.md "Simulator internals"), so dense mode
-/// exists as the reference the equivalence tests and the CI byte-compare
-/// gate run against.
+/// sets the schedulers in `wsp-noc` and `wsp-core` track, and when the
+/// synthetic-traffic simulator's fabric is empty, simulated `now` jumps
+/// to the next pending response's ready cycle (or the end of an idle
+/// window) and the skipped cycles are replayed in bulk. The machine has
+/// no such jump: it ticks its fabric every cycle. Both halves are
+/// bit-identical to the dense sweep by construction (see DESIGN.md
+/// "Simulator internals"), so dense mode exists as the reference the
+/// equivalence tests and the CI byte-compare gate run against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stepping {
     /// Visit every tile every cycle — the reference sweep.
     Dense,
     /// Visit only tiles the activity tracker says can make progress, and
-    /// jump fully idle/stalled windows.
+    /// jump the synthetic-traffic simulator's idle windows.
     #[default]
     Wheel,
 }

@@ -29,10 +29,8 @@ use wsp_telemetry::{
     DigestJournal, Fnv1a, Histogram, LaneId, NoopSink, PhaseProfiler, Sink, TimeSeries,
 };
 use wsp_tile::{
-    isa::Reg,
-    memory::{bank_of_offset, GLOBAL_REGION_BYTES},
-    AccessMemoryError, BusAccess, BusGrant, CoreSim, CoreState, MemoryChiplet, MemoryModel,
-    MemoryModelKind, PendingAccess, StepError, GLOBAL_BASE,
+    isa::Reg, memory::GLOBAL_REGION_BYTES, AccessMemoryError, BusAccess, BusGrant, CoreSim,
+    CoreState, MemoryChiplet, MemoryModel, MemoryModelKind, PendingAccess, StepError, GLOBAL_BASE,
 };
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
@@ -179,8 +177,6 @@ pub struct MultiTileMachine {
     /// a latency histogram sample, bank denials bump a counter, and
     /// [`MultiTileMachine::run_until_halt`] emits a `machine` run span.
     sink: Box<dyn Sink>,
-    /// Sampling cadence for the machine's gauge series (0 = off).
-    sample_every: u64,
     /// Per-cycle gauge series `(name, series)`: runnable tiles, in-flight
     /// remote ops, and (stateful memory backends only) the cumulative
     /// row-hit rate. Pure functions of architectural state, so the series
@@ -236,7 +232,6 @@ impl MultiTileMachine {
             liveness_dirty: false,
             runnable_tiles: Histogram::new(),
             sink: Box::new(NoopSink),
-            sample_every: 0,
             samples: Self::make_samples(0),
             profiler: PhaseProfiler::new(false),
         }
@@ -273,8 +268,9 @@ impl MultiTileMachine {
     /// Core steps executed so far: one per [`CoreSim::step`] of a running
     /// core. This is a work counter, not a statistic: dense stepping steps
     /// every running core every cycle, while the wheel skips cores parked
-    /// on an in-flight remote op and jumps frozen windows. It therefore
-    /// depends on the stepping mode and stays out of [`MachineStats`].
+    /// on an in-flight remote op (a core frozen behind a memory stall is
+    /// still stepped). It therefore depends on the stepping mode and stays
+    /// out of [`MachineStats`].
     pub fn core_steps(&self) -> u64 {
         self.core_steps
     }
@@ -292,14 +288,8 @@ impl MultiTileMachine {
     /// collected series. Sampled values are pure functions of
     /// architectural state and land in the deterministic bench report.
     pub fn set_sampling(&mut self, every: u64) {
-        self.sample_every = every;
         self.samples = Self::make_samples(every);
         self.fabric.set_sampling(every);
-    }
-
-    /// Sampling cadence in cycles (0 = off).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
     }
 
     /// The machine's collected gauge series as `(name, series)` pairs.
@@ -414,7 +404,7 @@ impl MultiTileMachine {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn read_word(&self, addr: u32) -> Result<u32, AccessMemoryError> {
-        let (tile_idx, offset) = self.decode(addr)?;
+        let (tile_idx, offset) = decode_global(self.faults.array(), &self.faults, addr)?;
         self.memories[tile_idx].read_word(offset)
     }
 
@@ -424,25 +414,8 @@ impl MultiTileMachine {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), AccessMemoryError> {
-        let (tile_idx, offset) = self.decode(addr)?;
+        let (tile_idx, offset) = decode_global(self.faults.array(), &self.faults, addr)?;
         self.memories[tile_idx].write_word(offset, value)
-    }
-
-    /// Decodes a global address to `(tile index, bank offset)`.
-    fn decode(&self, addr: u32) -> Result<(usize, u32), AccessMemoryError> {
-        if addr < GLOBAL_BASE {
-            return Err(AccessMemoryError::OutOfRange { addr });
-        }
-        let off = addr - GLOBAL_BASE;
-        let tile_idx = (off as usize) / GLOBAL_REGION_BYTES;
-        if tile_idx >= self.faults.array().tile_count() {
-            return Err(AccessMemoryError::OutOfRange { addr });
-        }
-        let tile = self.faults.array().coord_of(tile_idx);
-        if self.faults.is_faulty(tile) {
-            return Err(AccessMemoryError::OutOfRange { addr });
-        }
-        Ok((tile_idx, off % GLOBAL_REGION_BYTES as u32))
     }
 
     /// Whether any core is still running.
@@ -547,13 +520,6 @@ impl MultiTileMachine {
         if self.liveness_dirty {
             self.refresh_liveness();
         }
-        if self.stepping == Stepping::Wheel {
-            let window = self.wheel_skip_window();
-            if window > 0 {
-                self.skip_stall_window(window);
-                return Ok(());
-            }
-        }
         self.cycles += 1;
         let tiles_timer = self.profiler.start();
         let result = self.step_tiles();
@@ -568,89 +534,11 @@ impl MultiTileMachine {
         result
     }
 
-    /// How many whole cycles the event wheel may jump right now, or 0
-    /// when the next cycle must execute normally.
-    ///
-    /// A window opens only when the machine is *fully stalled*: nothing
-    /// is in flight anywhere (`in_flight`, `deferred`, and the fabric are
-    /// all empty — which forces every `parked` mask to zero) and every
-    /// running core is frozen behind a positive `stall_pending`. During
-    /// such a window the dense sweep provably does nothing but decrement
-    /// each frozen core's `stall_pending` by one per cycle: a frozen
-    /// [`CoreSim::step`] touches no other state, no packets move, and
-    /// the lazily-stamped memory models are never consulted. The window
-    /// therefore ends at the smallest `stall_pending` — the next cycle
-    /// at which some core thaws and issues — clamped to the next sample
-    /// and digest boundaries so every observation cycle is stepped-or-
-    /// skipped-to exactly, never jumped over.
-    ///
-    /// Cores holding a delivered [`PendingAccess::Ready`] value have
-    /// `stall_pending == 0` (remote blocks never arm the freeze), so the
-    /// minimum scan rejects those windows automatically; under the Fixed
-    /// memory model no core ever freezes and the scan exits on the first
-    /// running core.
-    fn wheel_skip_window(&mut self) -> u64 {
-        if self.running_cores == 0
-            || !self.in_flight.is_empty()
-            || !self.deferred.is_empty()
-            || self.fabric.in_flight() != 0
-        {
-            return 0;
-        }
-        let mut window = u64::MAX;
-        for (tile_cores, &running) in self.cores.iter().zip(&self.running) {
-            for c in core_bits(running, 0, tile_cores.len()) {
-                let pending = tile_cores[c].stall_pending();
-                if pending == 0 {
-                    return 0;
-                }
-                window = window.min(pending);
-            }
-        }
-        if window == u64::MAX {
-            return 0;
-        }
-        if let Some(periods) = self.cycles.checked_div(self.sample_every) {
-            window = window.min((periods + 1) * self.sample_every - self.cycles);
-        }
-        if let Some(every) = self.fabric.journal_mut().map(|j| j.every()) {
-            if let Some(periods) = self.cycles.checked_div(every) {
-                window = window.min((periods + 1) * every - self.cycles);
-            }
-        }
-        window
-    }
-
-    /// Jumps the machine `window` cycles through a fully stalled span,
-    /// replaying the dense sweep's bookkeeping in bulk: the runnable-tile
-    /// histogram gets `window` identical observations, every frozen core
-    /// drains `window` freeze cycles in one subtraction, the fabric skips
-    /// its own gauges/digests, and the endpoint cycle is offered to the
-    /// machine's sample series and digest lanes exactly as a stepped
-    /// cycle would be. `wheel_skip_window` guarantees no observation
-    /// boundary lies strictly inside the span. No core holds a remote op
-    /// during a window, so no core owes a gap replay across it.
-    fn skip_stall_window(&mut self, window: u64) {
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        let runnable = self.runnable_tile_count();
-        self.cycles += window;
-        self.runnable_tiles.record_n(runnable as u64, window);
-        for (tile_cores, &running) in self.cores.iter_mut().zip(&self.running) {
-            let n = tile_cores.len();
-            for c in core_bits(running, 0, n) {
-                tile_cores[c].drain_stall_cycles(window);
-            }
-        }
-        self.fabric.skip_cycles(window);
-        self.sample_cycle();
-        self.record_digest_lanes();
-    }
-
     /// Offers this cycle's gauge samples to the machine's series (the
     /// fabric samples its own inside [`Fabric::tick`]). Gated on the
     /// shared cadence so the state walks run only on sample cycles.
     fn sample_cycle(&mut self) {
-        if self.sample_every == 0 || !self.samples[0].1.wants(self.cycles) {
+        if !self.samples[0].1.wants(self.cycles) {
             return;
         }
         let cycle = self.cycles;
@@ -874,9 +762,10 @@ impl MultiTileMachine {
     fn try_service_request(&mut self, packet: &FabricPacket, op: &RemoteOp) -> bool {
         let owner_idx = self.faults.array().index_of(packet.dst);
         let offset = (op.access.addr() - GLOBAL_BASE) % GLOBAL_REGION_BYTES as u32;
-        // The issuing closure validated range and alignment before the
-        // packet was injected. Models stamp with the absolute cycle, so
-        // no lazy per-cycle reset is needed even under wheel stepping.
+        // The issuing core checked alignment, and `decode_global` the
+        // range, before the packet was injected. Models stamp with the
+        // absolute cycle, so no lazy per-cycle reset is needed even under
+        // wheel stepping.
         // The response is injected immediately on grant; a banked model
         // prices the access by keeping the bank busy, which delays
         // *subsequent* requests rather than this reply.
@@ -994,10 +883,6 @@ impl MultiTileMachine {
                         if choice == NetworkChoice::Disconnected {
                             return Err(AccessMemoryError::OutOfRange { addr });
                         }
-                        // Validate the owner-side access now so the fault
-                        // surfaces on the issuing core; the service path
-                        // can then assume success.
-                        bank_of_offset(offset)?;
                         let id = fabric.allocate_id();
                         let packet =
                             FabricPacket::request(id, my_tile, owner, choice, fabric.cycle());
@@ -1065,6 +950,7 @@ impl MultiTileMachine {
             self.sink
                 .span("machine", "run_until_halt", 0, start, self.cycles);
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(self.stats())
     }
 
@@ -1497,6 +1383,39 @@ mod tests {
         assert!(matches!(err, RunMachineError::CoreFault { .. }));
     }
 
+    /// Core 0 of tile (0,0) of a 2x2 machine loads from two bytes into a
+    /// word of `owner`'s region: the fault must name the issued address.
+    fn assert_misaligned_load_names_the_address(owner: TileCoord) {
+        let mut m = machine(2);
+        let addr = m.global_address(owner, 64).expect("ok") + 2;
+        let program = Program::builder()
+            .ldi(Reg::R1, addr)
+            .ld(Reg::R2, Reg::R1, 0)
+            .halt()
+            .build()
+            .expect("builds");
+        m.load_program(TileCoord::new(0, 0), 0, &program)
+            .expect("ok");
+        assert_eq!(
+            m.run_until_halt(1000).expect_err("faults"),
+            RunMachineError::CoreFault {
+                tile: TileCoord::new(0, 0),
+                core: 0,
+                source: StepError::Memory(AccessMemoryError::Misaligned { addr }),
+            }
+        );
+    }
+
+    #[test]
+    fn misaligned_local_load_names_the_issued_address() {
+        assert_misaligned_load_names_the_address(TileCoord::new(0, 0));
+    }
+
+    #[test]
+    fn misaligned_remote_load_names_the_issued_address() {
+        assert_misaligned_load_names_the_address(TileCoord::new(1, 1));
+    }
+
     #[test]
     fn local_accesses_do_not_pay_remote_latency() {
         let mut m = machine(2);
@@ -1766,14 +1685,13 @@ mod tests {
     }
 
     #[test]
-    fn wheel_stepping_jumps_frozen_stall_windows() {
-        // Event-wheel acceptance at machine level: a lone core ping-
-        // ponging rows of its own banked memory freezes behind a row-miss
-        // stall after every load, with nothing in flight anywhere — so
-        // the wheel must jump each frozen window whole. The fabric tick
-        // counter is the wall-clock-free gauge: dense executes one tick
-        // per cycle; the wheel's ticks stay in the order of the retired
-        // instruction count, far below the cycle count.
+    fn wheel_steps_frozen_cores_like_dense() {
+        // A lone core ping-ponging rows of its own banked memory freezes
+        // behind a row-miss stall after every load, with nothing in
+        // flight anywhere. The wheel visits the frozen core every cycle,
+        // as the dense sweep does, and both end identically; the fabric
+        // executes a tick every cycle under both steppings (the machine
+        // has no time jump of its own).
         let hot = TileCoord::new(0, 0);
         let run = |stepping: Stepping| {
             let cfg = SystemConfig::with_array(TileArray::new(4, 4))
@@ -1812,12 +1730,9 @@ mod tests {
         assert_eq!(w_activity, activity);
         assert_eq!(w_runnable, runnable);
         assert_eq!(w_profile, profile);
+        assert!(profile.row_misses >= 128, "every load froze the core");
         assert_eq!(dense_ticks, stats.cycles, "dense ticks every cycle");
-        assert!(
-            wheel_ticks < stats.cycles / 2,
-            "the wheel must skip most frozen cycles: {wheel_ticks} ticks over {} cycles",
-            stats.cycles
-        );
+        assert_eq!(wheel_ticks, stats.cycles, "the wheel ticks every cycle");
     }
 
     #[test]

@@ -107,8 +107,9 @@
 //! bitset for its walk, so every dense-vs-wheel byte-compare also checks
 //! the bitset's upkeep ([`Fabric::check_invariants`] checks it directly).
 //! The per-tick active-set sample is the bitset's popcount in both modes.
-//! When the fabric is empty, wheel drivers skip whole cycles instead
-//! ([`Fabric::skip_cycles`]).
+//! When the fabric is empty, the synthetic-traffic driver
+//! ([`crate::NocSim`]) skips whole cycles instead
+//! ([`Fabric::skip_cycles`]): the simulator's one time jump.
 //!
 //! # Examples
 //!
@@ -728,8 +729,6 @@ pub struct Fabric {
     /// Telemetry sink; [`NoopSink`] by default so the hot path pays one
     /// `enabled()` virtual call per tick when tracing is off.
     sink: Box<dyn Sink>,
-    /// Sampling cadence for the bounded time series below (0 = off).
-    sample_every: u64,
     /// Per-tick gauge series `(name, series)`: active tiles, per-network
     /// queue occupancy, packets in flight. Sampled from pre-cycle queue
     /// state, so the series are pure functions of architectural state —
@@ -782,7 +781,6 @@ impl Fabric {
             stepping: Stepping::default(),
             active_tiles: Histogram::new(),
             sink: Box::new(NoopSink),
-            sample_every: 0,
             samples: Self::make_samples(0),
             journal: None,
             profiler: PhaseProfiler::new(false),
@@ -821,13 +819,7 @@ impl Fabric {
     /// values are pure functions of queue state, so the series land in
     /// the deterministic bench report.
     pub fn set_sampling(&mut self, every: u64) {
-        self.sample_every = every;
         self.samples = Self::make_samples(every);
-    }
-
-    /// Sampling cadence in cycles (0 = off).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
     }
 
     /// The collected gauge series as `(name, series)` pairs.
@@ -999,7 +991,7 @@ impl Fabric {
         // Gauge sampling reads the same pre-cycle queue state the sample
         // above does; all four series share a cadence, so gating all
         // four on the first one's acceptance test is exact.
-        if self.sample_every != 0 && self.samples[0].1.wants(self.cycle) {
+        if self.samples[0].1.wants(self.cycle) {
             let cycle = self.cycle;
             let occ0 = self.networks[0].packets;
             let occ1 = self.networks[1].packets;
@@ -1185,8 +1177,9 @@ impl Fabric {
     /// Ticks are not executed, so [`Fabric::ticks_executed`] does not
     /// advance — the counter the O(events)-termination tests watch.
     ///
-    /// Callers (the wheel-stepping drivers) must only skip windows with
-    /// no in-flight packets; this is debug-asserted.
+    /// Callers must only skip windows with no in-flight packets; this is
+    /// debug-asserted. The one caller is [`crate::NocSim`]'s idle jump
+    /// under wheel stepping; the machine ticks its fabric every cycle.
     pub fn skip_cycles(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -1196,9 +1189,9 @@ impl Fabric {
         let start = self.cycle;
         self.cycle += cycles;
         self.active_tiles.record_n(0, cycles);
-        if self.sample_every != 0 {
-            let every = self.sample_every;
-            let mut boundary = (start / every + 1) * every;
+        let every = self.samples[0].1.every();
+        if let Some(periods) = start.checked_div(every) {
+            let mut boundary = (periods + 1) * every;
             while boundary <= self.cycle {
                 if self.samples[0].1.wants(boundary) {
                     for (_, series) in &mut self.samples {

@@ -198,18 +198,9 @@ impl NocSim {
         warm: u64,
         rng: &mut R,
     ) -> SimReport {
-        if self.config.injection_rate == 0.0 && self.fabric.stepping() == Stepping::Wheel {
-            // Nothing will ever inject: the whole warm window is one
-            // event-free jump. (The dense sweep burns one RNG draw per
-            // healthy tile per cycle on the rate-0 Bernoulli trial; the
-            // stream position is unobservable in the report, which is
-            // what the wheel-vs-dense equality tests pin down.)
-            self.advance_idle(warm);
-        } else {
-            for _ in 0..warm {
-                self.inject(pattern, rng);
-                self.step();
-            }
+        for _ in 0..warm {
+            self.inject(pattern, rng);
+            self.step();
         }
         self.drain_in_flight();
         self.finish_report()
@@ -245,25 +236,15 @@ impl NocSim {
     }
 
     /// Advances exactly `cycles` cycles with no new injections. In-flight
-    /// traffic keeps moving; under [`Stepping::Wheel`] any tail of the
+    /// traffic keeps moving; under [`Stepping::Wheel`] every span of the
     /// window in which the fabric is empty is jumped rather than ticked
-    /// (landing one cycle *before* the next pending response so the
-    /// release step runs normally) — bit-identical to stepping it.
-    pub fn advance_idle(&mut self, cycles: u64) {
+    /// ([`NocSim::jump_idle`]) — bit-identical to stepping it.
+    fn advance_idle(&mut self, cycles: u64) {
         let end = self.fabric.cycle() + cycles;
         while self.fabric.cycle() < end {
-            if self.fabric.stepping() == Stepping::Wheel && self.fabric.in_flight() == 0 {
-                let horizon = self
-                    .pending_responses
-                    .front()
-                    .map_or(end, |&(ready, _)| ready.saturating_sub(1).min(end));
-                let gap = horizon.saturating_sub(self.fabric.cycle());
-                if gap > 0 {
-                    self.fabric.skip_cycles(gap);
-                    continue;
-                }
+            if !self.jump_idle(end) {
+                self.step();
             }
-            self.step();
         }
     }
 
@@ -273,7 +254,9 @@ impl NocSim {
         let mut idle_cycles = 0u64;
         while self.in_flight() > 0 {
             let before = self.in_flight();
-            self.skip_to_next_event();
+            // Unbounded is safe: with the fabric empty, something in
+            // flight is a pending response, whose release bounds the jump.
+            self.jump_idle(u64::MAX);
             self.step();
             if self.in_flight() == before {
                 idle_cycles += 1;
@@ -288,18 +271,22 @@ impl NocSim {
         }
     }
 
-    /// Under [`Stepping::Wheel`], jumps an empty fabric to one cycle
-    /// before the earliest pending response, so the next [`NocSim::step`]
-    /// releases it exactly when the dense sweep would. No-op otherwise.
-    fn skip_to_next_event(&mut self) {
+    /// The simulator's one time jump: under [`Stepping::Wheel`], jumps an
+    /// empty fabric to cycle `min(limit, ready - 1)`, where `ready` is the
+    /// earliest pending response's release cycle, so the next
+    /// [`NocSim::step`] releases it exactly when the dense sweep would.
+    /// Returns whether any cycle was jumped.
+    fn jump_idle(&mut self, limit: u64) -> bool {
         if self.fabric.stepping() != Stepping::Wheel || self.fabric.in_flight() != 0 {
-            return;
+            return false;
         }
-        let Some(&(ready, _)) = self.pending_responses.front() else {
-            return;
-        };
-        let gap = ready.saturating_sub(1).saturating_sub(self.fabric.cycle());
+        let horizon = self
+            .pending_responses
+            .front()
+            .map_or(limit, |&(ready, _)| ready.saturating_sub(1).min(limit));
+        let gap = horizon.saturating_sub(self.fabric.cycle());
         self.fabric.skip_cycles(gap);
+        gap > 0
     }
 
     /// Snapshots the accumulated statistics plus the fabric's counters.
@@ -782,17 +769,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_injection_run_terminates_in_o_events() {
-        // The empty-wafer edge case: nothing ever injects, so a wheel
-        // run must execute zero ticks yet report the same cycle count
-        // (and the same all-zero stats) as the dense sweep.
+    fn idle_window_on_an_empty_wafer_is_one_jump() {
+        // The empty-wafer edge case: nothing is in flight, so a wheel
+        // must cross a 50 000-cycle idle window in zero ticks yet report
+        // the same cycle count (and the same all-zero stats) as the dense
+        // sweep.
         let run_mode = |stepping: Stepping| {
             let mut sim = clean_sim(16);
-            sim.config.injection_rate = 0.0;
             sim.fabric_mut().set_stepping(stepping);
-            let mut rng = seeded_rng(13);
-            let report = sim.run(TrafficPattern::UniformRandom, 50_000, &mut rng);
-            (report, sim.fabric().ticks_executed())
+            sim.advance_idle(50_000);
+            (sim.finish_report(), sim.fabric().ticks_executed())
         };
         let (dense_report, dense_ticks) = run_mode(Stepping::Dense);
         let (wheel_report, wheel_ticks) = run_mode(Stepping::Wheel);

@@ -255,18 +255,6 @@ impl CoreSim {
         self.stall_pending
     }
 
-    /// Drains `cycles` of an armed freeze in bulk — the event-wheel skip
-    /// path. A frozen [`CoreSim::step`] does exactly one `stall_pending`
-    /// decrement and nothing else (cycles and stalls were accounted up
-    /// front by [`CoreSim::apply_stall_cycles`]), so skipping a window of
-    /// `cycles` frozen steps reduces to this single subtraction.
-    #[inline]
-    pub fn drain_stall_cycles(&mut self, cycles: u64) {
-        debug_assert_eq!(self.state, CoreState::Running, "only running cores drain");
-        debug_assert!(self.stall_pending >= cycles, "cannot drain past the freeze");
-        self.stall_pending -= cycles;
-    }
-
     /// Reads a word from private SRAM (for test setup / result readout).
     ///
     /// # Errors
@@ -291,8 +279,10 @@ impl CoreSim {
     /// Advances the core one cycle.
     ///
     /// `shared` is invoked when (and only when) the current instruction
-    /// accesses an address at or above [`GLOBAL_BASE`]; returning
-    /// [`BusGrant::Stalled`] keeps the core on the same instruction.
+    /// accesses a word-aligned address at or above [`GLOBAL_BASE`];
+    /// returning [`BusGrant::Stalled`] keeps the core on the same
+    /// instruction. A misaligned shared address faults before the bus
+    /// sees it, naming the address the core issued.
     ///
     /// # Errors
     ///
@@ -319,6 +309,10 @@ impl CoreSim {
             return Err(StepError::PcOutOfRange { pc: self.pc });
         };
 
+        let shared = |access: BusAccess| {
+            check_aligned(access.addr())?;
+            shared(access)
+        };
         let mut next_pc = self.pc + 1;
         match instr {
             Instr::Ldi(rd, imm) => self.regs[rd.index()] = imm,
@@ -434,10 +428,15 @@ impl Default for CoreSim {
     }
 }
 
-fn check_private(addr: u32) -> Result<(), AccessMemoryError> {
+fn check_aligned(addr: u32) -> Result<(), AccessMemoryError> {
     if !addr.is_multiple_of(4) {
         return Err(AccessMemoryError::Misaligned { addr });
     }
+    Ok(())
+}
+
+fn check_private(addr: u32) -> Result<(), AccessMemoryError> {
+    check_aligned(addr)?;
     if addr as usize + 4 > PRIVATE_SRAM_BYTES {
         return Err(AccessMemoryError::OutOfRange { addr });
     }
@@ -719,26 +718,37 @@ mod tests {
 
     #[test]
     fn misaligned_access_faults() {
-        let program = Program::builder()
-            .ldi(Reg::R1, 2)
-            .ld(Reg::R2, Reg::R1, 0)
-            .halt()
-            .build()
-            .expect("ok");
-        let mut core = CoreSim::new();
-        core.load_program(&program);
-        core.step(|_| Ok(BusGrant::Stalled)).expect("ldi");
-        let err = core.step(|_| Ok(BusGrant::Stalled)).expect_err("fault");
-        assert!(matches!(
-            err,
-            StepError::Memory(AccessMemoryError::Misaligned { addr: 2 })
-        ));
-        assert_eq!(core.state(), CoreState::Faulted);
-        // Further steps are inert.
-        assert_eq!(
-            core.step(|_| Ok(BusGrant::Stalled)).expect("inert"),
-            CoreState::Faulted
-        );
+        // Private and shared alike, the fault names the address the core
+        // issued; a misaligned shared access never reaches the bus.
+        for (base, access) in [
+            (0, Program::builder().ld(Reg::R2, Reg::R1, 2)),
+            (GLOBAL_BASE, Program::builder().ld(Reg::R2, Reg::R1, 2)),
+            (GLOBAL_BASE, Program::builder().st(Reg::R2, Reg::R1, 2)),
+            (
+                GLOBAL_BASE,
+                Program::builder()
+                    .addi(Reg::R1, Reg::R1, 2)
+                    .amo_add(Reg::R3, Reg::R1, Reg::R2),
+            ),
+        ] {
+            let program = access.halt().build().expect("ok");
+            let mut core = CoreSim::new();
+            core.set_reg(Reg::R1, base + 8);
+            core.load_program(&program);
+            let err = (0..2)
+                .find_map(|_| core.step(|a| panic!("bus saw {a:?}")).err())
+                .expect("faults");
+            assert_eq!(
+                err,
+                StepError::Memory(AccessMemoryError::Misaligned { addr: base + 10 })
+            );
+            assert_eq!(core.state(), CoreState::Faulted);
+            // Further steps are inert.
+            assert_eq!(
+                core.step(|_| Ok(BusGrant::Stalled)).expect("inert"),
+                CoreState::Faulted
+            );
+        }
     }
 
     #[test]
@@ -805,39 +815,6 @@ mod tests {
         assert_eq!(core.reg(Reg::R2), 2);
         assert_eq!(core.stats().retired, 2);
         assert_eq!(core.stats().cycles, 5);
-    }
-
-    #[test]
-    fn drain_stall_cycles_matches_frozen_steps() {
-        let program = Program::builder()
-            .ldi(Reg::R1, 1)
-            .ldi(Reg::R2, 2)
-            .halt()
-            .build()
-            .expect("builds");
-        let build = || {
-            let mut core = CoreSim::new();
-            core.load_program(&program);
-            core.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-            core.apply_stall_cycles(5);
-            core
-        };
-        let mut stepped = build();
-        let mut drained = build();
-        for _ in 0..4 {
-            stepped.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-        }
-        drained.drain_stall_cycles(4);
-        assert_eq!(stepped.stall_pending(), drained.stall_pending());
-        assert_eq!(stepped.stats(), drained.stats());
-        // Both thaw on the same subsequent cycle and execute identically.
-        stepped.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-        drained.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-        stepped.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-        drained.step(|_| Ok(BusGrant::Stalled)).expect("steps");
-        assert_eq!(stepped.reg(Reg::R2), 2);
-        assert_eq!(drained.reg(Reg::R2), 2);
-        assert_eq!(stepped.stats(), drained.stats());
     }
 
     #[test]

@@ -420,6 +420,28 @@ mod tests {
     }
 
     #[test]
+    fn misaligned_shared_access_names_the_issued_address() {
+        let mut tile = Tile::new();
+        let program = Program::builder()
+            .ldi(Reg::R1, GLOBAL_BASE + 2)
+            .ld(Reg::R2, Reg::R1, 0)
+            .halt()
+            .build()
+            .expect("ok");
+        tile.load_program(0, &program).expect("ok");
+        let err = tile.run_until_halt(100).expect_err("faults");
+        assert_eq!(
+            err,
+            RunTileError::CoreFault {
+                core: 0,
+                source: StepError::Memory(AccessMemoryError::Misaligned {
+                    addr: GLOBAL_BASE + 2
+                }),
+            }
+        );
+    }
+
+    #[test]
     fn cycle_limit_reported() {
         let mut tile = Tile::new();
         let spin = Program::builder()

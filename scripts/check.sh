@@ -203,6 +203,27 @@ if grep -q "| false" "$DET_DIR/banked.txt"; then
 fi
 echo "    banked backend runs clean"
 
+echo "==> stateful-memory determinism gate (serve smoke, --memory banked|banked+tlb, dense vs wheel)"
+# The goldens cover only the fixed backend. Under the stateful backends
+# the wheel must still match the dense sweep byte for byte: the report
+# and its digest journal, compared run against run.
+for memory in banked banked+tlb; do
+    for stepping in dense wheel; do
+        target/release/serve --smoke --memory "$memory" --stepping "$stepping" \
+            --json "$DET_DIR/serve-$memory-$stepping.json" >/dev/null
+    done
+    for suffix in "" ".digest"; do
+        if ! cmp -s "$DET_DIR/serve-$memory-dense.json$suffix" \
+            "$DET_DIR/serve-$memory-wheel.json$suffix"; then
+            echo "FAIL: serve --memory $memory smoke$suffix differs between dense and wheel" >&2
+            diff "$DET_DIR/serve-$memory-dense.json$suffix" \
+                "$DET_DIR/serve-$memory-wheel.json$suffix" >&2 || true
+            exit 1
+        fi
+    done
+done
+echo "    serve smoke byte-identical across stepping modes under banked and banked+tlb"
+
 echo "==> wsp-benchmark unit tests"
 cargo test --offline --manifest-path wsp-benchmark/Cargo.toml
 

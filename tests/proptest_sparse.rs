@@ -1,6 +1,7 @@
 //! Property tests for wheel stepping — the activity-driven active-set
-//! walk plus the event-wheel skipper: skipping idle tiles (and jumping
-//! fully idle or stalled windows) must be *unobservable*. Every fabric
+//! walk plus the event-wheel skipper: skipping idle tiles (and, in the
+//! synthetic-traffic simulator, jumping idle windows of an empty fabric)
+//! must be *unobservable*. Every fabric
 //! report and every machine outcome — stats, architectural memory state, per-core
 //! activity counters, the runnable-tiles telemetry sample, the memory
 //! profile, the sampled time series, and the digest journal — has to
@@ -174,8 +175,8 @@ proptest! {
     /// memory profile, time series, and digest journal — are
     /// bit-identical between wheel and dense stepping over random
     /// schedules, fault maps, cores per tile, and memory backends: the
-    /// active-set walk, the per-core skip of parked cores, and the
-    /// stalled-window jumps are unobservable.
+    /// active-set walk and the per-core skip of parked cores are
+    /// unobservable.
     #[test]
     fn wheel_machine_matches_dense(
         seed in any::<u64>(),
