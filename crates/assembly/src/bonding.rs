@@ -11,11 +11,10 @@
 use std::fmt;
 
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileArray};
 
 /// How many copper pillars land on each I/O pad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RedundancyScheme {
     /// One pillar per pad — the pad fails if its pillar fails.
     SinglePillar,
@@ -60,7 +59,7 @@ impl fmt::Display for RedundancyScheme {
 /// // 2048-chiplet wafer drops to about one.
 /// assert!(model.expected_faulty_chiplets(2048) < 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BondingModel {
     pillar_yield: f64,
     scheme: RedundancyScheme,
@@ -214,7 +213,7 @@ impl fmt::Display for BondingModel {
 }
 
 /// Result of one Monte-Carlo wafer assembly run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaferAssemblyOutcome {
     faults: FaultMap,
 }

@@ -14,13 +14,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::SquareMillimeters;
 
 use crate::bonding::BondingModel;
 
 /// Fabrication defect model (negative binomial).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectModel {
     /// Defect density in defects per cm².
     pub defects_per_cm2: f64,
@@ -52,7 +51,7 @@ impl DefectModel {
 }
 
 /// Outcome of comparing the two integration approaches for one system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproachComparison {
     /// Probability a chiplet die is good as fabricated.
     pub chiplet_die_yield: f64,

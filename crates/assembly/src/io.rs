@@ -11,14 +11,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Hertz, Joules, Micrometers, Millimeters, SquareMillimeters, Volts};
 
 /// Which of the two I/O column sets a pad group belongs to.
 ///
 /// Set membership decides the substrate routing layer and therefore which
 /// signals survive a single-layer (degraded) substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoColumnSet {
     /// The two columns closest to the die edge; routed on signal layer 1.
     /// Carries all absolutely essential I/Os.
@@ -38,7 +37,7 @@ impl fmt::Display for IoColumnSet {
 }
 
 /// The two chiplet types of a tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChipletKind {
     /// 14 Cortex-M3-class cores, network routers, power regulation.
     Compute,
@@ -68,7 +67,7 @@ impl fmt::Display for ChipletKind {
 /// assert!(energy.as_picojoules() > 60_000.0); // 0.063 pJ/bit × 1 Mb
 /// assert!(cell.supports_frequency(Hertz::from_megahertz(1000.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoCell {
     area_um2: f64,
     energy_per_bit: Joules,
@@ -181,7 +180,7 @@ impl IoCell {
 }
 
 /// One named group of pads with a shared function and column set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PadGroup {
     /// Human-readable signal-group name (e.g. `"network north"`).
     pub name: String,
@@ -204,7 +203,7 @@ pub struct PadGroup {
 /// assert_eq!(frame.total_pads(), 2020);
 /// assert!(frame.pads_in_set(IoColumnSet::Essential) > 1600);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PadFrame {
     kind: ChipletKind,
     width: Millimeters,
@@ -383,11 +382,6 @@ impl PadFrame {
         SquareMillimeters(f64::from(self.total_pads()) * cell.area_um2() * 1e-6)
     }
 
-    /// Fraction of the die consumed by I/O cells.
-    pub fn io_area_fraction(&self, cell: &IoCell) -> f64 {
-        self.total_io_area(cell).value() / self.die_area().value()
-    }
-
     /// Escape (edge interconnect) density in wires per millimetre of die
     /// edge for a given wiring pitch and signal layer count.
     ///
@@ -508,8 +502,6 @@ mod tests {
         // Paper: "total I/O area is only 0.4 mm²" for ~2000+ cells.
         let area = frame.total_io_area(&cell);
         assert!((0.28..0.45).contains(&area.value()), "I/O area {area}");
-        let frac = frame.io_area_fraction(&cell);
-        assert!(frac < 0.05, "I/O fraction {frac}");
     }
 
     #[test]

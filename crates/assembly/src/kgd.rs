@@ -12,13 +12,12 @@
 //!    faulty tiles in the system fault map.
 
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileArray};
 
 use crate::bonding::BondingModel;
 
 /// A fabrication lot of chiplets awaiting pre-bond test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipletLot {
     size: u32,
     die_yield: f64,
@@ -68,7 +67,7 @@ impl ChipletLot {
 /// let report = flow.run(TileArray::new(32, 32), &mut rng).expect("enough dies");
 /// assert_eq!(report.assembled(), 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KgdFlow {
     lot: ChipletLot,
     bonding: BondingModel,
@@ -90,11 +89,6 @@ impl KgdFlow {
     #[inline]
     pub fn bonding(&self) -> &BondingModel {
         &self.bonding
-    }
-
-    /// Expected number of known-good dies after probing the lot.
-    pub fn expected_known_good(&self) -> f64 {
-        f64::from(self.lot.size) * self.lot.die_yield
     }
 
     /// Runs the flow: probe-test the lot, then populate every tile of
@@ -139,7 +133,7 @@ impl KgdFlow {
 }
 
 /// Outcome of one KGD-flow run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KgdReport {
     tested: u32,
     known_good: u32,
@@ -185,11 +179,6 @@ impl KgdReport {
     /// failures never reach the wafer).
     pub fn faults(&self) -> &FaultMap {
         &self.faults
-    }
-
-    /// Fraction of bonded dies that work.
-    pub fn assembly_yield(&self) -> f64 {
-        1.0 - f64::from(self.bonding_failures) / f64::from(self.assembled)
     }
 
     /// Consumes the report, returning the fault map.
@@ -239,7 +228,8 @@ mod tests {
         let report = flow.run(TileArray::new(32, 32), &mut rng).expect("ok");
         // 99.998 % per-chiplet yield → almost always 0 or 1 failures.
         assert!(report.bonding_failures() <= 2);
-        assert!(report.assembly_yield() > 0.995);
+        assert_eq!(flow.lot().size(), 2000);
+        assert!((flow.lot().die_yield() - 0.99).abs() < 1e-12);
     }
 
     #[test]
@@ -252,14 +242,6 @@ mod tests {
         let report = flow.run(TileArray::new(32, 32), &mut rng).expect("ok");
         // ~18 % per-chiplet failure → on the order of 150–250 failures.
         assert!(report.bonding_failures() > 100);
-    }
-
-    #[test]
-    fn expected_known_good_is_linear() {
-        let flow = dual_flow(1000, 0.9);
-        assert!((flow.expected_known_good() - 900.0).abs() < 1e-9);
-        assert_eq!(flow.lot().size(), 1000);
-        assert!((flow.lot().die_yield() - 0.9).abs() < 1e-12);
     }
 
     #[test]

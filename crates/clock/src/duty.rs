@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The digital duty-cycle corrector in each tile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DccUnit {
     /// Fraction of the incoming distortion that survives correction
     /// (0 = perfect corrector, 1 = no correction).
@@ -73,7 +71,7 @@ impl DccUnit {
 /// let inverting = DutyCycleModel::new(0.05, true, None);
 /// assert_eq!(inverting.max_hops(100), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyCycleModel {
     distortion_per_tile: f64,
     invert_on_forward: bool,
@@ -112,12 +110,6 @@ impl DutyCycleModel {
     #[inline]
     pub fn distortion_per_tile(&self) -> f64 {
         self.distortion_per_tile
-    }
-
-    /// Whether the forwarded clock is inverted at each tile.
-    #[inline]
-    pub fn inverts_on_forward(&self) -> bool {
-        self.invert_on_forward
     }
 
     /// The DCC unit, if enabled.

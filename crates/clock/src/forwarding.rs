@@ -22,13 +22,12 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{Direction, FaultMap, TileArray, TileCoord, DIRECTIONS};
 
 use crate::selector::ClockSelector;
 
 /// Per-tile outcome of the clock setup phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileClock {
     /// The tile generates the fast clock itself (a configured edge tile).
     Generator,
@@ -220,7 +219,7 @@ impl fmt::Display for ClockSetupError {
 impl Error for ClockSetupError {}
 
 /// The converged clock distribution after the setup phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardingPlan {
     array: TileArray,
     states: Vec<TileClock>,

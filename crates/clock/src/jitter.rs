@@ -12,7 +12,6 @@
 //! Uncorrelated per-hop jitter adds in power: after `N` hops the RMS is
 //! `√N ×` the per-hop RMS (a random walk), not `N ×`.
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Hertz, Seconds};
 
 /// Random-jitter accumulation model for the forwarded clock.
@@ -26,7 +25,7 @@ use wsp_common::units::{Hertz, Seconds};
 /// // The paper's worst chain (~62 hops) stays within the 300 MHz budget.
 /// assert!(model.max_hops_within_budget() >= 62);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     per_hop_rms: Seconds,
     /// Peak-estimation multiplier (jitter is ~Gaussian; 3σ ≈ 99.7 %).

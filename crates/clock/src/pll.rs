@@ -9,7 +9,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Hertz, Volts};
 
 /// Behavioural model of the chiplet PLL.
@@ -25,7 +24,7 @@ use wsp_common::units::{Hertz, Volts};
 /// assert_eq!(out.as_megahertz(), 350.0);
 /// # Ok::<(), wsp_clock::SynthesizeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pll {
     min_reference: Hertz,
     max_reference: Hertz,
@@ -76,12 +75,6 @@ impl Pll {
             max_output,
             supply_ripple_tolerance,
         }
-    }
-
-    /// Supported reference-frequency range.
-    #[inline]
-    pub fn reference_range(&self) -> (Hertz, Hertz) {
-        (self.min_reference, self.max_reference)
     }
 
     /// Maximum synthesised output frequency.

@@ -9,11 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::Direction;
 
 /// A candidate input of the tile clock mux.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClockSource {
     /// Software-controlled test clock from the JTAG interface (boot
     /// default; used during testing and program/data load).
@@ -35,7 +34,7 @@ impl fmt::Display for ClockSource {
 }
 
 /// Phase of the per-tile clock FSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectorPhase {
     /// Power-on default: running on the JTAG clock.
     Boot,
@@ -74,7 +73,7 @@ impl fmt::Display for SelectorPhase {
 /// assert_eq!(sel.phase(), SelectorPhase::Locked);
 /// assert_eq!(sel.selected(), ClockSource::Forwarded(Direction::West));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockSelector {
     phase: SelectorPhase,
     selected: ClockSource,
@@ -175,14 +174,6 @@ impl ClockSelector {
         }
     }
 
-    /// Software override: selects an explicit source and forwards it.
-    /// Used for the edge-tile setup and for manual fault workarounds.
-    pub fn force_select(&mut self, source: ClockSource) {
-        self.phase = SelectorPhase::Locked;
-        self.selected = source;
-        self.forwarded = source;
-    }
-
     /// Returns to the boot state (JTAG clock), e.g. for re-test.
     pub fn reset(&mut self) {
         *self = ClockSelector::with_toggle_target(self.toggle_target);
@@ -212,20 +203,6 @@ impl ClockSelector {
     ) {
         let from = self.phase;
         self.configure_as_generator();
-        Self::emit_transition(sink, track, at, from, self.phase);
-    }
-
-    /// [`ClockSelector::force_select`] emitting a `clock` phase-transition
-    /// instant.
-    pub fn force_select_traced(
-        &mut self,
-        source: ClockSource,
-        sink: &mut dyn wsp_telemetry::Sink,
-        track: u64,
-        at: u64,
-    ) {
-        let from = self.phase;
-        self.force_select(source);
         Self::emit_transition(sink, track, at, from, self.phase);
     }
 
@@ -337,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn force_select_and_reset() {
+    fn reset_returns_a_locked_selector_to_boot() {
         let mut sel = ClockSelector::with_toggle_target(8);
-        sel.force_select(ClockSource::Forwarded(Direction::North));
+        sel.configure_as_generator();
         assert_eq!(sel.phase(), SelectorPhase::Locked);
         sel.reset();
         assert_eq!(sel.phase(), SelectorPhase::Boot);
@@ -383,10 +360,11 @@ mod tests {
         assert_eq!(events[0].name, "boot (JTAG) -> auto-selection");
         assert_eq!(events[1].name, "auto-selection -> locked");
 
-        // Generator / force-select paths emit too; no-op transitions don't.
+        // Generator paths emit too; no-op transitions don't.
         let mut gen = ClockSelector::new();
         gen.configure_as_generator_traced(&mut recorder, 0, 5);
-        gen.force_select_traced(ClockSource::Master, &mut recorder, 0, 6);
+        assert_eq!(recorder.tracer.len(), 3);
+        gen.configure_as_generator_traced(&mut recorder, 0, 6);
         assert_eq!(recorder.tracer.len(), 3, "locked -> locked is silent");
 
         // A disabled sink records nothing and changes nothing.

@@ -21,15 +21,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements the shared boilerplate for a unit newtype: constructors,
 /// accessors, comparison helpers, linear arithmetic with itself and with
 /// dimensionless scalars, and `Display` with the unit suffix.
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -352,12 +350,6 @@ impl Amps {
     pub fn from_milliamps(ma: f64) -> Self {
         Amps(ma * 1e-3)
     }
-
-    /// Returns the current in milliamps.
-    #[inline]
-    pub fn as_milliamps(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl Watts {
@@ -365,12 +357,6 @@ impl Watts {
     #[inline]
     pub fn from_milliwatts(mw: f64) -> Self {
         Watts(mw * 1e-3)
-    }
-
-    /// Returns the power in milliwatts.
-    #[inline]
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * 1e3
     }
 }
 
@@ -393,12 +379,6 @@ impl Farads {
     #[inline]
     pub fn from_nanofarads(nf: f64) -> Self {
         Farads(nf * 1e-9)
-    }
-
-    /// Constructs a capacitance from picofarads.
-    #[inline]
-    pub fn from_picofarads(pf: f64) -> Self {
-        Farads(pf * 1e-12)
     }
 
     /// Returns the capacitance in nanofarads.
@@ -450,12 +430,6 @@ impl Seconds {
         Seconds(ns * 1e-9)
     }
 
-    /// Returns the time in nanoseconds.
-    #[inline]
-    pub fn as_nanoseconds(self) -> f64 {
-        self.0 * 1e9
-    }
-
     /// Returns the time in minutes.
     #[inline]
     pub fn as_minutes(self) -> f64 {
@@ -486,22 +460,6 @@ impl Joules {
     #[inline]
     pub fn as_joules(self) -> f64 {
         self.0
-    }
-}
-
-impl Micrometers {
-    /// Converts to millimeters.
-    #[inline]
-    pub fn to_millimeters(self) -> Millimeters {
-        Millimeters(self.0 * 1e-3)
-    }
-}
-
-impl Millimeters {
-    /// Converts to micrometers.
-    #[inline]
-    pub fn to_micrometers(self) -> Micrometers {
-        Micrometers(self.0 * 1e3)
     }
 }
 
@@ -569,11 +527,11 @@ mod tests {
     #[test]
     fn metric_prefix_round_trips() {
         assert_eq!(Volts::from_millivolts(1100.0), Volts(1.1));
-        assert!((Amps::from_milliamps(200.0).as_milliamps() - 200.0).abs() < 1e-9);
+        assert!((Amps::from_milliamps(200.0).value() - 0.2).abs() < 1e-12);
         assert!((Watts::from_milliwatts(350.0).value() - 0.35).abs() < 1e-12);
-        assert!((Farads::from_picofarads(450.0).as_nanofarads() - 0.45).abs() < 1e-12);
+        assert!((Farads(450e-12).as_nanofarads() - 0.45).abs() < 1e-12);
         assert!((Hertz::from_megahertz(300.0).as_megahertz() - 300.0).abs() < 1e-9);
-        assert!((Seconds::from_nanoseconds(3.33).as_nanoseconds() - 3.33).abs() < 1e-9);
+        assert!((Seconds::from_nanoseconds(3.33).value() - 3.33e-9).abs() < 1e-18);
         assert!((Joules::from_picojoules(0.063).as_picojoules() - 0.063).abs() < 1e-12);
     }
 
@@ -586,7 +544,7 @@ mod tests {
     #[test]
     fn period_of_clock() {
         let t = Hertz::from_megahertz(300.0).period();
-        assert!((t.as_nanoseconds() - 3.3333333).abs() < 1e-3);
+        assert!((t.value() - 3.3333333e-9).abs() < 1e-12);
     }
 
     #[test]
@@ -600,8 +558,6 @@ mod tests {
         let a = Millimeters(3.15) * Millimeters(2.4);
         assert!((a.value() - 7.56).abs() < 1e-12);
         assert!((a / Millimeters(2.4) - Millimeters(3.15)).value().abs() < 1e-12);
-        assert_eq!(Micrometers(100.0).to_millimeters(), Millimeters(0.1));
-        assert_eq!(Millimeters(0.1).to_micrometers(), Micrometers(100.0));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_assembly::{BondingModel, ChipletKind, PadFrame, RedundancyScheme};
 use wsp_common::units::{Hertz, Millimeters, SquareMillimeters, Volts, Watts};
 use wsp_tile::{MemoryModelKind, CORES_PER_TILE, PRIVATE_SRAM_BYTES};
@@ -19,10 +18,12 @@ use wsp_topo::TileArray;
 /// There is one model: every remote load/store/AMO rides the cycle-level
 /// [`wsp_noc::Fabric`]'s dual-DoR mesh as a real packet and the core
 /// stalls until the response is delivered, so congestion, hot-spot
-/// queueing, and relay forwarding cost what they cost. The type remains
-/// so callers that name the model explicitly keep compiling; nothing
-/// branches on it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// queueing, and relay forwarding cost what they cost. Nothing stores or
+/// branches on it: the type remains only for the benchmark's
+/// `with_latency_model(LatencyModel::Fabric)` call in
+/// `wsp-benchmark/src/workloads/machine.rs`, and goes with that call in
+/// the next change to the benchmark.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyModel {
     /// Cycle-level simulation on the shared NoC fabric.
     #[default]
@@ -41,13 +42,12 @@ pub enum LatencyModel {
 /// let small = SystemConfig::with_array(TileArray::new(4, 4));
 /// assert_eq!(small.total_cores(), 224);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     array: TileArray,
     frequency: Hertz,
     core_voltage: Volts,
     supply_voltage: Volts,
-    latency_model: LatencyModel,
     memory_model: MemoryModelKind,
 }
 
@@ -84,23 +84,17 @@ impl SystemConfig {
             frequency: Self::NOMINAL_FREQUENCY,
             core_voltage: Self::NOMINAL_VOLTAGE,
             supply_voltage: Volts(2.5),
-            latency_model: LatencyModel::default(),
             memory_model: MemoryModelKind::default(),
         }
     }
 
-    /// The same configuration with a different remote-access latency
-    /// model.
+    /// The same configuration: [`LatencyModel`] has one variant, so
+    /// there is nothing to select. Kept only for the benchmark's
+    /// explicit selection, which the next change to the benchmark deletes
+    /// together with this function and the type.
     #[must_use]
-    pub fn with_latency_model(mut self, model: LatencyModel) -> Self {
-        self.latency_model = model;
+    pub fn with_latency_model(self, _model: LatencyModel) -> Self {
         self
-    }
-
-    /// How the machine prices remote shared-memory accesses.
-    #[inline]
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency_model
     }
 
     /// The same configuration with a different memory-timing backend
@@ -331,7 +325,7 @@ mod tests {
     #[test]
     fn latency_model_defaults_to_fabric() {
         let cfg = SystemConfig::paper_prototype();
-        assert_eq!(cfg.latency_model(), LatencyModel::Fabric);
+        assert_eq!(LatencyModel::default(), LatencyModel::Fabric);
         assert_eq!(cfg.with_latency_model(LatencyModel::Fabric), cfg);
     }
 
@@ -342,7 +336,7 @@ mod tests {
         let banked = cfg.with_memory_model(MemoryModelKind::Banked);
         assert_eq!(banked.memory_model(), MemoryModelKind::Banked);
         // Only the memory model changes.
-        assert_eq!(banked.latency_model(), cfg.latency_model());
+        assert_eq!(banked.with_memory_model(MemoryModelKind::Fixed), cfg);
         assert_eq!(banked.total_cores(), cfg.total_cores());
     }
 

@@ -20,7 +20,6 @@ use std::error::Error;
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wsp_clock::{ClockSetupError, ForwardingSim};
 use wsp_common::units::{Seconds, Volts};
 use wsp_dft::{ProgressiveUnroll, TestSchedule};
@@ -49,7 +48,6 @@ use crate::config::SystemConfig;
 pub struct WaferscaleSystem {
     config: SystemConfig,
     faults: FaultMap,
-    booted: bool,
 }
 
 impl WaferscaleSystem {
@@ -63,7 +61,6 @@ impl WaferscaleSystem {
         WaferscaleSystem {
             config,
             faults: outcome.into_faults(),
-            booted: false,
         }
     }
 
@@ -79,11 +76,7 @@ impl WaferscaleSystem {
             config.array(),
             "fault map array must match the configuration"
         );
-        WaferscaleSystem {
-            config,
-            faults,
-            booted: false,
-        }
+        WaferscaleSystem { config, faults }
     }
 
     /// The system configuration.
@@ -98,38 +91,9 @@ impl WaferscaleSystem {
         &self.faults
     }
 
-    /// Whether [`WaferscaleSystem::boot`] has completed.
-    #[inline]
-    pub fn is_booted(&self) -> bool {
-        self.booted
-    }
-
     /// Builds the kernel's network planner over the current fault map.
     pub fn route_planner(&self) -> RoutePlanner {
         RoutePlanner::new(self.faults.clone())
-    }
-
-    /// Solves the wafer's droop map with faulty tiles drawing no current
-    /// (their LDOs never enable) and healthy tiles at peak draw.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolvePdnError`] from the grid solve.
-    pub fn droop_map(&self) -> Result<wsp_pdn::PdnSolution, SolvePdnError> {
-        let peak = PdnConfig::PAPER_TILE_CURRENT;
-        let currents: Vec<wsp_common::units::Amps> = self
-            .config
-            .array()
-            .tiles()
-            .map(|t| {
-                if self.faults.is_faulty(t) {
-                    wsp_common::units::Amps::ZERO
-                } else {
-                    peak
-                }
-            })
-            .collect();
-        PdnConfig::paper_prototype_scaled(self.config.array()).solve_with_tile_currents(&currents)
     }
 
     /// Runs the boot sequence.
@@ -195,7 +159,6 @@ impl WaferscaleSystem {
             as u64;
         let load_time = schedule.memory_load_time(bytes_per_tile * array.tile_count() as u64);
 
-        self.booted = true;
         Ok(BootReport {
             clock_generator: generator,
             clock_setup_cycles: plan.setup_cycles(),
@@ -229,7 +192,7 @@ impl PdnScale for PdnConfig {
 }
 
 /// Summary of a completed boot sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootReport {
     /// The edge tile that generated the fast clock.
     pub clock_generator: TileCoord,
@@ -322,7 +285,6 @@ mod tests {
         assert_eq!(report.assembly_faults, 0);
         assert_eq!(report.unclocked_tiles, 0);
         assert_eq!(report.rows_with_faults, 0);
-        assert!(system.is_booted());
     }
 
     #[test]
@@ -374,20 +336,6 @@ mod tests {
         let mut rng = seeded_rng(4);
         let report = system.boot(&mut rng).expect("boots");
         assert_eq!(report.rows_with_faults, 2);
-    }
-
-    #[test]
-    fn dead_tiles_relieve_the_droop() {
-        // Faulty tiles draw nothing, so a damaged wafer droops (slightly)
-        // less than a pristine one.
-        let cfg = SystemConfig::paper_prototype();
-        let pristine = WaferscaleSystem::with_faults(cfg, FaultMap::none(cfg.array()));
-        let mut rng = seeded_rng(8);
-        let damaged =
-            WaferscaleSystem::with_faults(cfg, FaultMap::sample_uniform(cfg.array(), 50, &mut rng));
-        let v_pristine = pristine.droop_map().expect("solves").min_voltage();
-        let v_damaged = damaged.droop_map().expect("solves").min_voltage();
-        assert!(v_damaged.value() > v_pristine.value());
     }
 
     #[test]

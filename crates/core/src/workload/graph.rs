@@ -1,10 +1,9 @@
 //! Synthetic graph generation (CSR) for the workload studies.
 
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 
 /// Families of synthetic graphs used by the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphKind {
     /// Uniform random (Erdős–Rényi-style) with the given average degree.
     UniformRandom {
@@ -34,7 +33,7 @@ pub enum GraphKind {
 /// assert_eq!(g.vertex_count(), 100);
 /// assert!(g.edge_count() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<u32>,

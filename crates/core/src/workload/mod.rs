@@ -29,7 +29,6 @@ pub use stencil::{run_stencil, StencilGrid};
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::Seconds;
 
 use wsp_common::units::Amps;
@@ -421,7 +420,7 @@ impl MemorySim {
 }
 
 /// Execution report of one distributed kernel run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadReport {
     /// Superstep (level/iteration) count.
     pub supersteps: u32,
@@ -436,13 +435,10 @@ pub struct WorkloadReport {
     /// Cycles the memory backend charged beyond the fixed-latency
     /// baseline — already included in `cycles`; zero under
     /// [`MemoryModelKind::Fixed`].
-    #[serde(default)]
     pub mem_stall_cycles: u64,
     /// Row-buffer hits observed by a banked backend (zero under fixed).
-    #[serde(default)]
     pub row_hits: u64,
     /// Row-buffer misses observed by a banked backend (zero under fixed).
-    #[serde(default)]
     pub row_misses: u64,
 }
 

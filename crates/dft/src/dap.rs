@@ -10,10 +10,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How the tile presents its DAPs on the scan path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShiftMode {
     /// All DAP registers in series: independent per-core data.
     Serial,
@@ -49,7 +47,7 @@ impl fmt::Display for ShiftMode {
 /// }
 /// assert!((0..14).all(|c| chain.register(c) == chain.register(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DapChain {
     /// Per-core shift registers, index 0 nearest TDI.
     registers: Vec<VecDeque<bool>>,

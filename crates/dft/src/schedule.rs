@@ -8,13 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Hertz, Seconds};
 use wsp_telemetry::Sink;
 
 /// A test/load configuration: how many parallel chains, the TCK rate,
 /// and whether intra-tile DAP broadcast is used for SPMD program loads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestSchedule {
     chains: u32,
     tck: Hertz,

@@ -12,10 +12,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Result of testing one position during the unroll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainStep {
     /// Position in the chain (0 = nearest the controller).
     pub position: usize,
@@ -26,7 +24,7 @@ pub struct ChainStep {
 }
 
 /// Outcome of progressively unrolling one chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnrollOutcome {
     steps: Vec<ChainStep>,
     first_faulty: Option<usize>,
@@ -48,11 +46,6 @@ impl UnrollOutcome {
     /// Number of chiplets verified good.
     pub fn verified_good(&self) -> usize {
         self.steps.iter().filter(|s| s.passed).count()
-    }
-
-    /// Whether the whole chain tested good.
-    pub fn chain_is_good(&self) -> bool {
-        self.first_faulty.is_none() && self.steps.len() == self.chain_len
     }
 
     /// Total TCKs spent.
@@ -179,7 +172,6 @@ mod tests {
     #[test]
     fn clean_chain_tests_all_positions() {
         let outcome = ProgressiveUnroll::new(32, 16).run(|_| true);
-        assert!(outcome.chain_is_good());
         assert_eq!(outcome.verified_good(), 32);
         assert_eq!(outcome.first_faulty(), None);
         assert_eq!(outcome.steps().len(), 32);
@@ -190,7 +182,6 @@ mod tests {
         let outcome = ProgressiveUnroll::new(32, 16).run(|pos| pos != 7);
         assert_eq!(outcome.first_faulty(), Some(7));
         assert_eq!(outcome.verified_good(), 7);
-        assert!(!outcome.chain_is_good());
         // Testing stopped at the fault.
         assert_eq!(outcome.steps().len(), 8);
     }
@@ -225,7 +216,8 @@ mod tests {
         assert_eq!(outcome.verified_good(), 9);
         // With all bonds good, the partial chain passes.
         let ok = unroll.run_partial(10, |_| true);
-        assert!(ok.chain_is_good());
+        assert_eq!(ok.first_faulty(), None);
+        assert_eq!(ok.steps().len(), 10);
         assert_eq!(ok.verified_good(), 10);
     }
 

@@ -14,12 +14,11 @@
 //! pairs.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wsp_common::rng::stream_seed;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 /// The routing schemes compared in Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingScheme {
     /// A single X-Y dimension-ordered network (the conventional baseline).
     SingleXy,
@@ -311,7 +310,7 @@ pub fn disconnected_fraction(faults: &FaultMap, scheme: RoutingScheme) -> f64 {
 }
 
 /// One point of the Fig. 6 sweep: average disconnection at a fault count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectivityPoint {
     /// Number of faulty chiplets injected.
     pub faulty_chiplets: usize,

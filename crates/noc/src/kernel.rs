@@ -16,14 +16,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
 use crate::connectivity::SegmentOracle;
 use crate::routing::NetworkKind;
 
 /// The kernel's routing decision for one source-destination pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkChoice {
     /// Send directly on the given network (response returns on its
     /// complement along the same tiles).

@@ -8,11 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{FaultMap, TileCoord};
 
 /// Which of the two independent mesh networks a packet rides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
     /// Dimension-ordered X-then-Y routing.
     Xy,

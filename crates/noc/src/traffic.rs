@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
 use wsp_common::stepping::Stepping;
 use wsp_topo::{FaultMap, TileArray, TileCoord};
 
@@ -23,7 +22,7 @@ use crate::kernel::{NetworkChoice, RoutePlanner};
 use crate::routing::NetworkKind;
 
 /// Synthetic traffic patterns for the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Every healthy tile sends to a uniformly random healthy tile.
     UniformRandom,
@@ -72,7 +71,7 @@ impl TrafficPattern {
 }
 
 /// Configuration of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// FIFO depth of each router input queue, in packets.
     pub queue_capacity: usize,
@@ -432,7 +431,7 @@ fn bernoulli<R: Rng + ?Sized>(rng: &mut R, threshold: u64) -> bool {
 pub const RTT_HISTOGRAM_BUCKETS: usize = 4096;
 
 /// Accumulated statistics of a simulation run.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// Simulated cycles (including the drain phase).
     pub cycles: u64,

@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Amps, Farads, Seconds, Volts};
 
 /// The per-tile decoupling-capacitor bank.
@@ -27,7 +26,7 @@ use wsp_common::units::{Amps, Farads, Seconds, Volts};
 /// );
 /// assert!(droop.value() < 0.2); // stays inside the 1.0–1.2 V window
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecapBank {
     capacitance: Farads,
     tile_area_fraction: f64,

@@ -11,8 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-use wsp_common::units::{Amps, Volts, Watts};
+use wsp_common::units::{Amps, Volts};
 
 /// Behavioural model of the chiplet LDO.
 ///
@@ -27,7 +26,7 @@ use wsp_common::units::{Amps, Volts, Watts};
 /// assert!((1.0..=1.2).contains(&out.value()));
 /// # Ok::<(), wsp_pdn::RegulateError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ldo {
     nominal_output: Volts,
     min_output: Volts,
@@ -95,12 +94,6 @@ impl Ldo {
     #[inline]
     pub fn nominal_output(&self) -> Volts {
         self.nominal_output
-    }
-
-    /// Guaranteed output window across PVT corners.
-    #[inline]
-    pub fn output_window(&self) -> (Volts, Volts) {
-        (self.min_output, self.max_output)
     }
 
     /// Supported input range.
@@ -173,23 +166,6 @@ impl Ldo {
         let vout = self.regulate(vin)?;
         Ok(vout.value() / vin.value())
     }
-
-    /// Power burned in the pass element at a given input and load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegulateError::Overload`] when the load exceeds the device
-    /// rating, or propagates the input-range errors.
-    pub fn pass_loss(&self, vin: Volts, load: Amps) -> Result<Watts, RegulateError> {
-        if load.value() > self.max_load.value() {
-            return Err(RegulateError::Overload {
-                load,
-                limit: self.max_load,
-            });
-        }
-        let vout = self.regulate(vin)?;
-        Ok((vin - vout) * load)
-    }
 }
 
 impl fmt::Display for Ldo {
@@ -219,13 +195,6 @@ pub enum RegulateError {
         /// Maximum acceptable input.
         limit: Volts,
     },
-    /// Load current above the device rating.
-    Overload {
-        /// The requested load.
-        load: Amps,
-        /// Rated maximum load.
-        limit: Amps,
-    },
 }
 
 impl fmt::Display for RegulateError {
@@ -236,9 +205,6 @@ impl fmt::Display for RegulateError {
             }
             RegulateError::InputTooHigh { vin, limit } => {
                 write!(f, "input {vin:.3} above maximum {limit:.3}")
-            }
-            RegulateError::Overload { load, limit } => {
-                write!(f, "load {load:.3} above rated {limit:.3}")
             }
         }
     }
@@ -292,24 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn pass_loss_scales_with_headroom() {
-        let ldo = Ldo::paper_ldo();
-        let load = Amps::from_milliamps(200.0);
-        let near = ldo.pass_loss(Volts(1.5), load).expect("ok");
-        let far = ldo.pass_loss(Volts(2.5), load).expect("ok");
-        assert!(far.value() > near.value());
-        assert!(matches!(
-            ldo.pass_loss(Volts(2.0), Amps(1.0)),
-            Err(RegulateError::Overload { .. })
-        ));
-    }
-
-    #[test]
     fn supports_peak_load_of_350mw() {
         let ldo = Ldo::paper_ldo();
         // 350 mW at 1.1 V ≈ 318 mA must be within rating.
         let peak = Amps(0.35 / 1.1);
-        assert!(ldo.pass_loss(Volts(1.4), peak).is_ok());
+        assert!(peak.value() <= ldo.max_load().value());
+        assert!(ldo.regulate(Volts(1.4)).is_ok());
     }
 
     #[test]

@@ -16,14 +16,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Amps, Volts, Watts};
 
 use crate::grid::{PdnConfig, SolvePdnError};
 use crate::ldo::Ldo;
 
 /// A candidate waferscale power-delivery scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeliveryStrategy {
     /// 2.5 V at the edge, per-chiplet LDO regulation (the paper's choice).
     EdgeLdo {
@@ -214,7 +213,7 @@ impl fmt::Display for DeliveryStrategy {
 }
 
 /// Quantified outcome of a delivery strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyAssessment {
     /// The assessed strategy.
     pub strategy: DeliveryStrategy,

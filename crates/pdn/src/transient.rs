@@ -8,13 +8,12 @@
 //! behaviour: a first-order LDO loop (time constant + proportional error
 //! correction) charging the decap node against an arbitrary load step.
 
-use serde::{Deserialize, Serialize};
 use wsp_common::units::{Amps, Seconds, Volts};
 
 use crate::decap::DecapBank;
 
 /// Configuration of a regulation-transient simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientConfig {
     /// The decoupling bank on the regulated node.
     pub decap: DecapBank,
@@ -46,7 +45,7 @@ impl TransientConfig {
 }
 
 /// Result of one transient run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// Lowest rail voltage observed.
     pub min_voltage: Volts,

@@ -8,13 +8,12 @@
 //! 3.7 mm tile pitch — the same constants `SystemConfig` derives Table I
 //! from).
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{TileArray, TileCoord};
 
 use crate::router::{BoundaryKey, RoutedNet};
 
 /// An axis-aligned rectangle in wafer coordinates (mm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Left edge.
     pub x0: f64,
@@ -50,7 +49,7 @@ impl Rect {
 }
 
 /// A straight metal segment of one routed bundle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireSegment {
     /// Start point (mm).
     pub from: (f64, f64),
@@ -83,7 +82,7 @@ impl WireSegment {
 /// let tile = geo.tile_rect(TileCoord::new(0, 0));
 /// assert!((tile.width() - 3.25).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaferGeometry {
     array: TileArray,
     pitch_x: f64,

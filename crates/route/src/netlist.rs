@@ -8,11 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{Direction, TileArray, TileCoord};
 
 /// What a net carries; decides its I/O column set and hence its layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetClass {
     /// A 400-bit inter-tile network bundle (essential).
     Network,
@@ -51,7 +50,7 @@ impl fmt::Display for NetClass {
 }
 
 /// One end of a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetEndpoint {
     /// A chiplet pin field on a tile.
     Tile(TileCoord),
@@ -61,7 +60,7 @@ pub enum NetEndpoint {
 
 /// A routable net: a bundle of `width` parallel wires between two
 /// endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Net {
     /// Unique id within the netlist.
     pub id: u32,
@@ -86,7 +85,7 @@ pub struct Net {
 /// let netlist = WaferNetlist::generate(TileArray::new(32, 32));
 /// assert!(netlist.nets().len() > 5000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaferNetlist {
     array: TileArray,
     nets: Vec<Net>,

@@ -13,14 +13,13 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsp_topo::{ReticleGrid, TileArray, TileCoord};
 
 use crate::netlist::{Net, NetClass, NetEndpoint, WaferNetlist};
 
 /// A signal routing layer of the substrate (layers 3 and 4 of the metal
 /// stack; 1 and 2 are the power planes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layer {
     /// First signal layer — carries the essential I/O column set.
     L1,
@@ -38,7 +37,7 @@ impl fmt::Display for Layer {
 }
 
 /// How many signal layers the fabricated substrate offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerMode {
     /// Both signal layers yielded: full system.
     DualLayer,
@@ -49,7 +48,7 @@ pub enum LayerMode {
 
 /// A track-capacity region: one facing edge between two chiplets, or a
 /// wafer-side connector region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundaryKey {
     /// Between `west` and its east neighbour (crossed by E-W bundles).
     Vertical {
@@ -75,7 +74,7 @@ pub enum BoundaryKey {
 }
 
 /// One successfully routed net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedNet {
     /// The net.
     pub net: Net,
@@ -94,7 +93,7 @@ pub struct RoutedNet {
 }
 
 /// Router configuration: capacities derived from the chiplet geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
     array: TileArray,
     mode: LayerMode,
@@ -322,7 +321,7 @@ impl fmt::Display for RouteError {
 impl Error for RouteError {}
 
 /// The routing result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteReport {
     routed: Vec<RoutedNet>,
     failed: Vec<Net>,

@@ -11,10 +11,8 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 16 general-purpose registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Reg {
     R0,
@@ -70,7 +68,7 @@ impl fmt::Display for Reg {
 }
 
 /// A fully resolved instruction (branch targets are instruction indices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Instr {
     /// `rd ← imm`
@@ -117,7 +115,7 @@ pub enum Instr {
 }
 
 /// An executable program: a resolved instruction sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -37,8 +37,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::memory::{bank_row_of_offset, BANK_COUNT};
 
 /// Extra cycles a row miss costs over an open-page hit (precharge +
@@ -86,7 +84,7 @@ pub enum MemTiming {
 }
 
 /// Selects a memory-timing backend (the `--memory` bench axis).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MemoryModelKind {
     /// One word per bank per cycle, no further latency (the paper's
     /// model and the bit-identical default).
@@ -190,9 +188,6 @@ pub trait MemoryModel: fmt::Debug + Send {
     fn state_fingerprint(&self) -> u64 {
         0
     }
-
-    /// Clones the model behind the object (tiles are `Clone`).
-    fn clone_box(&self) -> Box<dyn MemoryModel>;
 }
 
 /// FNV-1a 64-bit offset basis for [`MemoryModel::state_fingerprint`]
@@ -205,12 +200,6 @@ fn fp_mix(mut h: u64, v: u64) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-impl Clone for Box<dyn MemoryModel> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// The paper's fixed-latency banks: one word per bank per cycle, zero
@@ -289,10 +278,6 @@ impl MemoryModel for FixedLatency {
             h = fp_mix(h, s);
         }
         fp_mix(fp_mix(h, self.grants), self.conflicts)
-    }
-
-    fn clone_box(&self) -> Box<dyn MemoryModel> {
-        Box::new(self.clone())
     }
 }
 
@@ -450,10 +435,6 @@ impl MemoryModel for BankedRowBuffer {
             }
         }
         h
-    }
-
-    fn clone_box(&self) -> Box<dyn MemoryModel> {
-        Box::new(self.clone())
     }
 }
 

@@ -33,7 +33,7 @@ pub struct TileStats {
 /// # Examples
 ///
 /// See the crate-level example.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tile {
     cores: Vec<CoreSim>,
     memory: MemoryChiplet,
@@ -113,15 +113,6 @@ impl Tile {
     /// Returns an error for misaligned or out-of-range offsets.
     pub fn read_shared_word(&self, offset: u32) -> Result<u32, AccessMemoryError> {
         self.memory.read_word(offset)
-    }
-
-    /// Writes a word of this tile's shared memory (test/host access).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for misaligned or out-of-range offsets.
-    pub fn write_shared_word(&mut self, offset: u32, value: u32) -> Result<(), AccessMemoryError> {
-        self.memory.write_word(offset, value)
     }
 
     /// Whether any core is still running.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A position in the tile array: `x` is the column (grows east), `y` is the
 /// row (grows south). The origin `(0, 0)` is the north-west corner, matching
 /// the wafer micrographs in the paper.
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.y, 5);
 /// assert_eq!(t.manhattan_distance(TileCoord::new(0, 0)), 8);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileCoord {
     /// Column index, increasing eastwards.
     pub x: u16,
@@ -71,7 +67,7 @@ impl From<(u16, u16)> for TileCoord {
 /// The compute chiplet forwards its clock and escapes its network links on
 /// all four sides, so almost every per-tile structure in the workspace is
 /// indexed by `Direction`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards decreasing `y`.
     North,
@@ -125,12 +121,6 @@ impl Direction {
             Direction::West => 3,
         }
     }
-
-    /// Returns `true` for East/West, i.e. movement along the X dimension.
-    #[inline]
-    pub fn is_horizontal(self) -> bool {
-        matches!(self, Direction::East | Direction::West)
-    }
 }
 
 impl fmt::Display for Direction {
@@ -160,7 +150,7 @@ impl fmt::Display for Direction {
 /// assert_eq!(array.tile_count(), 1024);
 /// assert_eq!(array.edge_tiles().count(), 124);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileArray {
     cols: u16,
     rows: u16,
@@ -273,18 +263,6 @@ impl TileArray {
     pub fn edge_tiles(self) -> impl Iterator<Item = TileCoord> {
         self.tiles().filter(move |&t| self.is_edge(t))
     }
-
-    /// Minimum number of hops from `tile` to the nearest array edge.
-    ///
-    /// Used by the PDN model: supply voltage droops with distance from the
-    /// edge ring (Fig. 2), and by the clock model: only edge tiles generate
-    /// the fast clock (Sec. IV).
-    #[inline]
-    pub fn distance_to_edge(self, tile: TileCoord) -> u16 {
-        let dx = tile.x.min(self.cols - 1 - tile.x);
-        let dy = tile.y.min(self.rows - 1 - tile.y);
-        dx.min(dy)
-    }
 }
 
 impl fmt::Display for TileArray {
@@ -375,8 +353,6 @@ mod tests {
             assert_eq!((dx + ox, dy + oy), (0, 0));
             assert_eq!(DIRECTIONS[d.index()], d);
         }
-        assert!(Direction::East.is_horizontal());
-        assert!(!Direction::North.is_horizontal());
     }
 
     #[test]
@@ -402,17 +378,6 @@ mod tests {
         assert!(array.is_edge(TileCoord::new(0, 31)));
         assert!(array.is_edge(TileCoord::new(31, 5)));
         assert_eq!(array.edge_tiles().count(), 124);
-    }
-
-    #[test]
-    fn distance_to_edge_is_zero_on_boundary() {
-        let array = TileArray::new(32, 32);
-        for t in array.edge_tiles() {
-            assert_eq!(array.distance_to_edge(t), 0);
-        }
-        // Centre of a 32×32 array is 15 hops from the nearest edge.
-        assert_eq!(array.distance_to_edge(TileCoord::new(16, 16)), 15);
-        assert_eq!(array.distance_to_edge(TileCoord::new(15, 15)), 15);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use std::fmt;
 
 use rand::seq::index::sample;
-use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
 use crate::{TileArray, TileCoord};
 
@@ -28,7 +27,7 @@ use crate::{TileArray, TileCoord};
 /// assert_eq!(faults.fault_count(), 1);
 /// assert!(faults.is_healthy(TileCoord::new(0, 0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultMap {
     array: TileArray,
     bits: Vec<u64>,
@@ -82,24 +81,6 @@ impl FaultMap {
         map
     }
 
-    /// Samples a fault map where each tile fails independently with
-    /// probability `p` — the Bernoulli model implied by per-chiplet
-    /// assembly yield.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn sample_bernoulli<R: Rng + ?Sized>(array: TileArray, p: f64, rng: &mut R) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-        let mut map = FaultMap::none(array);
-        for idx in 0..array.tile_count() {
-            if rng.random_bool(p) {
-                map.set_index(idx);
-            }
-        }
-        map
-    }
-
     /// The tile array this map covers.
     #[inline]
     pub fn array(&self) -> TileArray {
@@ -114,16 +95,6 @@ impl FaultMap {
     pub fn mark_faulty(&mut self, tile: TileCoord) {
         let idx = self.array.index_of(tile);
         self.set_index(idx);
-    }
-
-    /// Marks `tile` healthy again (used when a repair/retest clears it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` lies outside the array.
-    pub fn mark_healthy(&mut self, tile: TileCoord) {
-        let idx = self.array.index_of(tile);
-        self.bits[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     /// Returns `true` when `tile` is faulty.
@@ -233,23 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn mark_and_clear() {
-        let mut map = FaultMap::none(array8());
-        let t = TileCoord::new(4, 4);
-        map.mark_faulty(t);
-        map.mark_faulty(t); // idempotent
-        assert!(map.is_faulty(t));
-        assert_eq!(map.fault_count(), 1);
-        map.mark_healthy(t);
-        assert!(map.is_healthy(t));
-        assert_eq!(map.fault_count(), 0);
-    }
-
-    #[test]
     fn from_faulty_collects() {
         let faults = [TileCoord::new(0, 0), TileCoord::new(7, 7)];
-        let map = FaultMap::from_faulty(array8(), faults);
+        let mut map = FaultMap::from_faulty(array8(), faults);
         assert_eq!(map.faulty_tiles().collect::<Vec<_>>(), faults);
+        // Marking a tile is idempotent.
+        map.mark_faulty(TileCoord::new(4, 4));
+        map.mark_faulty(TileCoord::new(4, 4));
+        assert!(map.is_faulty(TileCoord::new(4, 4)));
+        assert_eq!(map.fault_count(), 3);
     }
 
     #[test]
@@ -272,31 +235,6 @@ mod tests {
     #[should_panic(expected = "cannot make")]
     fn sample_uniform_rejects_overflow() {
         let _ = FaultMap::sample_uniform(array8(), 65, &mut seeded_rng(0));
-    }
-
-    #[test]
-    fn sample_bernoulli_extremes() {
-        let mut rng = seeded_rng(7);
-        assert_eq!(
-            FaultMap::sample_bernoulli(array8(), 0.0, &mut rng).fault_count(),
-            0
-        );
-        assert_eq!(
-            FaultMap::sample_bernoulli(array8(), 1.0, &mut rng).fault_count(),
-            64
-        );
-    }
-
-    #[test]
-    fn sample_bernoulli_rate_is_plausible() {
-        let array = TileArray::new(32, 32);
-        let mut rng = seeded_rng(42);
-        let total: usize = (0..20)
-            .map(|_| FaultMap::sample_bernoulli(array, 0.1, &mut rng).fault_count())
-            .sum();
-        let mean = total as f64 / 20.0;
-        // E = 102.4; allow generous slack for 20 samples.
-        assert!((70.0..140.0).contains(&mean), "mean fault count {mean}");
     }
 
     #[test]
@@ -323,11 +261,5 @@ mod tests {
     fn display_draws_grid() {
         let map = FaultMap::from_faulty(TileArray::new(3, 2), [TileCoord::new(1, 0)]);
         assert_eq!(map.to_string(), ".X.\n...\n");
-    }
-
-    #[test]
-    fn fault_map_is_serializable() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<FaultMap>();
     }
 }

@@ -8,14 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{TileArray, TileCoord};
 
 /// Position of a reticle within the step-and-repeat grid.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReticleCoord {
     /// Reticle column.
     pub x: u16,
@@ -44,7 +40,7 @@ impl fmt::Display for ReticleCoord {
 /// let r = grid.reticle_of(TileCoord::new(13, 3));
 /// assert_eq!((r.x, r.y), (1, 0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReticleGrid {
     array: TileArray,
     tiles_x: u16,
@@ -85,12 +81,6 @@ impl ReticleGrid {
         self.array
     }
 
-    /// Tiles per reticle as `(cols, rows)`.
-    #[inline]
-    pub fn tiles_per_reticle(self) -> (u16, u16) {
-        (self.tiles_x, self.tiles_y)
-    }
-
     /// Number of reticle columns needed to cover the array (including
     /// partial reticles at the boundary).
     #[inline]
@@ -102,12 +92,6 @@ impl ReticleGrid {
     #[inline]
     pub fn reticle_rows(self) -> u16 {
         self.array.rows().div_ceil(self.tiles_y)
-    }
-
-    /// Total reticle count (the number of stepper exposures per layer).
-    #[inline]
-    pub fn reticle_count(self) -> usize {
-        usize::from(self.reticle_cols()) * usize::from(self.reticle_rows())
     }
 
     /// The reticle containing `tile`.
@@ -129,20 +113,6 @@ impl ReticleGrid {
     /// subject to the fat-wire rule.
     pub fn crosses_boundary(self, a: TileCoord, b: TileCoord) -> bool {
         self.reticle_of(a) != self.reticle_of(b)
-    }
-
-    /// Number of vertical stitching boundaries a horizontal wire crosses
-    /// between columns `x0` and `x1` (inclusive tile range).
-    pub fn vertical_boundaries_crossed(self, x0: u16, x1: u16) -> u16 {
-        let (lo, hi) = if x0 <= x1 { (x0, x1) } else { (x1, x0) };
-        hi / self.tiles_x - lo / self.tiles_x
-    }
-
-    /// Number of horizontal stitching boundaries a vertical wire crosses
-    /// between rows `y0` and `y1` (inclusive tile range).
-    pub fn horizontal_boundaries_crossed(self, y0: u16, y1: u16) -> u16 {
-        let (lo, hi) = if y0 <= y1 { (y0, y1) } else { (y1, y0) };
-        hi / self.tiles_y - lo / self.tiles_y
     }
 }
 
@@ -169,8 +139,6 @@ mod tests {
         // 32/12 → 3 columns, 32/6 → 6 rows.
         assert_eq!(grid.reticle_cols(), 3);
         assert_eq!(grid.reticle_rows(), 6);
-        assert_eq!(grid.reticle_count(), 18);
-        assert_eq!(grid.tiles_per_reticle(), (12, 6));
     }
 
     #[test]
@@ -199,11 +167,6 @@ mod tests {
         let grid = ReticleGrid::paper_grid(TileArray::new(32, 32));
         assert!(!grid.crosses_boundary(TileCoord::new(0, 0), TileCoord::new(11, 5)));
         assert!(grid.crosses_boundary(TileCoord::new(11, 0), TileCoord::new(12, 0)));
-        assert_eq!(grid.vertical_boundaries_crossed(0, 31), 2);
-        assert_eq!(grid.vertical_boundaries_crossed(31, 0), 2);
-        assert_eq!(grid.vertical_boundaries_crossed(0, 11), 0);
-        assert_eq!(grid.horizontal_boundaries_crossed(0, 31), 5);
-        assert_eq!(grid.horizontal_boundaries_crossed(5, 6), 1);
     }
 
     #[test]

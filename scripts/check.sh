@@ -10,6 +10,74 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> unused-public-API gate (every pub fn has a caller or a keep-list entry)"
+# Each `pub fn` defined in crates/*/src above the file's #[cfg(test)]
+# must be named, as a whole word, on a line of the corpus that does not
+# define a fn of that name. The corpus is every line above the file's
+# #[cfg(test)] in crates/*/src (bins included), examples/ and
+# wsp-benchmark/src, so a call from a test module alone does not count.
+# Comment lines are in the corpus: a name in a doc comment or doc
+# example counts as a caller, and a new comment naming a kept function
+# makes its keep-list entry stale.
+# A function only tests use stays only with an entry in
+# scripts/pub_api_keep.txt ("<file> <name> <reason>"), and an entry whose
+# function is gone or now has a caller fails the gate too.
+api_report=$(
+    {
+        awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+             !t { print (FILENAME ~ /^crates\// ? "L" : "C") "\t" FILENAME "\t" $0 }' \
+            $(find crates/*/src examples wsp-benchmark/src -name '*.rs' | sort)
+        awk '!/^[[:space:]]*(#|$)/ { print "K\t" $0 }' scripts/pub_api_keep.txt
+    } | awk -F '\t' '
+        $1 == "K" {
+            n = split($2, f, /[ \t]+/)
+            if (n < 3) { print "FAIL: keep-list entry without a reason: " $2; next }
+            keep[f[1] " " f[2]] = 1
+            next
+        }
+        {
+            text = $0
+            sub(/^[^\t]*\t[^\t]*\t/, "", text)
+            if ($1 == "L" && match(text, /^[ \t]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr(text, RSTART, RLENGTH)
+                sub(/.*fn /, "", name)
+                defs[$2 " " name] = name
+            }
+            split("", defined)
+            s = text
+            while (match(s, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                w = substr(s, RSTART, RLENGTH)
+                sub(/.*fn[ \t]+/, "", w)
+                defined[w] = 1
+                s = substr(s, RSTART + RLENGTH)
+            }
+            s = text
+            while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                w = substr(s, RSTART, RLENGTH)
+                if (!(w in defined)) used[w] = 1
+                s = substr(s, RSTART + RLENGTH)
+            }
+        }
+        END {
+            for (d in defs) {
+                if (!(defs[d] in used) && !(d in keep)) print "FAIL: pub fn without a caller outside tests: " d
+                else if (!(defs[d] in used)) kept++
+                else called++
+            }
+            for (k in keep) {
+                if (!(k in defs)) print "FAIL: stale keep-list entry (no such pub fn): " k
+                else if (defs[k] in used) print "FAIL: stale keep-list entry (now has a caller): " k
+            }
+            print "OK " called " " kept
+        }'
+)
+if grep -q '^FAIL' <<< "$api_report"; then
+    grep '^FAIL' <<< "$api_report" | sort >&2
+    exit 1
+fi
+read -r _ api_called api_kept <<< "$(grep '^OK' <<< "$api_report")"
+echo "    $api_called pub fns called outside tests, $api_kept kept by scripts/pub_api_keep.txt"
+
 echo "==> cargo doc -D warnings (every intra-doc link resolves to a public item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
